@@ -8,10 +8,14 @@
 //! * `inference/*` — forest vote vs compiled-rule match vs TCAM lookup
 //!   (the data-plane story of §3.2.3).
 //! * `rulegen/*` — whitelist compilation (§3.2.3).
-//! * `pipeline/*` — per-packet cost of the Fig.-4 emulated pipeline and
-//!   the wire parser (App. B.1's latency side).
+//! * `pipeline/*` — per-packet cost of the Fig.-4 emulated pipeline, the
+//!   wire parser (App. B.1's latency side) and the blacklist probe under
+//!   std's SipHash vs the keyed flow hasher.
 //! * `features/*` — flow-state update + feature extraction (§3.3.1).
 
+use std::collections::HashSet;
+
+use iguard_runtime::hash::FlowSet;
 use iguard_runtime::par::with_workers;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::timing::{bench, group};
@@ -21,6 +25,7 @@ use iguard_core::forest::{IGuardConfig, IGuardForest};
 use iguard_core::rules::RuleSet;
 use iguard_core::teacher::OracleTeacher;
 use iguard_flow::features::switch_fl_features;
+use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::stats::FlowStats;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
@@ -161,6 +166,21 @@ fn pipeline() {
     let pkt = trace.packets[0];
     let bytes = pkt.to_bytes();
     bench("wire_parse_roundtrip", || Packet::from_bytes(0, std::hint::black_box(&bytes)).unwrap());
+
+    // Blacklist probes of a 4,096-entry set under std's SipHash-1-3 vs the
+    // keyed flow hasher: one iteration probes 8,192 keys, half installed,
+    // so the harness's per-iteration clock reads do not swamp a probe.
+    let keys: Vec<FiveTuple> = (0..8_192u32)
+        .map(|i| FiveTuple::new(0x0A00_0000 + i, 0xC0A8_0001, 1024 + i as u16, 443, 6))
+        .collect();
+    let sip: HashSet<FiveTuple> = keys.iter().step_by(2).copied().collect();
+    let keyed: FlowSet<FiveTuple> = keys.iter().step_by(2).copied().collect();
+    bench("blacklist_8192_probes_siphash", || {
+        keys.iter().filter(|k| sip.contains(std::hint::black_box(*k))).count()
+    });
+    bench("blacklist_8192_probes_flow_hasher", || {
+        keys.iter().filter(|k| keyed.contains(std::hint::black_box(*k))).count()
+    });
 }
 
 fn features() {

@@ -736,15 +736,18 @@ impl FlowShard {
     /// resident.
     pub fn set_label(&mut self, key: &FiveTuple, label: bool) -> bool {
         let key = key.canonical();
-        let i1 = self.idx1(&key);
-        if let Some(slot) = &mut self.table1[i1] {
-            if slot.key == key {
-                slot.label = Some(label);
-                return true;
-            }
-        }
-        let i2 = self.idx2(&key);
-        if let Some(slot) = &mut self.table2[i2] {
+        let (i1, i2) = self.slot_index_pair(&key);
+        self.set_label_prehashed(key, i1, i2, label)
+    }
+
+    /// [`FlowShard::set_label`] with the canonical key and its slot pair
+    /// precomputed — the batched walk already holds both from its hashing
+    /// pre-pass, so the label write re-hashes nothing.
+    pub fn set_label_prehashed(&mut self, key: FiveTuple, i1: u32, i2: u32, label: bool) -> bool {
+        debug_assert_eq!(key, key.canonical());
+        debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
+        let slots = [&mut self.table1[i1 as usize], &mut self.table2[i2 as usize]];
+        for slot in slots.into_iter().flatten() {
             if slot.key == key {
                 slot.label = Some(label);
                 return true;

@@ -22,6 +22,10 @@
 //! * [`scratch`] — reusable scratch buffers ([`scratch::VecPool`],
 //!   [`scratch::ShardBins`]) so per-batch hot loops allocate only at
 //!   warm-up, not per iteration.
+//! * [`hash`] — [`hash::FlowSet`] / [`hash::FlowMap`], std hash containers
+//!   under a per-instance keyed multiply-mix hasher, for the exact-match
+//!   sets keyed by flow identity on the switch's per-packet and
+//!   per-digest paths.
 //! * [`builder`] — the [`builder_setters!`] macro generating the chained
 //!   `with_*` config setters every config family in the workspace shares,
 //!   so builder conventions are enforced in one place.
@@ -34,6 +38,7 @@
 pub mod builder;
 pub mod dataset;
 pub mod fault;
+pub mod hash;
 pub mod par;
 pub mod proptest_lite;
 pub mod rng;

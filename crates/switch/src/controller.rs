@@ -34,10 +34,11 @@
 //!   [`Controller::rebuild_from_blacklist`] cold-starts a crashed
 //!   controller from the data plane's installed rules.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use iguard_core::drift::{DriftConfig, DriftDetector};
 use iguard_flow::five_tuple::FiveTuple;
+use iguard_runtime::hash::{FlowMap, FlowSet};
 use iguard_runtime::Rng;
 use iguard_telemetry::counter;
 
@@ -192,12 +193,12 @@ pub struct Controller {
     /// would otherwise grow this without bound.
     queue: VecDeque<FiveTuple>,
     /// Membership + recency stamps.
-    installed: HashMap<FiveTuple, u64>,
+    installed: FlowMap<FiveTuple, u64>,
     clock: u64,
     digests_seen: u64,
     digest_bytes_total: f64,
     /// Sequence tags inside the dedup window.
-    dedup_seen: HashSet<u64>,
+    dedup_seen: FlowSet<u64>,
     /// Window eviction order (front = oldest tag).
     dedup_order: VecDeque<u64>,
     retry_queue: VecDeque<PendingRetry>,
@@ -224,11 +225,11 @@ impl Controller {
         assert!(cfg.blacklist_capacity > 0, "blacklist capacity must be positive");
         Self {
             queue: VecDeque::new(),
-            installed: HashMap::new(),
+            installed: FlowMap::default(),
             clock: 0,
             digests_seen: 0,
             digest_bytes_total: 0.0,
-            dedup_seen: HashSet::new(),
+            dedup_seen: FlowSet::default(),
             dedup_order: VecDeque::new(),
             retry_queue: VecDeque::new(),
             retry_rng: Rng::seed_from_u64(cfg.retry.seed),

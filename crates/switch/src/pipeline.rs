@@ -27,8 +27,6 @@
 //! (verdicts, digests, counters) by debug assertions and the
 //! `soa_parity` suite.
 
-use std::collections::HashSet;
-
 use iguard_core::error::SwitchError;
 use iguard_core::rule_index::{BatchScratch, RuleIndex};
 use iguard_core::rules::RuleSet;
@@ -42,6 +40,7 @@ use iguard_flow::packet::Packet;
 use iguard_flow::table::{
     FlowShard, FlowTableConfig, FlowTableStats, InsertOutcome, ObserveTallies,
 };
+use iguard_runtime::hash::FlowSet;
 use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram};
 
@@ -345,7 +344,7 @@ pub(crate) struct MatchScratch {
 /// [`MatchEngine::process_rows`] against this same shape.
 pub(crate) struct ShardState {
     pub(crate) flow: FlowShard,
-    pub(crate) blacklist: HashSet<FiveTuple>,
+    pub(crate) blacklist: FlowSet<FiveTuple>,
     pub(crate) digests: Vec<SeqDigest>,
     pub(crate) paths: PathCounters,
     pub(crate) processed: u64,
@@ -356,7 +355,7 @@ impl ShardState {
     pub(crate) fn new(cfg: FlowTableConfig) -> Self {
         Self {
             flow: FlowShard::new(cfg),
-            blacklist: HashSet::new(),
+            blacklist: FlowSet::default(),
             digests: Vec::new(),
             paths: PathCounters::default(),
             processed: 0,
@@ -541,8 +540,13 @@ impl IndexedWhitelist {
         hits: &mut Vec<Option<u32>>,
         wl: &mut WhitelistCounters,
     ) {
-        let views: Vec<&[f32]> = (0..cols.dims()).map(|d| cols.column(d)).collect();
-        self.predict_batch_views(&views, scratch, hits, wl);
+        // Stack views, as `resolve_pending` does: the widest feature set
+        // (FL) bounds every whitelist's column count.
+        let dims = cols.dims();
+        assert!(dims <= SWITCH_FL_DIM, "{dims} feature columns exceed SWITCH_FL_DIM");
+        let views: [&[f32]; SWITCH_FL_DIM] =
+            std::array::from_fn(|d| if d < dims { cols.column(d) } else { &[] });
+        self.predict_batch_views(&views[..dims], scratch, hits, wl);
     }
 
     /// [`IndexedWhitelist::predict_batch`] on raw column view slices —
@@ -1105,7 +1109,7 @@ impl MatchEngine {
                         );
                         s.paths.green_loopback += 1;
                         counter!("switch.pipeline.path.green_loopback").inc();
-                        s.flow.set_label(&pkt.five, malicious);
+                        s.flow.set_label_prehashed(key, i1, i2, malicious);
                         out.push(ProcessOutcome {
                             verdict: self.verdict_for(malicious),
                             path: PathTaken::Blue,
@@ -1145,7 +1149,7 @@ impl MatchEngine {
                             );
                             s.paths.green_loopback += 1;
                             counter!("switch.pipeline.path.green_loopback").inc();
-                            s.flow.set_label(&pkt.five, true);
+                            s.flow.set_label_prehashed(key, i1, i2, true);
                             out.push(ProcessOutcome {
                                 verdict: self.verdict_for(true),
                                 path: PathTaken::Blue,

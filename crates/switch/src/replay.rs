@@ -24,12 +24,11 @@
 //! processing), so `batch_size` is purely a throughput knob; larger
 //! batches amortise feature extraction and index probes across rows.
 
-use std::collections::HashMap;
-
 use iguard_core::error::IguardError;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_metrics::ConfusionMatrix;
+use iguard_runtime::hash::FlowMap;
 use iguard_runtime::{ChannelKind, FaultPlan};
 
 use iguard_synth::trace::Trace;
@@ -211,7 +210,7 @@ struct PendingMitigation {
 /// byte-comparable across backends, shard counts, and worker counts.
 #[derive(Clone, Debug, Default)]
 pub struct MitigationLog {
-    flows: HashMap<FiveTuple, PendingMitigation>,
+    flows: FlowMap<FiveTuple, PendingMitigation>,
     /// Finalised records, in blacklist-install order.
     pub records: Vec<MitigationRecord>,
 }

@@ -38,8 +38,6 @@
 //! (verdicts, seq-tagged digests, every counter) — pinned by the
 //! `scale_parity` suite.
 
-use std::collections::HashMap;
-
 use iguard_core::error::SwitchError;
 use iguard_core::rules::RuleSet;
 use iguard_flow::features::packet_level_features_array;
@@ -47,6 +45,7 @@ use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::sketch::{BloomFilter, CountMinSketch};
 use iguard_flow::table::{FlowShard, FlowTableStats, InsertOutcome, ObserveTallies, SlotClaim};
+use iguard_runtime::hash::FlowMap;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram};
@@ -150,9 +149,9 @@ struct Node {
 /// tables.
 struct EvictionBook {
     policy: SketchEviction,
-    /// Point lookups only — never iterated, so std's seeded hasher cannot
-    /// leak nondeterminism into victim choice.
-    map: HashMap<FiveTuple, u32>,
+    /// Point lookups only — never iterated, so the randomly keyed hasher
+    /// cannot leak nondeterminism into victim choice.
+    map: FlowMap<FiveTuple, u32>,
     slab: Vec<Node>,
     free: Vec<u32>,
     /// Queue heads/tails, indexed by list id (list 1 used by 2Q only).
@@ -167,7 +166,7 @@ impl EvictionBook {
     fn new(policy: SketchEviction, seed: u64) -> Self {
         Self {
             policy,
-            map: HashMap::new(),
+            map: FlowMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: [NIL; 2],
@@ -500,7 +499,7 @@ impl SketchedPipeline {
                 );
                 self.state.paths.green_loopback += 1;
                 counter!("switch.pipeline.path.green_loopback").inc();
-                self.state.flow.set_label(&pkt.five, malicious);
+                self.state.flow.set_label_prehashed(key, i1, i2, malicious);
                 ProcessOutcome {
                     verdict: self.engine.verdict_for(malicious),
                     path: PathTaken::Blue,
@@ -525,7 +524,7 @@ impl SketchedPipeline {
                     );
                     self.state.paths.green_loopback += 1;
                     counter!("switch.pipeline.path.green_loopback").inc();
-                    self.state.flow.set_label(&pkt.five, true);
+                    self.state.flow.set_label_prehashed(key, i1, i2, true);
                     ProcessOutcome {
                         verdict: self.engine.verdict_for(true),
                         path: PathTaken::Blue,

@@ -20,6 +20,12 @@ IGUARD_WORKERS=1 cargo test -q --offline --workspace
 echo "== cargo test -q --offline (IGUARD_WORKERS=8) =="
 IGUARD_WORKERS=8 cargo test -q --offline --workspace
 
+echo "== benchmark package unit tests (perf/, its own workspace) =="
+# perf/ is not a member of the root workspace, so the two passes above
+# never reach its tests: metric arithmetic, every workload end to end at
+# 1/100 scale, and BENCHMARK.json listing exactly what the binary prints.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
 echo "== shard invariance suite (explicit) =="
 cargo test -q --offline -p iguard-switch --test shard_invariance
 
