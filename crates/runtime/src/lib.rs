@@ -8,7 +8,10 @@
 //!   with the uniform / normal / choose / shuffle helpers the models use.
 //!   Child streams ([`rng::Rng::derive`]) make parallel work byte-identical
 //!   at any worker count.
-//! * [`par`] — a scoped parallel map on `std::thread::scope`. Worker count
+//! * [`par`] — a scoped parallel map on `std::thread::scope` for offline
+//!   work, and [`par::Crew`], a persistent worker crew that hands a job to
+//!   long-lived threads with an epoch counter and a spin-then-park wait,
+//!   for the per-batch shard work of the sharded data plane. Worker count
 //!   defaults to `available_parallelism`, is overridable with the
 //!   `IGUARD_WORKERS` env var, and can be pinned per call tree with
 //!   [`par::with_workers`]. Results always come back in input order.
@@ -34,6 +37,11 @@
 //! * [`timing`] — a tiny benchmark harness (warmup + calibrated iteration
 //!   count, min/mean/max in ns) for `benches/` targets with
 //!   `harness = false`.
+//!
+//! The crate denies `unsafe` code; the one exception is the crew's
+//! lifetime erasure in [`par`], argued in its `SAFETY:` comment.
+
+#![deny(unsafe_code)]
 
 pub mod builder;
 pub mod dataset;

@@ -1,33 +1,55 @@
-//! Scoped parallel map on `std::thread::scope`.
+//! Parallel maps on `std::thread::scope`, and a persistent worker crew.
 //!
 //! * Worker count: [`with_workers`] override (per call tree, thread-local)
-//!   → `IGUARD_WORKERS` env var → `available_parallelism()`.
+//!   → `IGUARD_WORKERS` env var → `available_parallelism()`, the last two
+//!   read once per process.
 //! * Results are always returned **in input order**, regardless of which
 //!   worker computed what — callers can rely on positional correspondence.
-//! * Work is distributed through a shared atomic cursor, so uneven task
-//!   costs balance automatically.
+//! * The `par_map*` family distributes work through a shared atomic
+//!   cursor, so uneven task costs balance automatically. It spawns scoped
+//!   threads per call: right for offline fits, whose tasks run for
+//!   milliseconds.
+//! * [`Crew`] keeps its threads alive between jobs and hands each job off
+//!   with an epoch counter and a spin-then-park wait, for callers that
+//!   issue a job every few microseconds (the sharded data plane, once per
+//!   packet batch).
 //!
-//! Determinism: the map itself introduces none of its own randomness and
-//! preserves order, so as long as each task draws only from its own derived
+//! Determinism: neither introduces randomness of its own and both
+//! preserve order, so as long as each task draws only from its own derived
 //! RNG stream (see `rng::Rng::derive`), output is byte-identical at any
 //! worker count — `IGUARD_WORKERS=1` and `IGUARD_WORKERS=64` agree.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 thread_local! {
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// Hardware threads available to the process (`available_parallelism()`,
+/// else 1), read once: the query re-reads the cgroup files on every call.
+fn hardware_workers() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Worker count from the environment: `IGUARD_WORKERS` if set and positive,
-/// else `available_parallelism()`, else 1.
+/// else `available_parallelism()`, else 1. Read once per process; set the
+/// variable before the first parallel call.
 pub fn env_workers() -> usize {
-    std::env::var("IGUARD_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    static ENV: OnceLock<usize> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        std::env::var("IGUARD_WORKERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(hardware_workers)
+    })
 }
 
 /// Worker count in effect on this thread (override, else environment).
@@ -88,56 +110,221 @@ where
     pairs.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Parallel map over a mutable slice; results in input order.
+/// How long a waiting crew thread — a worker waiting for the next job, or
+/// the caller waiting for the workers to finish — spins before it parks.
+/// It must cover the gap between two batches of the sharded data plane,
+/// controller tick included (a few hundred µs): a worker that parks in the
+/// gap costs a wake-up (50–290 µs on a 2-vCPU VM) on the next job instead
+/// of a ~1.5 µs round trip. Measured in time, not spins, because spin
+/// cost varies by CPU.
+const SPIN_BUDGET: Duration = Duration::from_micros(400);
+
+/// Spins between clock reads while waiting.
+const SPINS_PER_CLOCK_READ: u32 = 32;
+
+/// Spins until `ready()` or until `budget` runs out, then parks until
+/// `ready()`. Whoever makes `ready()` true must `unpark` the waiter
+/// afterwards; a stray unpark token only costs one extra check.
+fn spin_then_park(budget: Duration, ready: impl Fn() -> bool) {
+    let mut deadline = None;
+    let mut spins = 0u32;
+    while !ready() {
+        spins = spins.wrapping_add(1);
+        if spins.is_multiple_of(SPINS_PER_CLOCK_READ) {
+            let now = Instant::now();
+            if now >= *deadline.get_or_insert(now + budget) {
+                while !ready() {
+                    thread::park();
+                }
+                return;
+            }
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// Locks `m`, ignoring poison: no crew lock is held across user code.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The job in flight: the lifetime-erased closure every worker runs once,
+/// and the thread to wake when the last worker finishes.
+#[derive(Clone)]
+struct Job {
+    run: &'static (dyn Fn() + Sync),
+    caller: Thread,
+}
+
+/// State shared between a [`Crew`] and its threads.
+#[derive(Default)]
+struct Shared {
+    /// Bumped once per job (and once at shutdown); a worker runs the job
+    /// when the epoch moves past the last one it saw.
+    epoch: AtomicU64,
+    /// Workers still running the current job.
+    pending: AtomicUsize,
+    job: Mutex<Option<Job>>,
+    /// The first worker panic of the current job, re-raised on the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    shutdown: AtomicBool,
+}
+
+/// A worker thread's loop: wait for a new epoch, run the job, report.
+fn work(shared: Arc<Shared>, spin: Duration) {
+    let mut seen = 0;
+    loop {
+        spin_then_park(spin, || shared.epoch.load(Ordering::Acquire) != seen);
+        seen = shared.epoch.load(Ordering::Acquire);
+        if shared.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        let Job { run, caller } = lock(&shared.job).clone().expect("job published with its epoch");
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
+            lock(&shared.panic).get_or_insert(payload);
+        }
+        // Release: the job's writes happen-before the caller's return.
+        if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
+        }
+    }
+}
+
+/// A persistent worker crew: `workers − 1` long-lived threads plus the
+/// calling thread, which runs the first chunk of every job inline.
 ///
-/// Each element is visited exactly once and mutated in place by exactly one
-/// worker, so `T` needs only `Send` (no locking). Work is split into
-/// contiguous chunks — one per worker — rather than through the atomic
-/// cursor, because handing out disjoint `&mut` regions requires a static
-/// partition. Callers with skewed per-element cost should balance items
-/// across the slice themselves (the sharded data plane bins packets before
-/// calling this).
-pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut T) -> U + Sync,
-{
-    let n = items.len();
-    let workers = current_workers().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+/// Spawning and joining scoped threads costs tens of µs per call; a crew
+/// pays that once and then hands each job off in well under a µs while
+/// its threads are spinning. Threads spin [`SPIN_BUDGET`] between jobs
+/// before parking — unless the crew has more threads than the host has
+/// hardware threads, where spinning would only steal time from the
+/// threads with work, so they park at once. Dropping the crew joins
+/// every thread.
+pub struct Crew {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+    spin: Duration,
+}
+
+impl Crew {
+    /// A crew of `workers` (at least 1) threads, the caller included.
+    pub fn new(workers: usize) -> Self {
+        let workers = workers.max(1);
+        let spin = if workers <= hardware_workers() { SPIN_BUDGET } else { Duration::ZERO };
+        let shared = Arc::new(Shared::default());
+        let threads = (1..workers)
+            .map(|k| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("iguard-crew-{k}"))
+                    .spawn(move || work(shared, spin))
+                    .expect("spawn crew thread")
+            })
+            .collect();
+        Self { shared, threads, spin }
     }
 
-    let chunk = n.div_ceil(workers);
-    let results: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        let mut chunks = items.chunks_mut(chunk).enumerate();
-        // The first chunk runs inline on the calling thread: hot callers
-        // (the sharded data plane) invoke this per batch, so saving one
-        // thread spawn per call matters.
-        let first = chunks.next();
-        for (ci, slice) in chunks {
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || {
-                let base = ci * chunk;
-                let out: Vec<U> =
-                    slice.iter_mut().enumerate().map(|(i, t)| f(base + i, t)).collect();
-                results.lock().unwrap().push((base, out));
-            });
+    /// The crew in `slot`, sized to `workers`: created on first use and
+    /// rebuilt only when the count changes.
+    pub fn sized(slot: &mut Option<Crew>, workers: usize) -> &mut Crew {
+        let workers = workers.max(1);
+        if slot.as_ref().is_some_and(|c| c.workers() != workers) {
+            // Join the old threads before the new ones start.
+            *slot = None;
         }
-        if let Some((_, slice)) = first {
-            let out: Vec<U> = slice.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-            results.lock().unwrap().push((0, out));
-        }
-    });
+        slot.get_or_insert_with(|| Crew::new(workers))
+    }
 
-    let mut groups = results.into_inner().unwrap();
-    groups.sort_unstable_by_key(|&(base, _)| base);
-    let out: Vec<U> = groups.into_iter().flat_map(|(_, v)| v).collect();
-    debug_assert_eq!(out.len(), n);
-    out
+    /// Threads in the crew, the caller included.
+    pub fn workers(&self) -> usize {
+        self.threads.len() + 1
+    }
+
+    /// Calls `f(i, &mut items[i])` for every element, one contiguous chunk
+    /// per worker: chunk 0 on the calling thread, the rest on the crew.
+    /// Returns once every call has finished; a panic in any chunk is
+    /// re-raised here, and the crew stays usable.
+    pub fn for_each_mut<T, F>(&mut self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let n = items.len();
+        let workers = self.workers().min(n);
+        if workers <= 1 {
+            items.iter_mut().enumerate().for_each(|(i, t)| f(i, t));
+            return;
+        }
+        let chunk = n.div_ceil(workers);
+        let visit = |c: usize, slice: &mut [T]| {
+            for (i, t) in slice.iter_mut().enumerate() {
+                f(c * chunk + i, t);
+            }
+        };
+        // At most `workers` chunks: the caller takes chunk 0 before the
+        // handoff, and each crew thread takes at most one of the rest.
+        let chunks = Mutex::new(items.chunks_mut(chunk).enumerate());
+        let first = lock(&chunks).next();
+        let job = || {
+            let next = lock(&chunks).next();
+            if let Some((c, slice)) = next {
+                visit(c, slice);
+            }
+        };
+        self.run(&job, || {
+            if let Some((c, slice)) = first {
+                visit(c, slice);
+            }
+        });
+    }
+
+    /// Runs `job` once on every crew thread and `inline` on the caller,
+    /// returning when all of them have finished.
+    #[allow(unsafe_code)]
+    fn run(&mut self, job: &(dyn Fn() + Sync), inline: impl FnOnce()) {
+        let shared = &*self.shared;
+        // SAFETY: the crew threads need the job as `'static`; this erases
+        // its lifetime, and every use of the erased reference happens
+        // while the borrow is still live. This function publishes it, then
+        // neither returns nor unwinds until every crew thread has
+        // decremented `pending` for this job: an inline panic is caught,
+        // the wait below completes, and only then is the panic resumed.
+        // A thread never touches the job after its decrement, and the job
+        // slot is cleared before this function returns, so no later epoch
+        // can find the reference.
+        let run =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(job) };
+        *lock(&shared.job) = Some(Job { run, caller: thread::current() });
+        shared.pending.store(self.threads.len(), Ordering::Relaxed);
+        // Release: publishes the job slot and `pending` with the epoch.
+        shared.epoch.fetch_add(1, Ordering::Release);
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+        let inline = panic::catch_unwind(AssertUnwindSafe(inline));
+        spin_then_park(self.spin, || shared.pending.load(Ordering::Acquire) == 0);
+        lock(&shared.job).take();
+        if let Err(payload) = inline {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = lock(&shared.panic).take() {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.epoch.fetch_add(1, Ordering::Release);
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+        for t in self.threads.drain(..) {
+            // Workers catch job panics, so a join error cannot occur.
+            let _ = t.join();
+        }
+    }
 }
 
 /// Parallel map over a slice; results in input order.
@@ -205,26 +392,92 @@ mod tests {
     }
 
     #[test]
-    fn par_map_mut_mutates_each_element_once_in_order() {
-        let mut items: Vec<u64> = (0..97).collect();
-        let out = with_workers(4, || {
-            par_map_mut(&mut items, |i, x| {
-                *x += 1;
-                *x * i as u64
-            })
-        });
-        assert_eq!(items, (1..98).collect::<Vec<_>>());
-        assert_eq!(out, (0..97).map(|i| (i + 1) * i).collect::<Vec<u64>>());
+    fn with_workers_overrides_memoised_env() {
+        let env = env_workers();
+        assert_eq!(env_workers(), env, "memoised value is stable");
+        assert_eq!(with_workers(env + 3, current_workers), env + 3);
+        assert_eq!(current_workers(), env);
     }
 
     #[test]
-    fn par_map_mut_worker_invariant() {
-        let run = |w: usize| {
-            let mut items: Vec<u64> = (0..33).collect();
-            with_workers(w, || par_map_mut(&mut items, |i, x| *x * 7 + i as u64))
+    fn crew_mutates_each_element_once_in_order() {
+        let mut items: Vec<(u64, u32)> = (0..97).map(|x| (x, 0)).collect();
+        Crew::new(4).for_each_mut(&mut items, |i, (x, visits)| {
+            *x = (*x + 1) * i as u64;
+            *visits += 1;
+        });
+        assert_eq!(items, (0..97).map(|i| ((i + 1) * i, 1)).collect::<Vec<_>>());
+    }
+
+    /// Back-to-back jobs exercise the epoch handoff and its memory
+    /// ordering: every round reads the previous round's worker writes.
+    #[test]
+    fn crew_back_to_back_jobs_match_serial() {
+        let step = |round: u64, i: usize, x: &mut u64| {
+            *x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(round ^ i as u64).rotate_left(7)
         };
-        assert_eq!(run(1), run(2));
-        assert_eq!(run(1), run(8));
+        let mut want: Vec<u64> = (0..16).collect();
+        for round in 0..10_000 {
+            want.iter_mut().enumerate().for_each(|(i, x)| step(round, i, x));
+        }
+        for workers in [1, 2, 8] {
+            let mut crew = Crew::new(workers);
+            let mut got: Vec<u64> = (0..16).collect();
+            for round in 0..10_000 {
+                crew.for_each_mut(&mut got, |i, x| step(round, i, x));
+            }
+            assert_eq!(got, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn crew_reraises_panics_and_stays_usable() {
+        for workers in [2, 8] {
+            let mut crew = Crew::new(workers);
+            let mut items = vec![0u64; 16];
+            // Element 0 is in the inline chunk; the last is a crew thread's.
+            for bad in [0, 15] {
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                    crew.for_each_mut(&mut items, |i, x| {
+                        assert_ne!(i, bad, "boom");
+                        *x += 1;
+                    })
+                }));
+                assert!(caught.is_err(), "panic at element {bad} must reach the caller");
+            }
+            let mut fresh = vec![0u64; 16];
+            crew.for_each_mut(&mut fresh, |i, x| *x = i as u64);
+            assert_eq!(fresh, (0..16).collect::<Vec<u64>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn crew_drop_joins_every_thread() {
+        let crew = Crew::new(4);
+        let shared = Arc::clone(&crew.shared);
+        assert_eq!(Arc::strong_count(&shared), 5);
+        drop(crew);
+        assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn crew_empty_and_single() {
+        let mut crew = Crew::new(4);
+        let mut empty: Vec<u64> = Vec::new();
+        crew.for_each_mut(&mut empty, |_, _| unreachable!());
+        let mut one = vec![5u64];
+        crew.for_each_mut(&mut one, |i, x| *x += i as u64 + 1);
+        assert_eq!(one, vec![6]);
+    }
+
+    #[test]
+    fn crew_sized_rebuilds_only_on_change() {
+        let mut slot = None;
+        let first = Arc::clone(&Crew::sized(&mut slot, 3).shared);
+        assert!(Arc::ptr_eq(&first, &Crew::sized(&mut slot, 3).shared));
+        assert_eq!(Crew::sized(&mut slot, 2).workers(), 2);
+        assert_eq!(Arc::strong_count(&first), 1, "the replaced crew is joined");
+        assert_eq!(Crew::sized(&mut slot, 0).workers(), 1);
     }
 
     #[test]

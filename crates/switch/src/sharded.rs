@@ -5,8 +5,10 @@
 //! emulator's serial [`Pipeline`](crate::pipeline::Pipeline) cannot use
 //! more than one host core. [`ShardedPipeline`] partitions *all* mutable
 //! state — flow table, blacklist, digest buffer, path counters — by a hash
-//! of the canonical 5-tuple, and drives the partitions on the runtime's
-//! scoped workers. Per-flow pipelines are independent (Genos/pForest make
+//! of the canonical 5-tuple, and drives the partitions on a persistent
+//! worker crew ([`par::Crew`]): long-lived threads that take one job per
+//! batch, so a batch pays a sub-µs handoff rather than a thread spawn and
+//! join. Per-flow pipelines are independent (Genos/pForest make
 //! the same observation for in-network forests), so sharding by flow is
 //! semantically free; the only cross-shard artefact is digest order, which
 //! is restored by an explicit merge.
@@ -39,7 +41,7 @@ use iguard_flow::batch::PacketBatch;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::table::{FlowTableConfig, FlowTableStats};
-use iguard_runtime::par;
+use iguard_runtime::par::{self, Crew};
 use iguard_runtime::scratch::ShardBins;
 use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram, span};
@@ -117,11 +119,14 @@ impl From<PipelineConfig> for ShardedPipelineConfig {
 /// buffer (one outcome per bin row, in bin order) and its private match
 /// scratch (index bitmap words, deferred-lookup columns, whitelist
 /// counters) — per group, not per shard, because one worker drives a
-/// group serially.
+/// group serially. `verdicts` is the group's reusable slice of a
+/// `classify_batch` result.
+#[derive(Default)]
 struct Group {
     shards: Vec<ShardState>,
     outcomes: Vec<ProcessOutcome>,
     scratch: MatchScratch,
+    verdicts: Vec<bool>,
 }
 
 /// The sharded data plane.
@@ -137,15 +142,21 @@ pub struct ShardedPipeline {
     /// Identity row index (`0..n`) for the single-group fast path.
     rows_idx: Vec<u32>,
     merge_scratch: Vec<SeqDigest>,
-    /// Whitelist lookups performed by `classify_batch` (per-packet lookups
-    /// live in each group's scratch; batch classification runs on
-    /// transient per-chunk scratch and folds its counts in here).
-    classify_wl: WhitelistCounters,
+    /// The threads driving the groups, sized `min(current_workers,
+    /// groups)` by [`Crew::sized`] on first use; a crew of one (a single
+    /// group, or one worker) starts no thread.
+    crew: Option<Crew>,
     processed: u64,
     /// Monotonic counter for resync digest sequence tags (offset from
     /// [`RESYNC_SEQ_BASE`], disjoint from packet sequence numbers).
     resync_seq: u64,
 }
+
+// A pipeline and the crew it owns move between threads together.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<ShardedPipeline>();
+};
 
 impl ShardedPipeline {
     pub fn new(
@@ -160,13 +171,7 @@ impl ShardedPipeline {
         let per_shard_slots = (cfg.pipeline.flow_table.slots_per_table / LOGICAL_SHARDS).max(1);
         let shard_cfg =
             FlowTableConfig { slots_per_table: per_shard_slots, ..cfg.pipeline.flow_table };
-        let mut groups: Vec<Group> = (0..phys)
-            .map(|_| Group {
-                shards: Vec::new(),
-                outcomes: Vec::new(),
-                scratch: MatchScratch::default(),
-            })
-            .collect();
+        let mut groups: Vec<Group> = (0..phys).map(|_| Group::default()).collect();
         for l in 0..LOGICAL_SHARDS {
             groups[l % phys].shards.push(ShardState::new(shard_cfg));
         }
@@ -178,7 +183,7 @@ impl ShardedPipeline {
             batch: PacketBatch::default(),
             rows_idx: Vec::new(),
             merge_scratch: Vec::new(),
-            classify_wl: WhitelistCounters::default(),
+            crew: None,
             processed: 0,
             resync_seq: 0,
         }
@@ -294,7 +299,7 @@ impl DataPlane for ShardedPipeline {
         if pkts.is_empty() {
             return;
         }
-        let Self { groups, bins, engine, processed, batch, rows_idx, cfg, .. } = self;
+        let Self { groups, bins, engine, processed, batch, rows_idx, cfg, crew, .. } = self;
         let phys = groups.len();
         let overload_cfg = cfg.pipeline.overload;
 
@@ -348,10 +353,10 @@ impl DataPlane for ShardedPipeline {
 
         let bins = &*bins;
         let engine = &*engine;
-        par::par_map_mut(groups, |g, group| {
+        Crew::sized(crew, par::current_workers().min(phys)).for_each_mut(groups, |g, group| {
             let bin = bins.bin(g);
             histogram!("switch.sharded.group_batch_packets").record(bin.len() as u64);
-            let Group { shards, outcomes, scratch } = group;
+            let Group { shards, outcomes, scratch, .. } = group;
             outcomes.clear();
             engine.process_rows(
                 shards,
@@ -458,10 +463,10 @@ impl DataPlane for ShardedPipeline {
     }
 
     fn whitelist_counters(&self) -> WhitelistCounters {
-        // Per-packet lookups accumulate in group scratches; batch
-        // classification counts live in `classify_wl`. Addition is
-        // commutative, so the sum is grouping-invariant.
-        self.groups.iter().fold(self.classify_wl, |acc, g| acc.merge(&g.scratch.wl))
+        // Per-packet and batch-classification lookups both accumulate in
+        // group scratches. Addition is commutative, so the sum is
+        // grouping-invariant.
+        self.groups.iter().fold(WhitelistCounters::default(), |acc, g| acc.merge(&g.scratch.wl))
     }
 
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
@@ -470,22 +475,28 @@ impl DataPlane for ShardedPipeline {
         if n == 0 {
             return;
         }
-        // Fixed-size chunks with one transient scratch per chunk: chunk
-        // boundaries don't depend on the worker count, so the verdict
+        // Fixed `BATCH_CHUNK` boundaries, dealt to the groups as
+        // contiguous runs of chunks: neither the boundaries nor the
+        // concatenation order depend on the worker count, so the verdict
         // vector (and the counter totals) are worker-invariant.
         record_batch_telemetry(n);
-        let starts: Vec<usize> = (0..n).step_by(BATCH_CHUNK).collect();
-        let engine = &self.engine;
-        let parts = par::par_map_vec(starts, |start| {
-            let end = (start + BATCH_CHUNK).min(n);
-            let mut scratch = MatchScratch::default();
-            let mut verdicts = Vec::with_capacity(end - start);
-            engine.classify_fl_batch(rows, start, end, &mut scratch, &mut verdicts);
-            (verdicts, scratch.wl)
-        });
-        for (verdicts, wl) in parts {
-            out.extend(verdicts);
-            self.classify_wl = self.classify_wl.merge(&wl);
+        let Self { groups, engine, crew, .. } = self;
+        let phys = groups.len();
+        let rows_per_group = n.div_ceil(BATCH_CHUNK).div_ceil(phys) * BATCH_CHUNK;
+        let engine = &*engine;
+        let classify = |g: usize, group: &mut Group| {
+            let Group { scratch, verdicts, .. } = group;
+            verdicts.clear();
+            let end = ((g + 1) * rows_per_group).min(n);
+            for start in (g * rows_per_group..end).step_by(BATCH_CHUNK) {
+                let chunk_end = (start + BATCH_CHUNK).min(n);
+                engine.classify_fl_batch(rows, start, chunk_end, scratch, verdicts);
+            }
+        };
+        Crew::sized(crew, par::current_workers().min(phys)).for_each_mut(groups, classify);
+        out.reserve(n);
+        for group in groups.iter() {
+            out.extend_from_slice(&group.verdicts);
         }
     }
 

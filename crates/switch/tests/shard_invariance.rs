@@ -221,3 +221,51 @@ fn telemetry_toggle_does_not_change_results() {
     iguard_telemetry::set_enabled(false);
     assert_eq!(on, off, "telemetry must be observe-only");
 }
+
+/// One pipeline whose worker count changes between batches (1 → 2 → 8
+/// → 1, so its crew is built, rebuilt and dropped to none mid-run) must
+/// fingerprint-equal a fresh 1-shard × 1-worker run: outcomes, digest
+/// stream, blacklist, counters, and batch-classification verdicts.
+#[test]
+fn worker_count_changes_between_batches() {
+    let trace = mixed_trace();
+    let rows = {
+        let mut rng = Rng::seed_from_u64(7);
+        let data: Vec<f32> = (0..9_000 * 13).map(|_| rng.gen_range(0.0f32..0.002)).collect();
+        iguard_runtime::Dataset::from_vec(data, 9_000, 13)
+    };
+    let run = |shards: usize, schedule: &[usize]| {
+        let mut dp = ShardedPipeline::new(
+            ShardedPipelineConfig::from(flow_cfg(4096)).with_shards(shards),
+            fl_ipd_jitter_above(0.0008),
+            accept_all(4),
+        );
+        let (mut outcomes, mut all_outcomes, mut digests) = (Vec::new(), Vec::new(), Vec::new());
+        let mut verdicts = Vec::new();
+        for (k, chunk) in trace.packets.chunks(337).enumerate() {
+            let workers = schedule[k % schedule.len()];
+            with_workers(workers, || {
+                dp.process_batch(chunk, &mut outcomes);
+                if k % 8 == 0 {
+                    let mut v = Vec::new();
+                    dp.classify_batch(&rows, &mut v);
+                    verdicts.push(v);
+                }
+            });
+            all_outcomes.extend_from_slice(&outcomes);
+            dp.drain_digests_into(&mut digests);
+        }
+        (
+            all_outcomes,
+            digests,
+            verdicts,
+            dp.blacklist_contents(),
+            dp.counters(),
+            dp.whitelist_counters(),
+            dp.flow_table_stats(),
+        )
+    };
+    let base = run(1, &[1]);
+    assert!(!base.1.is_empty(), "trace must emit digests");
+    assert_eq!(run(8, &[1, 2, 8, 1]), base, "changing worker counts diverged");
+}

@@ -14,6 +14,10 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release --offline (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
+# The two workspace passes run every integration suite at both worker
+# extremes, the fingerprint gates among them: chaos (fixed fault seeds
+# 11 and 47), controller_idempotence, tcam_parity, soa_parity,
+# scale_parity, ruleset_swap, overload and phase_parity.
 echo "== tier-1: cargo test -q --offline (IGUARD_WORKERS=1) =="
 IGUARD_WORKERS=1 cargo test -q --offline --workspace
 
@@ -26,59 +30,10 @@ echo "== benchmark package unit tests (perf/, its own workspace) =="
 # 1/100 scale, and BENCHMARK.json listing exactly what the binary prints.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
-echo "== shard invariance suite (explicit) =="
+echo "== shard invariance suite (explicit, IGUARD_WORKERS unset) =="
+# The only run at the host's available_parallelism, so the only one that
+# sizes the sharded backend's worker crew through the environment.
 cargo test -q --offline -p iguard-switch --test shard_invariance
-
-echo "== chaos gate: fault-injected control loop (fixed seeds, workers 1 and 8) =="
-# The chaos suite bakes in two fixed fault seeds (CHAOS_SEEDS = [11, 47])
-# and asserts convergence + byte-identical fingerprints across shard and
-# worker counts; running it at both worker extremes is the gate.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test chaos
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test chaos
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test controller_idempotence
-
-echo "== TCAM/float parity gate: exhaustive grid sweeps (workers 1 and 8) =="
-# Four lookup paths (float linear, float index, TCAM linear, TCAM index)
-# pinned to one truth table over every representable key of small grids,
-# including sub-quantum and infinite-bound cubes.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test tcam_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test tcam_parity
-
-echo "== SoA parity gate: columnar batch path vs scalar oracle (workers 1 and 8) =="
-# The batch pipeline must produce byte-identical verdicts, digests, and
-# counters to the per-packet scalar walk at every batch size and split.
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test soa_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test soa_parity
-
-echo "== scale parity gate: sketched admission vs exact pipeline (workers 1 and 8) =="
-# Unbudgeted SketchedPipeline must fingerprint-match Pipeline; budgeted
-# runs must hold the resident-byte cap and stay within the shed-work
-# FP/FN bound (DESIGN.md sec. 12).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test scale_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test scale_parity
-
-echo "== ruleset swap gate: rule-diff engine + hitless versioned swap (workers 1 and 8) =="
-# Diff/apply round-trips, mid-swap verdict membership (every packet sees
-# exactly one complete ruleset), scripted-swap convergence under the PR-4
-# fault plans, and byte-identical fingerprints across shard x worker
-# combinations (DESIGN.md sec. 13).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test ruleset_swap
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test ruleset_swap
-
-echo "== overload gate: state-exhaustion canon + timeout rebirth (workers 1 and 8) =="
-# Idle-timeout boundary properties, grid-invariant overload fingerprints
-# under the adversarial scenario canon, and the degraded-mode
-# enter/shed/exit cycle with full recovery (DESIGN.md sec. 15).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test overload
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test overload
-
-echo "== phase parity gate: early verdicts across the grid (workers 1 and 8) =="
-# Phase fingerprints byte-identical across shard x worker combinations
-# for every phase configuration, a ruleset-free schedule bit-identical
-# to single-shot, and scalar/columnar/sharded/sketched backends in
-# packet-for-packet agreement with phases live (DESIGN.md sec. 16).
-IGUARD_WORKERS=1 cargo test -q --offline -p iguard-switch --test phase_parity
-IGUARD_WORKERS=8 cargo test -q --offline -p iguard-switch --test phase_parity
 
 echo "== bench reporter smoke run (shard + chaos + rule-index + sketch + swap + overload sweeps) =="
 smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
