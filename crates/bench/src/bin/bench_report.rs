@@ -223,6 +223,7 @@ struct RunArtifacts {
     pl_tcam: RangeTable,
     report: ReplayReport,
     pipeline: Pipeline,
+    flow_table: FlowTableConfig,
 }
 
 fn run_scenario(seed: u64, stages: &mut [StageStat]) -> RunArtifacts {
@@ -274,19 +275,13 @@ fn run_scenario(seed: u64, stages: &mut [StageStat]) -> RunArtifacts {
     let benign = benign_trace(150, 8.0, &mut rng);
     let flood = Attack::UdpDdos.trace(60, 8.0, &mut rng);
     let trace = Trace::merge(vec![benign, flood]);
-    let mut pipeline = Pipeline::new(
-        PipelineConfig {
-            flow_table: FlowTableConfig { pkt_threshold: 4, ..Default::default() },
-            ..Default::default()
-        },
-        fl_rules.clone(),
-        pl_rules.clone(),
-    );
+    let flow_table = FlowTableConfig { pkt_threshold: 4, ..Default::default() };
+    let mut pipeline = Pipeline::new(flow_table, fl_rules.clone(), pl_rules.clone());
     let mut controller = Controller::new(ControllerConfig::default());
     let report = replay_stage
         .time(|| replay(&trace, &mut pipeline, &mut controller, &ReplayConfig::default()));
 
-    RunArtifacts { fl_rules, pl_rules, fl_tcam, pl_tcam, report, pipeline }
+    RunArtifacts { fl_rules, pl_rules, fl_tcam, pl_tcam, report, pipeline, flow_table }
 }
 
 /// Replay batch size used throughout the shard sweep (also the controller
@@ -2451,7 +2446,7 @@ fn main() {
     let usage = ResourceModel::for_deployment(
         &run.fl_tcam,
         &run.pl_tcam,
-        *run.pipeline.flow_table().config(),
+        run.flow_table,
         ControllerConfig::default().blacklist_capacity,
     )
     .usage();
@@ -2480,15 +2475,15 @@ fn main() {
         .f64("vliw_util", usage.vliw)
         .f64("rho", usage.rho());
 
-    let ft = run.pipeline.flow_table();
+    let ft = run.pipeline.flow_table_stats();
     let mut flow_json = json::Object::new();
     flow_json
-        .u64("occupancy", ft.occupancy() as u64)
-        .u64("capacity", ft.capacity() as u64)
-        .f64("fill", ft.occupancy() as f64 / ft.capacity() as f64)
+        .u64("occupancy", ft.occupancy as u64)
+        .u64("capacity", ft.capacity as u64)
+        .f64("fill", ft.fill())
         .u64("collision_packets", ft.collision_packets);
 
-    let paths = run.pipeline.paths();
+    let paths = run.pipeline.counters();
     let mut paths_json = json::Object::new();
     paths_json
         .u64("blacklist", paths.blacklist)

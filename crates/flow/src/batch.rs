@@ -1,15 +1,13 @@
-//! Structure-of-arrays packet batches: the columnar ingest format of the
-//! classification hot path.
+//! Structure-of-arrays feature columns and packet batches.
 //!
-//! The per-packet pipeline walks `Packet` structs one at a time; at batch
-//! sizes the array-of-structs layout wastes the memory system — every
-//! feature read drags a whole packet record through the cache, and every
-//! per-packet feature vector costs an allocation. [`FeatureColumns`] holds
-//! a batch's features **column-major** (one contiguous `f32` slice per
-//! feature), and [`PacketBatch`] is the ingest step: one pass over the
-//! packets fills the canonical flow keys and the four packet-level feature
-//! columns in tight per-column loops, after which the match stage can
-//! probe whole column slices at once and never touch the allocator.
+//! [`FeatureColumns`] holds a batch's features **column-major** (one
+//! contiguous `f32` slice per feature): the shape the batched interval
+//! index probes read, so the switch gathers the rows it defers into one
+//! and probes whole column slices at once without touching the
+//! allocator. [`PacketBatch`] is a whole-batch ingest: one pass over the
+//! packets fills the canonical flow keys and the four packet-level
+//! feature columns in tight per-column loops. The switch walk no longer
+//! ingests through it — it gathers features only for the rows it defers.
 //!
 //! Both types are plain growable buffers designed for reuse: `fill`/
 //! `reset` reshape in place, so a replay loop allocates once and then
@@ -83,9 +81,6 @@ impl FeatureColumns {
 /// flow key per packet plus the 4 packet-level feature columns of
 /// [`crate::features::FeatureSet::PacketLevel`] (dst_port, proto,
 /// wire_len, ttl), extracted in per-column tight loops.
-///
-/// The batch is read-only after [`PacketBatch::fill`], so parallel shard
-/// groups share one instance by reference.
 #[derive(Clone, Debug, Default)]
 pub struct PacketBatch {
     /// `keys[i]` = `pkts[i].five.canonical()` — computed once per packet

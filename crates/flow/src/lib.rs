@@ -19,9 +19,10 @@
 //! * [`table`] — the data-plane flow table: two hash tables with double
 //!   hashing, explicit collision reporting, idle timeout `δ`, and the
 //!   per-flow packet-count threshold `n` (§3.3.1).
-//! * [`batch`] — structure-of-arrays packet batches
-//!   ([`batch::PacketBatch`] / [`batch::FeatureColumns`]): the columnar
-//!   ingest format of the batched classification hot path.
+//! * [`batch`] — structure-of-arrays feature columns
+//!   ([`batch::FeatureColumns`]), which the batched index probes of the
+//!   switch hot path read, and [`batch::PacketBatch`], a whole-batch
+//!   columnar ingest (canonical keys plus the four PL columns).
 
 #![forbid(unsafe_code)]
 

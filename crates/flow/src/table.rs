@@ -484,29 +484,10 @@ impl FlowShard {
     }
 
     /// The candidate slot pair of `key` — a pure function of the config
-    /// (seeds + table size), exposed so the columnar ingest path can hash
-    /// a whole chunk of keys up front and prefetch the slots while earlier
-    /// rows are still being walked.
+    /// (seeds + table size), exposed so a caller hashes a packet's key
+    /// once for the probe, the slot claim and the label write.
     pub fn slot_index_pair(&self, key: &FiveTuple) -> (u32, u32) {
         (self.idx1(key) as u32, self.idx2(key) as u32)
-    }
-
-    /// Warms the cache lines of both candidate slots: issues dead loads
-    /// the optimiser cannot delete (`black_box`), which the CPU retires
-    /// without stalling — a safe-code software prefetch. A `Slot` spans
-    /// ~3 cache lines and `observe` reads/writes stats fields throughout
-    /// it, so for occupied slots the touch reads fields spread across the
-    /// struct, not just the discriminant line. Purely a performance hint;
-    /// no observable state changes.
-    #[inline]
-    pub fn prefetch_slots(&self, i1: u32, i2: u32) {
-        let touch = |s: &Option<Slot>| {
-            std::hint::black_box(
-                s.as_ref().map(|e| e.stats.last_ts_ns ^ e.stats.min_ipd_ns ^ e.stats.rst_fin_count),
-            );
-        };
-        touch(&self.table1[i1 as usize]);
-        touch(&self.table2[i2 as usize]);
     }
 
     /// Observes one packet, advancing flow state and reporting which

@@ -1,20 +1,25 @@
 //! The [`DataPlane`] abstraction: what a switch backend must provide.
 //!
 //! The controller and the replay harness do not care *how* packets are
-//! classified — serially ([`crate::pipeline::Pipeline`]) or across shards
-//! ([`crate::sharded::ShardedPipeline`]) — only that a backend can consume
-//! packet batches, surface the digests those batches produced **in packet
-//! arrival order**, accept control-plane commands, and report its
-//! counters. Everything downstream (controller feedback, the confusion
-//! matrix, the telemetry report) is expressed against this trait, which is
-//! what makes backends interchangeable and byte-comparable.
+//! classified — serially, across shards, or behind a sketch admission
+//! stage — only that a backend can consume packet batches, surface the
+//! digests those batches produced **in packet arrival order**, accept
+//! control-plane commands, and report its counters. Everything downstream
+//! (controller feedback, the confusion matrix, the telemetry report) is
+//! expressed against this trait, which is what makes backends
+//! interchangeable and byte-comparable.
+//!
+//! Two types implement it: [`crate::pipeline::Pipeline`], the one data
+//! plane for every layout (serial, sharded, sketched — picked by the
+//! config type it is built from), and [`crate::pipeline::ScalarPipeline`],
+//! the per-packet oracle that wraps a `Pipeline` of any layout.
 //!
 //! ## Contract
 //!
 //! * `process_batch` appends one outcome per packet, in input order, and
 //!   advances `packets_processed` by the batch length.
-//! * `drain_digests_into` yields every digest generated since the last
-//!   drain, ordered by the arrival sequence number of the generating
+//! * `drain_seq_digests_into` yields every digest generated since the
+//!   last drain, ordered by the arrival sequence number of the generating
 //!   packet — **not** by worker/shard completion order. Two backends fed
 //!   the same packets with the same control feedback must produce the
 //!   same digest stream.
@@ -23,12 +28,12 @@
 //!   between packets too, just at a finer grain).
 //!
 //! `process_batch` and `classify_batch` are the **primary** entry points:
-//! both stock backends ingest each batch into a structure-of-arrays
-//! [`PacketBatch`](iguard_flow::batch::PacketBatch) / column set and
-//! classify it in fixed 1024-row chunks, so callers should hand over the
-//! largest batches their latency budget allows. Per-packet processing is
-//! just a batch of one (the [`crate::pipeline::ScalarPipeline`] backend
-//! exists as the per-packet oracle/baseline).
+//! `Pipeline` classifies each batch in fixed 1024-row chunks, resolving
+//! the stateless lookups of a chunk with one batched index probe over
+//! feature columns, in every layout, so callers should hand over the
+//! largest batches their latency budget allows.
+//! Per-packet processing is just a batch of one (the `ScalarPipeline`
+//! oracle is the per-packet baseline). An empty batch is a no-op.
 
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
@@ -37,13 +42,11 @@ use iguard_runtime::Dataset;
 
 use iguard_core::error::SwitchError;
 
-use crate::pipeline::{
-    ControlAction, Digest, PathCounters, ProcessOutcome, SeqDigest, WhitelistCounters,
-};
+use crate::pipeline::{ControlAction, PathCounters, ProcessOutcome, SeqDigest, WhitelistCounters};
 use crate::ruleset::{RulesetCounters, RulesetTxn};
 
-/// Occupancy and approximation statistics of a sketch-assisted backend
-/// (see `crate::sketched`). Exact backends report `None` from
+/// Occupancy and approximation statistics of the sketched layout (see
+/// `crate::sketched`). Exact layouts report `None` from
 /// [`DataPlane::sketch_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SketchStats {
@@ -91,7 +94,7 @@ pub struct OverloadStats {
     /// malicious evidence already.
     pub shed_malicious: u64,
     /// Sketch admissions rejected only because pressure raised the
-    /// promote threshold (sketch-assisted backends; 0 elsewhere).
+    /// promote threshold (the sketched layout; 0 elsewhere).
     pub admission_tightened: u64,
     /// Most digests any one shard ever buffered at once.
     pub digest_buffered_hwm: usize,
@@ -120,19 +123,15 @@ pub trait DataPlane {
     /// Classifies a batch, appending one [`ProcessOutcome`] per packet in
     /// input order. Implementations clear `out` first; the caller owns the
     /// buffer so the hot loop reuses its allocation. This is the primary
-    /// ingest path: stock backends run it columnar (structure-of-arrays
-    /// feature extraction + batched index probes), and results are
-    /// byte-identical to per-packet processing at any batch size.
+    /// ingest path: `Pipeline` defers the stateless lookups of each chunk
+    /// to one batched index probe, and results are byte-identical to
+    /// per-packet processing at any batch size.
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>);
 
     /// Appends the digests accumulated since the last drain, in packet
-    /// arrival order, clearing the backend's internal buffer.
-    fn drain_digests_into(&mut self, out: &mut Vec<Digest>);
-
-    /// Like [`Self::drain_digests_into`], but keeps each digest's global
-    /// packet sequence tag. The fallible digest channel and the
-    /// controller's dedup window are keyed on these tags, so chaos replay
-    /// uses this drain.
+    /// arrival order, each with its global packet sequence tag, clearing
+    /// the backend's internal buffers. The fallible digest channel and
+    /// the controller's dedup window are keyed on these tags.
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>);
 
     /// Applies a controller command (blacklist install/remove, flow clear).
@@ -196,25 +195,13 @@ pub trait DataPlane {
     /// Total packets offered to `process_batch` (and `process`) so far.
     fn packets_processed(&self) -> u64;
 
-    /// Sketch-occupancy statistics; `None` for exact backends (the
-    /// default), `Some` for sketch-assisted ones.
+    /// Sketch-occupancy statistics; `None` for exact layouts (the
+    /// default), `Some` for the sketched one.
     fn sketch_stats(&self) -> Option<SketchStats> {
         None
     }
 
     /// Overload-layer statistics: merged pressure view, degraded-mode
-    /// residency, and digest-shedding counts. Stock backends override
-    /// this; the default is the all-zero view for backends that predate
-    /// the overload layer.
-    fn overload_stats(&self) -> OverloadStats {
-        OverloadStats::default()
-    }
-
-    /// Convenience allocating drain; prefer [`Self::drain_digests_into`]
-    /// in loops.
-    fn drain_digests(&mut self) -> Vec<Digest> {
-        let mut out = Vec::new();
-        self.drain_digests_into(&mut out);
-        out
-    }
+    /// residency, and digest-shedding counts.
+    fn overload_stats(&self) -> OverloadStats;
 }

@@ -22,15 +22,20 @@
 //!   stateful ALUs, VLIW actions, pipeline stages) that converts an
 //!   installed iGuard configuration into the utilisation percentages of
 //!   Table 1 and the memory fraction ρ of the §4.2.1 reward.
-//! * [`pipeline`] — the per-packet match-action pipeline of Fig. 4 with
-//!   all six execution paths (blacklist, early/brown, threshold/blue,
+//! * [`pipeline`] — the match-action pipeline of Fig. 4 with all six
+//!   execution paths (blacklist, early/brown, threshold/blue,
 //!   collision/orange, early-decision/purple, loopback/green), digest
-//!   emission, and loopback mirroring.
-//! * [`data_plane`] — the [`DataPlane`] trait every backend implements;
-//!   the controller and replay harness are generic over it.
-//! * [`sharded`] — [`ShardedPipeline`]: the same pipeline semantics
-//!   partitioned across logical shards and driven on the runtime's worker
-//!   pool, with deterministic (sequence-ordered) digest merging.
+//!   emission, and loopback mirroring: [`Pipeline`], the one data plane
+//!   for every layout, and [`ScalarPipeline`], its per-packet oracle.
+//! * [`data_plane`] — the [`DataPlane`] trait both implement; the
+//!   controller and replay harness are generic over it.
+//! * [`sharded`] — the sharded layout ([`ShardedPipelineConfig`]): the
+//!   same pipeline partitioned across logical shards and driven on the
+//!   runtime's worker pool, with deterministic (sequence-ordered) digest
+//!   merging.
+//! * [`sketched`] — the sketched layout ([`SketchedPipelineConfig`]): a
+//!   Bloom/CMS admission stage at the flow table's untracked seam, under
+//!   a resident-byte budget with pluggable eviction.
 //! * [`channel`] — the fallible digest/action channels between data plane
 //!   and controller, driven by a seeded
 //!   [`FaultPlan`](iguard_runtime::FaultPlan) (drop / duplicate / reorder /
@@ -65,8 +70,8 @@ pub use controller::{
 };
 pub use data_plane::{DataPlane, OverloadStats, SketchStats};
 pub use pipeline::{
-    OverloadConfig, PacketVerdict, PathTaken, Pipeline, PipelineConfig, ScalarPipeline, SeqDigest,
-    WhitelistCounters, RESYNC_SEQ_BASE,
+    Layout, OverloadConfig, PacketVerdict, PathTaken, Pipeline, PipelineConfig, ScalarPipeline,
+    SeqDigest, WhitelistCounters, RESYNC_SEQ_BASE,
 };
 pub use replay::{
     replay_chaos_traced_checked, ChaosConfig, CrashRecovery, CrashSpec, MitigationLog,

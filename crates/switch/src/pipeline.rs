@@ -16,40 +16,54 @@
 //! * **green** — the loopback copy of a blue packet: updates the flow
 //!   label storage (emulated synchronously; counted for latency).
 //!
-//! Two implementations of the walk coexist: the scalar per-packet
-//! [`MatchEngine::process_one`] (the reference/oracle path, also the
-//! [`ScalarPipeline`] baseline) and the columnar
+//! One data-plane struct, [`Pipeline`], runs every layout: the serial
+//! slot layout (one full-size logical shard), the sharded layout
+//! ([`crate::sharded::LOGICAL_SHARDS`] logical shards grouped onto a
+//! worker crew) and the sketched layout (one logical shard behind the
+//! sketch admission stage of [`crate::sketched`]). The layout is picked by
+//! the config type handed to [`Pipeline::new`].
+//!
+//! Two walks drive the six paths: the columnar
 //! [`MatchEngine::process_rows`] (the production hot path), which
-//! consumes a structure-of-arrays [`PacketBatch`], defers the stateless
-//! brown/orange packet-level lookups to one batched index probe per
-//! [`BATCH_CHUNK`]-row chunk, and writes verdicts back into a
-//! preallocated outcome column. The two are parity-pinned byte for byte
-//! (verdicts, digests, counters) by debug assertions and the
-//! `soa_parity` suite.
+//! defers the stateless brown/orange packet-level lookups to one batched
+//! index probe over gathered feature columns per [`BATCH_CHUNK`]-row
+//! chunk, and writes verdicts back into a preallocated outcome column;
+//! and the scalar per-packet
+//! [`MatchEngine::process_one`] (the reference/oracle path behind
+//! [`ScalarPipeline`]). Both make the same flow-table observe (with sketch
+//! admission at the untracked seam, [`ShardState::observe`]) and share
+//! one six-path dispatch ([`MatchEngine::dispatch`]); they are
+//! parity-pinned byte for byte (verdicts, digests, counters) by the
+//! `soa_parity` suite on every layout.
 
 use iguard_core::error::SwitchError;
 use iguard_core::rule_index::{BatchScratch, RuleIndex};
 use iguard_core::rules::RuleSet;
-use iguard_flow::batch::{FeatureColumns, PacketBatch};
+use iguard_flow::batch::FeatureColumns;
 use iguard_flow::features::{
-    log_compress, log_compress_vec, packet_level_features, switch_fl_features,
-    switch_fl_features_into, PL_DIM, SWITCH_FL_DIM,
+    log_compress, log_compress_vec, packet_level_features_array, switch_fl_features_into, PL_DIM,
+    SWITCH_FL_DIM,
 };
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
+use iguard_flow::stats::FlowStats;
 use iguard_flow::table::{
     FlowShard, FlowTableConfig, FlowTableStats, InsertOutcome, ObserveTallies,
 };
 use iguard_runtime::hash::FlowSet;
+use iguard_runtime::par::{self, Crew};
+use iguard_runtime::scratch::ShardBins;
 use iguard_runtime::Dataset;
-use iguard_telemetry::{counter, histogram};
+use iguard_telemetry::{counter, histogram, span};
 
-use crate::data_plane::DataPlane;
+use crate::data_plane::{DataPlane, OverloadStats, SketchStats};
 use crate::rule_index::RangeIndex;
 use crate::ruleset::{apply_delta, RulesetCounters, RulesetTxn};
+use crate::sharded::{logical_shard_of, ShardedPipelineConfig, LOGICAL_SHARDS};
+use crate::sketched::{SketchStage, SketchedPipelineConfig};
 use crate::tcam::RangeTable;
 
-/// Fixed row-chunk size of the batched hot path. Both backends cut every
+/// Fixed row-chunk size of the batched hot path. Every layout cuts every
 /// batch — packets in `process_batch`, dataset rows in `classify_batch` —
 /// at the same 1024-row boundaries, so scratch high-water marks, counter
 /// totals, and verdict vectors never depend on worker or shard count.
@@ -138,6 +152,46 @@ pub struct PathCounters {
 impl PathCounters {
     pub fn total_offered(&self) -> u64 {
         self.blacklist + self.brown + self.blue + self.orange + self.purple
+    }
+
+    /// Counts one packet's outcome, plus its loopback copy if mirrored.
+    #[inline]
+    fn record(&mut self, o: &ProcessOutcome) {
+        *match o.path {
+            PathTaken::Blacklist => &mut self.blacklist,
+            PathTaken::Brown => &mut self.brown,
+            PathTaken::Blue => &mut self.blue,
+            PathTaken::Orange => &mut self.orange,
+            PathTaken::Purple => &mut self.purple,
+        } += 1;
+        self.green_loopback += o.mirrored as u64;
+    }
+
+    /// Sums another shard's counters into these.
+    fn add(&mut self, o: &Self) {
+        self.blacklist += o.blacklist;
+        self.brown += o.brown;
+        self.blue += o.blue;
+        self.orange += o.orange;
+        self.purple += o.purple;
+        self.green_loopback += o.green_loopback;
+    }
+
+    /// Adds these counts to the registry's per-path counters — one atomic
+    /// add per path rather than one per packet.
+    fn flush_to_registry(&self) {
+        for (n, c) in [
+            (self.blacklist, counter!("switch.pipeline.path.blacklist")),
+            (self.brown, counter!("switch.pipeline.path.brown")),
+            (self.blue, counter!("switch.pipeline.path.blue")),
+            (self.orange, counter!("switch.pipeline.path.orange")),
+            (self.purple, counter!("switch.pipeline.path.purple")),
+            (self.green_loopback, counter!("switch.pipeline.path.green_loopback")),
+        ] {
+            if n > 0 {
+                c.add(n);
+            }
+        }
     }
 }
 
@@ -271,6 +325,10 @@ pub struct ProcessOutcome {
     pub mirrored: bool,
 }
 
+/// The red-path outcome: a blacklist hit drops before any flow state.
+const BLACKLISTED: ProcessOutcome =
+    ProcessOutcome { verdict: PacketVerdict::Drop, path: PathTaken::Blacklist, mirrored: false };
+
 /// A digest tagged with the global arrival sequence number of the packet
 /// that produced it — the sort key the sharded backend merges by, and the
 /// idempotence key the controller's dedup window tracks when the digest
@@ -320,7 +378,7 @@ pub(crate) struct MatchScratch {
     /// PL decision is stateless and can be resolved columnar after the
     /// stateful walk.
     pending: Vec<(u32, u32)>,
-    /// Gathered PL feature columns of the pending rows.
+    /// PL feature columns of the pending rows, gathered from the packets.
     pend_cols: FeatureColumns,
     /// Transposed FL feature columns of one `classify_batch` chunk.
     fl_cols: FeatureColumns,
@@ -328,20 +386,16 @@ pub(crate) struct MatchScratch {
     bscratch: BatchScratch,
     /// First-match results of the latest batch probe.
     hits: Vec<Option<u32>>,
-    /// Precomputed flow-table slot pairs of the current chunk's rows —
-    /// hashed up front in one tight loop so the stateful walk can
-    /// prefetch slots ahead of itself.
-    slot_idx: Vec<(u32, u32)>,
     /// Deferred flow-table telemetry, flushed once per chunk.
     tallies: ObserveTallies,
 }
 
 /// The complete mutable data-plane state of one logical shard: its flow
-/// table partition, blacklist, pending digest buffer, path counters, and
-/// packets-processed count. The serial [`Pipeline`] owns exactly one
-/// full-size instance; the sharded backend owns
-/// [`crate::sharded::LOGICAL_SHARDS`] — both walk packets through
-/// [`MatchEngine::process_rows`] against this same shape.
+/// table partition, blacklist, pending digest buffer, path counters,
+/// packets-processed count, and — in the sketched layout only — the
+/// sketch admission stage. A [`Pipeline`] owns one full-size instance
+/// (serial and sketched layouts) or [`LOGICAL_SHARDS`] (sharded layout);
+/// both walks run against this same shape.
 pub(crate) struct ShardState {
     pub(crate) flow: FlowShard,
     pub(crate) blacklist: FlowSet<FiveTuple>,
@@ -349,6 +403,7 @@ pub(crate) struct ShardState {
     pub(crate) paths: PathCounters,
     pub(crate) processed: u64,
     pub(crate) overload: OverloadState,
+    pub(crate) sketch: Option<Box<SketchStage>>,
 }
 
 impl ShardState {
@@ -360,12 +415,109 @@ impl ShardState {
             paths: PathCounters::default(),
             processed: 0,
             overload: OverloadState::default(),
+            sketch: None,
         }
     }
 
-    /// This shard's contribution to [`crate::data_plane::OverloadStats`].
-    pub(crate) fn overload_view(&self) -> crate::data_plane::OverloadStats {
-        crate::data_plane::OverloadStats {
+    /// The flow-table observe both walks make: advance a resident flow
+    /// (touching the sketch's eviction book, if any), or — at the
+    /// untracked seam — claim a slot directly (exact layouts) or through
+    /// sketch admission. `None` means the sketch absorbed the packet: it
+    /// takes the stateless orange fallback.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        key: FiveTuple,
+        i1: u32,
+        i2: u32,
+        pkt: &Packet,
+        tallies: &mut ObserveTallies,
+    ) -> Option<InsertOutcome> {
+        let Self { flow, sketch, overload, .. } = self;
+        match flow.observe_resident_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies) {
+            Some(out) => {
+                if let Some(sk) = sketch {
+                    sk.touch(&key);
+                }
+                Some(out)
+            }
+            None => match sketch {
+                None => Some(flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies).0),
+                Some(sk) => sk.admit(flow, overload, key, i1, i2, pkt, tallies),
+            },
+        }
+    }
+
+    /// Applies a controller command to this (owning) shard. `ClearFlow`
+    /// also drops the flow from the sketch's eviction book.
+    fn apply(&mut self, action: ControlAction) {
+        match action {
+            ControlAction::InstallBlacklist(five) => {
+                self.blacklist.insert(five.canonical());
+            }
+            ControlAction::RemoveBlacklist(five) => {
+                self.blacklist.remove(&five.canonical());
+            }
+            ControlAction::ClearFlow(five) => {
+                if self.flow.clear(&five) {
+                    if let Some(sk) = &mut self.sketch {
+                        sk.forget(&five.canonical());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advances this shard by one batch: records the pressure gauge,
+    /// raises the occupancy/collision high-water-mark counters by their
+    /// deltas, steps the hysteretic degraded-mode machine — enter
+    /// immediately at `degrade_enter_milli`, exit only after
+    /// `degrade_calm_batches` consecutive batches at or below
+    /// `degrade_exit_milli` — and records the sketch occupancy gauges.
+    /// Called exactly once per non-empty batch per logical shard by both
+    /// walks, so mode transitions are invariant under worker count and
+    /// shard grouping.
+    pub(crate) fn end_batch(&mut self, cfg: &OverloadConfig) {
+        if let Some(sk) = &self.sketch {
+            sk.record_batch();
+        }
+        let ps = self.flow.pressure_stats();
+        histogram!("switch.flow_table.pressure").record(ps.pressure_milli as u64);
+        let o = &mut self.overload;
+        if ps.occupancy_hwm > o.reported_occ_hwm {
+            counter!("switch.flow_table.occupancy_hwm")
+                .add((ps.occupancy_hwm - o.reported_occ_hwm) as u64);
+            o.reported_occ_hwm = ps.occupancy_hwm;
+        }
+        if ps.collision_window_hwm > o.reported_coll_hwm {
+            counter!("switch.flow_table.collision_hwm")
+                .add(ps.collision_window_hwm - o.reported_coll_hwm);
+            o.reported_coll_hwm = ps.collision_window_hwm;
+        }
+        if o.degraded {
+            o.degraded_batches += 1;
+            if ps.pressure_milli <= cfg.degrade_exit_milli {
+                o.calm += 1;
+                if o.calm >= cfg.degrade_calm_batches {
+                    o.degraded = false;
+                    o.calm = 0;
+                    o.exits += 1;
+                    counter!("switch.overload.degraded_exit").inc();
+                }
+            } else {
+                o.calm = 0;
+            }
+        } else if ps.pressure_milli >= cfg.degrade_enter_milli {
+            o.degraded = true;
+            o.calm = 0;
+            o.entries += 1;
+            counter!("switch.overload.degraded_enter").inc();
+        }
+    }
+
+    /// This shard's contribution to [`OverloadStats`].
+    pub(crate) fn overload_view(&self) -> OverloadStats {
+        OverloadStats {
             pressure: self.flow.pressure_stats(),
             degraded_shards: self.overload.degraded as u32,
             degraded_entries: self.overload.entries,
@@ -381,14 +533,14 @@ impl ShardState {
 
 /// Per-shard overload state: the hysteretic degraded-mode flag plus the
 /// shedding/residency accounting it drives. Advanced once per batch by
-/// [`update_overload`]; consulted on every digest push. Everything here
+/// [`ShardState::end_batch`]; consulted on every digest push. Everything here
 /// is derived from the shard's own packet stream and batch count, never
 /// from wall-clock or sibling shards — a storm degrading one shard leaves
 /// the others' state untouched.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct OverloadState {
     /// In degraded mode: benign digests are shed at the source and (in
-    /// the sketch-assisted backend) admission demands more evidence.
+    /// the sketched layout) admission demands more evidence.
     pub(crate) degraded: bool,
     /// Consecutive calm batches seen while degraded.
     calm: u32,
@@ -399,7 +551,7 @@ pub(crate) struct OverloadState {
     pub(crate) shed_benign: u64,
     pub(crate) shed_malicious: u64,
     /// Sketch admissions rejected only because pressure raised the
-    /// promote threshold (see `SketchedPipeline`).
+    /// promote threshold (see [`SketchStage::admit`]).
     pub(crate) admission_tightened: u64,
     /// Most digests ever buffered at once.
     pub(crate) buffered_hwm: usize,
@@ -457,49 +609,6 @@ impl OverloadState {
     }
 }
 
-/// Advances one shard's overload state by one batch: records the pressure
-/// gauge, raises the occupancy/collision high-water-mark counters by
-/// their deltas, and steps the hysteretic degraded-mode machine — enter
-/// immediately at `degrade_enter_milli`, exit only after
-/// `degrade_calm_batches` consecutive batches at or below
-/// `degrade_exit_milli`. Called exactly once per `process_batch` per
-/// logical shard by every backend, so mode transitions are invariant
-/// under worker count and shard grouping.
-pub(crate) fn update_overload(state: &mut ShardState, cfg: &OverloadConfig) {
-    let ps = state.flow.pressure_stats();
-    histogram!("switch.flow_table.pressure").record(ps.pressure_milli as u64);
-    let o = &mut state.overload;
-    if ps.occupancy_hwm > o.reported_occ_hwm {
-        counter!("switch.flow_table.occupancy_hwm")
-            .add((ps.occupancy_hwm - o.reported_occ_hwm) as u64);
-        o.reported_occ_hwm = ps.occupancy_hwm;
-    }
-    if ps.collision_window_hwm > o.reported_coll_hwm {
-        counter!("switch.flow_table.collision_hwm")
-            .add(ps.collision_window_hwm - o.reported_coll_hwm);
-        o.reported_coll_hwm = ps.collision_window_hwm;
-    }
-    if o.degraded {
-        o.degraded_batches += 1;
-        if ps.pressure_milli <= cfg.degrade_exit_milli {
-            o.calm += 1;
-            if o.calm >= cfg.degrade_calm_batches {
-                o.degraded = false;
-                o.calm = 0;
-                o.exits += 1;
-                counter!("switch.overload.degraded_exit").inc();
-            }
-        } else {
-            o.calm = 0;
-        }
-    } else if ps.pressure_milli >= cfg.degrade_enter_milli {
-        o.degraded = true;
-        o.calm = 0;
-        o.entries += 1;
-        counter!("switch.overload.degraded_enter").inc();
-    }
-}
-
 /// A whitelist with its compiled first-match index. All verdicts go
 /// through the index; debug builds cross-check every lookup against the
 /// linear scan, and the exhaustive parity suite pins the equivalence in
@@ -540,26 +649,14 @@ impl IndexedWhitelist {
         hits: &mut Vec<Option<u32>>,
         wl: &mut WhitelistCounters,
     ) {
-        // Stack views, as `resolve_pending` does: the widest feature set
-        // (FL) bounds every whitelist's column count.
+        // Stack views: the widest feature set (FL) bounds every
+        // whitelist's column count.
         let dims = cols.dims();
         assert!(dims <= SWITCH_FL_DIM, "{dims} feature columns exceed SWITCH_FL_DIM");
         let views: [&[f32]; SWITCH_FL_DIM] =
             std::array::from_fn(|d| if d < dims { cols.column(d) } else { &[] });
-        self.predict_batch_views(&views[..dims], scratch, hits, wl);
-    }
-
-    /// [`IndexedWhitelist::predict_batch`] on raw column view slices —
-    /// lets callers probe sub-ranges of an existing batch's columns
-    /// without a gather copy.
-    fn predict_batch_views(
-        &self,
-        views: &[&[f32]],
-        scratch: &mut BatchScratch,
-        hits: &mut Vec<Option<u32>>,
-        wl: &mut WhitelistCounters,
-    ) {
-        wl.lookups += views.first().map_or(0, |c| c.len()) as u64;
+        let views = &views[..dims];
+        wl.lookups += cols.rows() as u64;
         self.index.lookup_batch(views, scratch, hits);
         wl.hits += hits.iter().filter(|h| h.is_some()).count() as u64;
         #[cfg(debug_assertions)]
@@ -597,8 +694,8 @@ struct WhitelistEpoch {
     phases: Vec<IndexedWhitelist>,
 }
 
-/// The per-packet match-action logic, factored out of [`Pipeline`] so the
-/// serial and sharded backends share one decision procedure. Holds only
+/// The per-packet match-action logic, factored out of [`Pipeline`] so
+/// every layout and both walks share one decision procedure. Holds only
 /// read-only state (the installed rules, their compiled indexes, and the
 /// config flags); the mutable flow/blacklist/digest state — and the
 /// per-worker lookup scratch — is passed in per call, which is what lets
@@ -799,52 +896,90 @@ impl MatchEngine {
         self.fl_rules().predict(x, words, wl)
     }
 
-    /// PL-whitelist verdict on one packet-level feature row — the
-    /// stateless brown/orange decision, exposed for the sketch-assisted
-    /// backend's scalar walk.
-    pub(crate) fn predict_pl(&self, pl: &[f32], scratch: &mut MatchScratch) -> bool {
-        self.pl_rules.predict(pl, &mut scratch.words, &mut scratch.wl)
-    }
-
-    /// Blue-path verdict from a frozen flow-stats record: the FL whitelist
-    /// (under the configured log-compression) OR-merged with the PL
-    /// verdict, with the same short-circuit order as
-    /// [`MatchEngine::process_one`] so whitelist counters stay identical.
-    pub(crate) fn predict_blue(
-        &self,
-        stats: &iguard_flow::stats::FlowStats,
-        pl: &[f32],
-        scratch: &mut MatchScratch,
-    ) -> bool {
-        iguard_flow::features::switch_fl_features_into(stats, &mut scratch.row);
+    /// The live FL features of a frozen flow-stats record, written into
+    /// `row` under the configured log-compress map.
+    fn fl_row(&self, stats: &FlowStats, row: &mut Vec<f32>) {
+        switch_fl_features_into(stats, row);
         if self.log_compress {
-            log_compress_vec(&mut scratch.row);
+            log_compress_vec(row);
         }
-        // `row` (immutable) and `words`/`wl` (mutable) are disjoint fields.
-        let MatchScratch { row, words, wl, .. } = scratch;
-        self.fl_rules().predict(row, words, wl) || self.pl_rules.predict(pl, words, wl)
     }
 
-    /// Phase-boundary conviction probe: the per-phase FL whitelist only
-    /// (convict-only — the PL rules never pull a verdict forward).
-    /// `false` when no whitelist is installed for this phase.
-    pub(crate) fn predict_phase(
+    /// The six-path dispatch both walks share: turns one
+    /// [`ShardState::observe`] result into the packet's outcome. Purple,
+    /// blue and phase-boundary packets resolve here, because a verdict
+    /// writes the flow label that the flow's next packet — possibly in
+    /// this very batch — must see. Brown packets and orange packets
+    /// (collisions, and packets the sketch absorbed) come back with
+    /// `pending = true` and a placeholder `Forward` verdict: their
+    /// packet-level decision is stateless, so the caller resolves it,
+    /// inline (scalar walk) or in one batched probe (columnar walk).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn dispatch(
         &self,
-        phase: u8,
-        stats: &iguard_flow::stats::FlowStats,
+        s: &mut ShardState,
         scratch: &mut MatchScratch,
-    ) -> bool {
-        match self.phase_rules(phase) {
-            Some(pwl) => {
-                iguard_flow::features::switch_fl_features_into(stats, &mut scratch.row);
-                if self.log_compress {
-                    log_compress_vec(&mut scratch.row);
-                }
-                let MatchScratch { row, words, wl, .. } = scratch;
-                pwl.predict(row, words, wl)
+        seen: Option<InsertOutcome>,
+        pkt: &Packet,
+        key: FiveTuple,
+        (i1, i2): (u32, u32),
+        seq: u64,
+    ) -> (ProcessOutcome, bool) {
+        let pending = |path| {
+            (ProcessOutcome { verdict: PacketVerdict::Forward, path, mirrored: false }, true)
+        };
+        let digest = match seen {
+            Some(InsertOutcome::Classified { label }) => {
+                let verdict = self.verdict_for(label);
+                return (
+                    ProcessOutcome { verdict, path: PathTaken::Purple, mirrored: false },
+                    false,
+                );
             }
-            None => false,
-        }
+            Some(InsertOutcome::Early { .. }) => return pending(PathTaken::Brown),
+            None | Some(InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. }) => {
+                return pending(PathTaken::Orange)
+            }
+            Some(InsertOutcome::Ready { stats, timed_out: _ }) => {
+                self.fl_row(&stats, &mut scratch.row);
+                let MatchScratch { words, row, wl, .. } = scratch;
+                // The installed whitelist is the merge of FL and PL rules
+                // (§3.3.1): a flow must look benign to both to pass.
+                let malicious = self.fl_rules().predict(row, words, wl)
+                    || self.pl_rules.predict(&packet_level_features_array(pkt), words, wl);
+                Digest::new(pkt.five, malicious)
+            }
+            Some(InsertOutcome::PhaseReady { stats, phase }) => {
+                counter!("switch.phase.boundary").inc();
+                // Convict-only early look: the per-phase whitelist can
+                // pull the blue verdict forward to this boundary, but a
+                // benign-looking flow is *not* labelled — it escalates to
+                // the next phase (or the final threshold) like a brown
+                // early packet. No model installed for this phase ⇒
+                // escalate unconditionally.
+                let convicted = match self.phase_rules(phase) {
+                    Some(pwl) => {
+                        self.fl_row(&stats, &mut scratch.row);
+                        let MatchScratch { words, row, wl, .. } = scratch;
+                        pwl.predict(row, words, wl)
+                    }
+                    None => false,
+                };
+                if !convicted {
+                    counter!("switch.phase.escalated").inc();
+                    return pending(PathTaken::Brown);
+                }
+                counter!("switch.phase.convicted").inc();
+                Digest::at_phase(pkt.five, true, phase)
+            }
+        };
+        // Blue path: digest to the controller, then the green loopback
+        // copy writes the flow label.
+        s.overload.push_digest(&mut s.digests, SeqDigest { seq, digest }, &self.overload);
+        s.flow.set_label_prehashed(key, i1, i2, digest.malicious);
+        let verdict = self.verdict_for(digest.malicious);
+        (ProcessOutcome { verdict, path: PathTaken::Blue, mirrored: true }, false)
     }
 
     /// Runs one packet through the six-path pipeline against the given
@@ -856,148 +991,45 @@ impl MatchEngine {
     /// is the columnar production path, parity-pinned to this one.
     pub(crate) fn process_one(
         &self,
-        state: &mut ShardState,
+        s: &mut ShardState,
         scratch: &mut MatchScratch,
         pkt: &Packet,
         seq: u64,
     ) -> ProcessOutcome {
-        state.processed += 1;
-        let ShardState { flow, blacklist, digests, paths, overload, .. } = state;
+        s.processed += 1;
         let key = pkt.five.canonical();
-
-        // Red path: blacklist match.
-        if blacklist.contains(&key) {
-            paths.blacklist += 1;
-            counter!("switch.pipeline.path.blacklist").inc();
-            return ProcessOutcome {
-                verdict: PacketVerdict::Drop,
-                path: PathTaken::Blacklist,
-                mirrored: false,
-            };
-        }
-
-        let pl = packet_level_features(pkt);
-        match flow.observe(pkt, pkt.ts_ns) {
-            InsertOutcome::Classified { label } => {
-                paths.purple += 1;
-                counter!("switch.pipeline.path.purple").inc();
-                ProcessOutcome {
-                    verdict: self.verdict_for(label),
-                    path: PathTaken::Purple,
-                    mirrored: false,
-                }
+        let o = if s.blacklist.contains(&key) {
+            BLACKLISTED
+        } else {
+            let slots = s.flow.slot_index_pair(&key);
+            let seen = s.observe(key, slots.0, slots.1, pkt, &mut scratch.tallies);
+            scratch.tallies.flush();
+            let (mut o, pending) = self.dispatch(s, scratch, seen, pkt, key, slots, seq);
+            if pending {
+                let MatchScratch { words, wl, .. } = scratch;
+                let pl = packet_level_features_array(pkt);
+                o.verdict = self.verdict_for(self.pl_rules.predict(&pl, words, wl));
             }
-            InsertOutcome::Early { .. } => {
-                paths.brown += 1;
-                counter!("switch.pipeline.path.brown").inc();
-                let malicious = self.pl_rules.predict(&pl, &mut scratch.words, &mut scratch.wl);
-                ProcessOutcome {
-                    verdict: self.verdict_for(malicious),
-                    path: PathTaken::Brown,
-                    mirrored: false,
-                }
-            }
-            InsertOutcome::Ready { stats, timed_out: _ } => {
-                paths.blue += 1;
-                counter!("switch.pipeline.path.blue").inc();
-                let mut fl = switch_fl_features(&stats);
-                if self.log_compress {
-                    iguard_flow::features::log_compress_vec(&mut fl);
-                }
-                // The installed whitelist is the merge of FL and PL rules
-                // (§3.3.1): a flow must look benign to both to pass.
-                let malicious = self.fl_rules().predict(&fl, &mut scratch.words, &mut scratch.wl)
-                    || self.pl_rules.predict(&pl, &mut scratch.words, &mut scratch.wl);
-                overload.push_digest(
-                    digests,
-                    SeqDigest { seq, digest: Digest::new(pkt.five, malicious) },
-                    &self.overload,
-                );
-                // Green path: the loopback copy writes the flow label.
-                paths.green_loopback += 1;
-                counter!("switch.pipeline.path.green_loopback").inc();
-                flow.set_label(&pkt.five, malicious);
-                ProcessOutcome {
-                    verdict: self.verdict_for(malicious),
-                    path: PathTaken::Blue,
-                    mirrored: true,
-                }
-            }
-            InsertOutcome::PhaseReady { stats, phase } => {
-                counter!("switch.phase.boundary").inc();
-                // Convict-only early look: the per-phase whitelist can
-                // pull the blue verdict forward to this boundary, but a
-                // benign-looking flow is *not* labelled — it escalates to
-                // the next phase (or the final threshold) like a brown
-                // early packet. No model installed for this phase ⇒
-                // escalate unconditionally.
-                let convicted = match self.phase_rules(phase) {
-                    Some(wl) => {
-                        let mut fl = switch_fl_features(&stats);
-                        if self.log_compress {
-                            iguard_flow::features::log_compress_vec(&mut fl);
-                        }
-                        wl.predict(&fl, &mut scratch.words, &mut scratch.wl)
-                    }
-                    None => false,
-                };
-                if convicted {
-                    counter!("switch.phase.convicted").inc();
-                    paths.blue += 1;
-                    counter!("switch.pipeline.path.blue").inc();
-                    overload.push_digest(
-                        digests,
-                        SeqDigest { seq, digest: Digest::at_phase(pkt.five, true, phase) },
-                        &self.overload,
-                    );
-                    paths.green_loopback += 1;
-                    counter!("switch.pipeline.path.green_loopback").inc();
-                    flow.set_label(&pkt.five, true);
-                    ProcessOutcome {
-                        verdict: self.verdict_for(true),
-                        path: PathTaken::Blue,
-                        mirrored: true,
-                    }
-                } else {
-                    counter!("switch.phase.escalated").inc();
-                    paths.brown += 1;
-                    counter!("switch.pipeline.path.brown").inc();
-                    let malicious = self.pl_rules.predict(&pl, &mut scratch.words, &mut scratch.wl);
-                    ProcessOutcome {
-                        verdict: self.verdict_for(malicious),
-                        path: PathTaken::Brown,
-                        mirrored: false,
-                    }
-                }
-            }
-            InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. } => {
-                paths.orange += 1;
-                counter!("switch.pipeline.path.orange").inc();
-                let malicious = self.pl_rules.predict(&pl, &mut scratch.words, &mut scratch.wl);
-                ProcessOutcome {
-                    verdict: self.verdict_for(malicious),
-                    path: PathTaken::Orange,
-                    mirrored: false,
-                }
-            }
-        }
+            o
+        };
+        s.paths.record(&o);
+        let mut tally = PathCounters::default();
+        tally.record(&o);
+        tally.flush_to_registry();
+        o
     }
 
     /// The columnar six-path walk: processes the batch rows listed in
-    /// `rows` (indices into `batch`/`pkts`, in per-shard arrival order)
-    /// against the shard states, appending one outcome per row to `out`
-    /// in `rows` order (`out[k]` answers row `rows[k]`).
+    /// `rows` (indices into `pkts`, in per-shard arrival order) against
+    /// the shard states, appending one outcome per row to `out` in `rows`
+    /// order (`out[k]` answers row `rows[k]`).
     ///
     /// The walk is split into phases per [`BATCH_CHUNK`]-row chunk:
     ///
-    /// 1. **Stateful walk** — per row: blacklist probe on the
-    ///    pre-canonicalised key column, flow-table observe, and path
-    ///    dispatch. Purple/red resolve immediately. Blue resolves inline
-    ///    (its verdict writes the flow label, which later packets of the
-    ///    same flow in this very batch must see), reading FL features
-    ///    into the scratch row and the PL row straight from the feature
-    ///    columns. Brown/orange only record a *pending* entry — their PL
-    ///    decision is stateless.
+    /// 1. **Stateful walk** — per row: blacklist probe on the canonical
+    ///    key, flow-table observe (sketch admission included), and the
+    ///    shared [`MatchEngine::dispatch`]. Brown/orange rows only record
+    ///    a *pending* entry — their PL decision is stateless.
     /// 2. **Columnar resolve** — the pending rows' PL features are
     ///    gathered into compact columns and resolved with one batch index
     ///    probe, then written back into the outcome column branchlessly.
@@ -1012,7 +1044,6 @@ impl MatchEngine {
         &self,
         states: &mut [ShardState],
         state_of: impl Fn(usize) -> usize,
-        batch: &PacketBatch,
         pkts: &[Packet],
         rows: &[u32],
         base_seq: u64,
@@ -1020,178 +1051,41 @@ impl MatchEngine {
         out: &mut Vec<ProcessOutcome>,
     ) {
         out.reserve(rows.len());
-        // How many rows ahead of the walk to warm flow-table slots. Far
-        // enough to cover the load latency, small enough to stay in the
-        // hashed prefix.
-        const PREFETCH_AHEAD: usize = 12;
         for chunk in rows.chunks(BATCH_CHUNK) {
             scratch.pending.clear();
-            // Pre-pass: hash every row's candidate slot pair in one tight
-            // loop. The pair is a pure function of key and table config,
-            // so this commutes with the stateful walk below; hashing
-            // up front pipelines the hash/modulo chains across rows and
-            // feeds the prefetcher.
-            scratch.slot_idx.clear();
-            scratch.slot_idx.extend(chunk.iter().map(|&r| {
-                let i = r as usize;
-                states[state_of(i)].flow.slot_index_pair(&batch.keys[i])
-            }));
-            // Per-chunk path tallies: the registry counters take one
-            // atomic add per path per chunk instead of one per packet
-            // (identical totals; `ShardState::paths` stays per-row).
-            let (mut t_black, mut t_brown, mut t_blue, mut t_orange, mut t_purple) =
-                (0u64, 0u64, 0u64, 0u64, 0u64);
-            for (c, &r) in chunk.iter().enumerate() {
-                if let Some(&(p1, p2)) = scratch.slot_idx.get(c + PREFETCH_AHEAD) {
-                    let j = chunk[c + PREFETCH_AHEAD] as usize;
-                    states[state_of(j)].flow.prefetch_slots(p1, p2);
-                }
+            // Per-chunk path tally: the registry counters take one atomic
+            // add per path per chunk instead of one per packet (identical
+            // totals; `ShardState::paths` stays per-row).
+            let mut tally = PathCounters::default();
+            for &r in chunk {
                 let i = r as usize;
                 let pkt = &pkts[i];
-                let (i1, i2) = scratch.slot_idx[c];
                 let s = &mut states[state_of(i)];
                 s.processed += 1;
-                let key = batch.keys[i];
+                let key = pkt.five.canonical();
 
-                // Red path: blacklist match on the precomputed canonical
-                // key (the `is_empty` test skips the hash when no rules
-                // are installed — the common case mid-batch).
-                if !s.blacklist.is_empty() && s.blacklist.contains(&key) {
-                    s.paths.blacklist += 1;
-                    t_black += 1;
-                    out.push(ProcessOutcome {
-                        verdict: PacketVerdict::Drop,
-                        path: PathTaken::Blacklist,
-                        mirrored: false,
-                    });
-                    continue;
-                }
-
-                match s.flow.observe_prehashed(key, i1, i2, pkt, pkt.ts_ns, &mut scratch.tallies) {
-                    InsertOutcome::Classified { label } => {
-                        s.paths.purple += 1;
-                        t_purple += 1;
-                        out.push(ProcessOutcome {
-                            verdict: self.verdict_for(label),
-                            path: PathTaken::Purple,
-                            mirrored: false,
-                        });
-                    }
-                    InsertOutcome::Early { .. } => {
-                        s.paths.brown += 1;
-                        t_brown += 1;
+                // Red path: blacklist match (the `is_empty` test skips the
+                // hash when no rules are installed — the common case
+                // mid-batch).
+                let o = if !s.blacklist.is_empty() && s.blacklist.contains(&key) {
+                    BLACKLISTED
+                } else {
+                    let slots = s.flow.slot_index_pair(&key);
+                    let seen = s.observe(key, slots.0, slots.1, pkt, &mut scratch.tallies);
+                    let seq = base_seq + r as u64;
+                    let (o, pending) = self.dispatch(s, scratch, seen, pkt, key, slots, seq);
+                    if pending {
                         scratch.pending.push((r, out.len() as u32));
-                        out.push(ProcessOutcome {
-                            verdict: PacketVerdict::Forward,
-                            path: PathTaken::Brown,
-                            mirrored: false,
-                        });
                     }
-                    InsertOutcome::Ready { stats, timed_out: _ } => {
-                        s.paths.blue += 1;
-                        t_blue += 1;
-                        switch_fl_features_into(&stats, &mut scratch.row);
-                        if self.log_compress {
-                            log_compress_vec(&mut scratch.row);
-                        }
-                        let MatchScratch { words, row, wl, .. } = &mut *scratch;
-                        // FL ∥ PL short-circuit exactly as the scalar path,
-                        // so the whitelist counters stay identical.
-                        let malicious = self.fl_rules().predict(row, words, wl)
-                            || self.pl_rules.predict(&batch.pl_row(i), words, wl);
-                        s.overload.push_digest(
-                            &mut s.digests,
-                            SeqDigest {
-                                seq: base_seq + r as u64,
-                                digest: Digest::new(pkt.five, malicious),
-                            },
-                            &self.overload,
-                        );
-                        s.paths.green_loopback += 1;
-                        counter!("switch.pipeline.path.green_loopback").inc();
-                        s.flow.set_label_prehashed(key, i1, i2, malicious);
-                        out.push(ProcessOutcome {
-                            verdict: self.verdict_for(malicious),
-                            path: PathTaken::Blue,
-                            mirrored: true,
-                        });
-                    }
-                    InsertOutcome::PhaseReady { stats, phase } => {
-                        counter!("switch.phase.boundary").inc();
-                        // Resolved fully inline (not deferred to the
-                        // pending pass): a conviction mutates shard state
-                        // — label write + digest — which later rows of
-                        // the same flow in this chunk must observe, and
-                        // the escalation's PL probe runs here too so the
-                        // probe order matches the scalar oracle exactly.
-                        let convicted = match self.phase_rules(phase) {
-                            Some(pwl) => {
-                                switch_fl_features_into(&stats, &mut scratch.row);
-                                if self.log_compress {
-                                    log_compress_vec(&mut scratch.row);
-                                }
-                                let MatchScratch { words, row, wl, .. } = &mut *scratch;
-                                pwl.predict(row, words, wl)
-                            }
-                            None => false,
-                        };
-                        if convicted {
-                            counter!("switch.phase.convicted").inc();
-                            s.paths.blue += 1;
-                            t_blue += 1;
-                            s.overload.push_digest(
-                                &mut s.digests,
-                                SeqDigest {
-                                    seq: base_seq + r as u64,
-                                    digest: Digest::at_phase(pkt.five, true, phase),
-                                },
-                                &self.overload,
-                            );
-                            s.paths.green_loopback += 1;
-                            counter!("switch.pipeline.path.green_loopback").inc();
-                            s.flow.set_label_prehashed(key, i1, i2, true);
-                            out.push(ProcessOutcome {
-                                verdict: self.verdict_for(true),
-                                path: PathTaken::Blue,
-                                mirrored: true,
-                            });
-                        } else {
-                            counter!("switch.phase.escalated").inc();
-                            s.paths.brown += 1;
-                            t_brown += 1;
-                            let MatchScratch { words, wl, .. } = &mut *scratch;
-                            let malicious = self.pl_rules.predict(&batch.pl_row(i), words, wl);
-                            out.push(ProcessOutcome {
-                                verdict: self.verdict_for(malicious),
-                                path: PathTaken::Brown,
-                                mirrored: false,
-                            });
-                        }
-                    }
-                    InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. } => {
-                        s.paths.orange += 1;
-                        t_orange += 1;
-                        scratch.pending.push((r, out.len() as u32));
-                        out.push(ProcessOutcome {
-                            verdict: PacketVerdict::Forward,
-                            path: PathTaken::Orange,
-                            mirrored: false,
-                        });
-                    }
-                }
+                    o
+                };
+                s.paths.record(&o);
+                tally.record(&o);
+                out.push(o);
             }
             scratch.tallies.flush();
-            let flush_path = |n: u64, c: &'static iguard_telemetry::Counter| {
-                if n > 0 {
-                    c.add(n);
-                }
-            };
-            flush_path(t_black, counter!("switch.pipeline.path.blacklist"));
-            flush_path(t_brown, counter!("switch.pipeline.path.brown"));
-            flush_path(t_blue, counter!("switch.pipeline.path.blue"));
-            flush_path(t_orange, counter!("switch.pipeline.path.orange"));
-            flush_path(t_purple, counter!("switch.pipeline.path.purple"));
-            self.resolve_pending(batch, scratch, out);
+            tally.flush_to_registry();
+            self.resolve_pending(pkts, scratch, out);
         }
     }
 
@@ -1202,34 +1096,21 @@ impl MatchEngine {
     /// decision bit).
     fn resolve_pending(
         &self,
-        batch: &PacketBatch,
+        pkts: &[Packet],
         scratch: &mut MatchScratch,
         out: &mut [ProcessOutcome],
     ) {
         let MatchScratch { pending, pend_cols, bscratch, hits, wl, .. } = scratch;
-        let n = pending.len();
-        if n == 0 {
+        if pending.is_empty() {
             return;
         }
-        // Pending rows are pushed in strictly increasing row order, so a
-        // first/last span check detects the common brown-dominated case
-        // where the whole chunk is pending: probe the batch's own column
-        // slices directly instead of gather-copying them.
-        let first = pending[0].0 as usize;
-        if pending[n - 1].0 as usize - first == n - 1 {
-            let views: [&[f32]; PL_DIM] =
-                std::array::from_fn(|d| &batch.pl.column(d)[first..first + n]);
-            self.pl_rules.predict_batch_views(&views, bscratch, hits, wl);
-        } else {
-            pend_cols.reset(PL_DIM, n);
-            for d in 0..PL_DIM {
-                let src = batch.pl.column(d);
-                for (dst, &(r, _)) in pend_cols.column_mut(d).iter_mut().zip(pending.iter()) {
-                    *dst = src[r as usize];
-                }
+        pend_cols.reset(PL_DIM, pending.len());
+        for (k, &(r, _)) in pending.iter().enumerate() {
+            for (d, v) in packet_level_features_array(&pkts[r as usize]).into_iter().enumerate() {
+                pend_cols.column_mut(d)[k] = v;
             }
-            self.pl_rules.predict_batch(pend_cols, bscratch, hits, wl);
         }
+        self.pl_rules.predict_batch(pend_cols, bscratch, hits, wl);
         let verdicts = [PacketVerdict::Forward, PacketVerdict::Drop];
         for (&(_, pos), hit) in pending.iter().zip(hits.iter()) {
             out[pos as usize].verdict = verdicts[(hit.is_none() && self.drop_malicious) as usize];
@@ -1276,103 +1157,167 @@ impl MatchEngine {
     }
 }
 
-/// The emulated data plane: the single-threaded reference backend. The
-/// batched [`DataPlane`] entry points run the columnar hot path
-/// ([`MatchEngine::process_rows`]); [`Pipeline::process`] remains as the
-/// scalar per-packet path — kept byte-compatible so it can serve as the
-/// parity oracle (see [`ScalarPipeline`]).
-pub struct Pipeline {
-    cfg: PipelineConfig,
-    engine: MatchEngine,
-    /// The one (full-size) shard of this serial backend.
-    state: ShardState,
+/// The state layout a [`Pipeline`] is built with, picked by the config
+/// type handed to [`Pipeline::new`]:
+///
+/// * [`PipelineConfig`] (or a bare [`FlowTableConfig`]) — one full-size
+///   logical shard, walked serially;
+/// * [`ShardedPipelineConfig`] — [`LOGICAL_SHARDS`] logical shards,
+///   grouped into `shards` physical groups driven on a worker crew;
+/// * [`SketchedPipelineConfig`] — one logical shard behind the sketch
+///   admission stage.
+#[derive(Clone, Copy, Debug)]
+pub enum Layout {
+    Serial(PipelineConfig),
+    Sharded(ShardedPipelineConfig),
+    Sketched(SketchedPipelineConfig),
+}
+
+impl From<PipelineConfig> for Layout {
+    fn from(cfg: PipelineConfig) -> Self {
+        Self::Serial(cfg)
+    }
+}
+
+impl From<FlowTableConfig> for Layout {
+    fn from(flow_table: FlowTableConfig) -> Self {
+        Self::Serial(flow_table.into())
+    }
+}
+
+impl From<ShardedPipelineConfig> for Layout {
+    fn from(cfg: ShardedPipelineConfig) -> Self {
+        Self::Sharded(cfg)
+    }
+}
+
+impl From<SketchedPipelineConfig> for Layout {
+    fn from(cfg: SketchedPipelineConfig) -> Self {
+        Self::Sketched(cfg)
+    }
+}
+
+/// A physical shard group: the logical shards one worker drives (each a
+/// [`ShardState`] — a full, independent copy of the mutable data-plane
+/// state for the flows hashed to it), plus the group's reusable outcome
+/// buffer (one outcome per bin row, in bin order) and its private match
+/// scratch (index bitmap words, deferred-lookup columns, whitelist
+/// counters) — per group, not per shard, because one worker drives a
+/// group serially. `verdicts` is the group's reusable slice of a
+/// `classify_batch` result.
+#[derive(Default)]
+struct Group {
+    shards: Vec<ShardState>,
+    outcomes: Vec<ProcessOutcome>,
     scratch: MatchScratch,
-    /// Reusable columnar ingest buffers of the batched path.
-    batch: PacketBatch,
+    verdicts: Vec<bool>,
+}
+
+/// The emulated data plane, in any [`Layout`]. The batched [`DataPlane`]
+/// entry points run the columnar hot path ([`MatchEngine::process_rows`]);
+/// [`Pipeline::process`] is the scalar per-packet walk, kept
+/// byte-compatible so it can serve as the parity oracle (see
+/// [`ScalarPipeline`]).
+pub struct Pipeline {
+    engine: MatchEngine,
+    /// `groups[g].shards[p]` is logical shard `p * groups.len() + g`.
+    groups: Vec<Group>,
+    /// Logical shards: 1 (serial and sketched layouts) or
+    /// [`LOGICAL_SHARDS`] (sharded layout).
+    logical: usize,
+    bins: ShardBins,
+    /// Identity row index (`0..n`) for the single-group path.
     rows_idx: Vec<u32>,
-    /// Monotonic counter for resync digest sequence numbers.
+    /// The threads driving the groups, sized `min(current_workers,
+    /// groups)` by [`Crew::sized`] on first use; a crew of one (a single
+    /// group, or one worker) starts no thread.
+    crew: Option<Crew>,
+    processed: u64,
+    /// Monotonic counter for resync digest sequence tags (offset from
+    /// [`RESYNC_SEQ_BASE`], disjoint from packet sequence numbers).
     resync_seq: u64,
 }
 
+// A pipeline and the crew it owns move between threads together.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Pipeline>();
+};
+
 impl Pipeline {
-    pub fn new(cfg: impl Into<PipelineConfig>, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
-        let cfg = cfg.into();
+    pub fn new(layout: impl Into<Layout>, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
+        let (cfg, logical, phys, sketch) = match layout.into() {
+            Layout::Serial(cfg) => (cfg, 1, 1, None),
+            Layout::Sharded(s) => {
+                (s.pipeline, LOGICAL_SHARDS, s.shards.clamp(1, LOGICAL_SHARDS), None)
+            }
+            Layout::Sketched(s) => (s.pipeline, 1, 1, Some(s)),
+        };
+        // Preserve total capacity: each logical shard gets an equal cut of
+        // the configured slots.
+        let slots = (cfg.flow_table.slots_per_table / logical).max(1);
+        let shard_cfg = FlowTableConfig { slots_per_table: slots, ..cfg.flow_table };
+        let mut groups: Vec<Group> = (0..phys).map(|_| Group::default()).collect();
+        for l in 0..logical {
+            groups[l % phys].shards.push(ShardState::new(shard_cfg));
+        }
+        groups[0].shards[0].sketch = sketch.map(|s| Box::new(SketchStage::new(s)));
         Self {
-            state: ShardState::new(cfg.flow_table),
             engine: MatchEngine::new(&cfg, fl_rules, pl_rules),
-            cfg,
-            scratch: MatchScratch::default(),
-            batch: PacketBatch::default(),
+            groups,
+            logical,
+            bins: ShardBins::new(),
             rows_idx: Vec::new(),
+            crew: None,
+            processed: 0,
             resync_seq: 0,
         }
     }
 
-    /// Processes one packet through the six-path pipeline (scalar path).
+    /// Processes one packet through the scalar per-packet walk (the
+    /// oracle path; see [`ScalarPipeline`]).
     pub fn process(&mut self, pkt: &Packet) -> ProcessOutcome {
-        let seq = self.state.processed;
-        self.engine.process_one(&mut self.state, &mut self.scratch, pkt, seq)
+        let seq = self.processed;
+        self.processed += 1;
+        let l = self.shard_of(&pkt.five);
+        let phys = self.groups.len();
+        let Group { shards, scratch, .. } = &mut self.groups[l % phys];
+        self.engine.process_one(&mut shards[l / phys], scratch, pkt, seq)
     }
 
-    /// Takes the digests accumulated since the last drain.
-    pub fn drain_digests(&mut self) -> Vec<Digest> {
-        self.state.digests.drain(..).map(|sd| sd.digest).collect()
-    }
-
-    /// Applies a controller command.
-    pub fn apply(&mut self, action: ControlAction) {
-        match action {
-            ControlAction::InstallBlacklist(five) => {
-                self.state.blacklist.insert(five.canonical());
-            }
-            ControlAction::RemoveBlacklist(five) => {
-                self.state.blacklist.remove(&five.canonical());
-            }
-            ControlAction::ClearFlow(five) => {
-                self.state.flow.clear(&five);
-            }
+    /// Closes a batch on every logical shard (see [`ShardState::end_batch`]).
+    fn end_batch(&mut self) {
+        for st in self.groups.iter_mut().flat_map(|g| &mut g.shards) {
+            st.end_batch(&self.engine.overload);
         }
     }
 
-    pub fn blacklist_len(&self) -> usize {
-        self.state.blacklist.len()
+    /// Logical shard owning a flow.
+    fn shard_of(&self, five: &FiveTuple) -> usize {
+        if self.logical == 1 {
+            0
+        } else {
+            logical_shard_of(five)
+        }
     }
 
-    /// The installed blacklist, in canonical sorted order (for equality
-    /// checks across backends).
-    pub fn blacklist_contents(&self) -> Vec<FiveTuple> {
-        let mut v: Vec<FiveTuple> = self.state.blacklist.iter().copied().collect();
-        v.sort_unstable();
-        v
+    pub(crate) fn shard(&self, logical: usize) -> &ShardState {
+        let phys = self.groups.len();
+        &self.groups[logical % phys].shards[logical / phys]
     }
 
-    pub fn packets_processed(&self) -> u64 {
-        self.state.processed
-    }
-
-    /// Per-path packet counters.
-    pub fn paths(&self) -> PathCounters {
-        self.state.paths
-    }
-
-    pub fn flow_table(&self) -> &FlowShard {
-        &self.state.flow
-    }
-
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    /// Applies a versioned whitelist transaction (hitless swap; see
-    /// [`crate::ruleset`] and [`MatchEngine::apply_ruleset`]).
-    pub fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
-        self.engine.apply_ruleset(txn)
+    /// The logical shards, in logical-shard order — every fold over them
+    /// is therefore identical at any physical grouping.
+    fn shards(&self) -> impl Iterator<Item = &ShardState> {
+        (0..self.logical).map(|l| self.shard(l))
     }
 
     /// Installs one whitelist per intermediate phase boundary of the flow
-    /// table's [`iguard_flow::table::PhaseSchedule`] (hitless epoch flip;
-    /// all phases swap together). An empty slice disables phase
-    /// evaluation — every boundary look escalates.
+    /// table's [`iguard_flow::table::PhaseSchedule`]. One engine is shared
+    /// read-only by every shard group, so the single hitless epoch flip
+    /// swaps the phase array (and the final ruleset) for all logical
+    /// shards at once. An empty slice disables phase evaluation — every
+    /// boundary look escalates.
     pub fn set_phase_rulesets(&mut self, rulesets: &[RuleSet]) {
         self.engine.set_phase_rulesets(rulesets);
     }
@@ -1380,17 +1325,6 @@ impl Pipeline {
     /// Number of per-phase whitelists installed in the live epoch.
     pub fn phase_count(&self) -> usize {
         self.engine.phase_count()
-    }
-
-    /// Version of the installed whitelist ruleset (0 until the first
-    /// transaction).
-    pub fn ruleset_version(&self) -> u64 {
-        self.engine.ruleset_version()
-    }
-
-    /// Lifecycle accounting of the ruleset transactions seen so far.
-    pub fn ruleset_counters(&self) -> RulesetCounters {
-        self.engine.ruleset_counters()
     }
 
     /// The installed TCAM image of the live ruleset epoch, in canonical
@@ -1404,6 +1338,37 @@ impl Pipeline {
     pub fn ruleset_index(&self) -> &RangeIndex {
         self.engine.ruleset_index()
     }
+
+    /// Physical shard groups in use (≤ [`LOGICAL_SHARDS`]).
+    pub fn physical_shards(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Packets processed per logical shard, in logical-shard order.
+    pub fn shard_packet_counts(&self) -> Vec<u64> {
+        self.shards().map(|s| s.processed).collect()
+    }
+
+    /// Overload view per logical shard, in logical-shard order — the
+    /// unmerged constituents of [`DataPlane::overload_stats`], for tests
+    /// and tooling that need to see *which* shards are degraded or what
+    /// each shard's pressure reads rather than the fleet-wide summary.
+    pub fn shard_overload_views(&self) -> Vec<OverloadStats> {
+        self.shards().map(|s| s.overload_view()).collect()
+    }
+
+    /// Load-imbalance ratio: max over mean of per-shard packet counts
+    /// (1.0 = perfectly balanced; 0.0 when nothing was processed).
+    pub fn imbalance_ratio(&self) -> f64 {
+        let counts = self.shard_packet_counts();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let mean = total as f64 / counts.len() as f64;
+        let max = counts.iter().copied().max().unwrap_or(0) as f64;
+        max / mean
+    }
 }
 
 impl DataPlane for Pipeline {
@@ -1413,57 +1378,142 @@ impl DataPlane for Pipeline {
             return;
         }
         record_batch_telemetry(pkts.len());
-        let Self { cfg, engine, state, scratch, batch, rows_idx, .. } = self;
-        batch.fill(pkts);
-        rows_idx.clear();
-        rows_idx.extend(0..pkts.len() as u32);
-        let base_seq = state.processed;
-        // Rows are walked in arrival order, so `process_rows` writes the
-        // outcome column directly — no per-row tag or copy pass.
-        engine.process_rows(
-            std::slice::from_mut(state),
-            |_| 0,
-            batch,
-            pkts,
-            rows_idx,
-            base_seq,
-            scratch,
-            out,
-        );
-        update_overload(state, &cfg.overload);
-    }
+        let Self { groups, bins, engine, processed, rows_idx, crew, logical, .. } = self;
+        let phys = groups.len();
+        if *logical > 1 {
+            counter!("switch.sharded.batches").inc();
+            histogram!("switch.sharded.batch_packets").record(pkts.len() as u64);
+        }
+        // `logical_shard_of` is direction-symmetric, so hashing the
+        // wire-order tuple picks the shard of the canonical flow key.
+        let shard_of = |i: usize| logical_shard_of(&pkts[i].five);
+        let base_seq = *processed;
+        *processed += pkts.len() as u64;
+        let overload = &engine.overload;
 
-    fn drain_digests_into(&mut self, out: &mut Vec<Digest>) {
-        out.extend(self.state.digests.drain(..).map(|sd| sd.digest));
+        // Single physical group: rows are walked in arrival order, so the
+        // engine writes the outcome column directly — no binning, group
+        // buffer or scatter pass. Output is identical to the general path
+        // by construction.
+        if phys == 1 {
+            let Group { shards, scratch, .. } = &mut groups[0];
+            rows_idx.clear();
+            rows_idx.extend(0..pkts.len() as u32);
+            if *logical == 1 {
+                engine.process_rows(shards, |_| 0, pkts, rows_idx, base_seq, scratch, out);
+            } else {
+                engine.process_rows(shards, shard_of, pkts, rows_idx, base_seq, scratch, out);
+            }
+            for st in shards.iter_mut() {
+                st.end_batch(overload);
+            }
+            return;
+        }
+
+        // Bin packet indices by physical group, preserving arrival order.
+        bins.reset(phys);
+        for i in 0..pkts.len() {
+            bins.push(shard_of(i) % phys, i as u32);
+        }
+
+        let bins = &*bins;
+        let engine = &*engine;
+        Crew::sized(crew, par::current_workers().min(phys)).for_each_mut(groups, |g, group| {
+            let bin = bins.bin(g);
+            histogram!("switch.sharded.group_batch_packets").record(bin.len() as u64);
+            let Group { shards, outcomes, scratch, .. } = group;
+            outcomes.clear();
+            engine.process_rows(
+                shards,
+                |i| shard_of(i) / phys,
+                pkts,
+                bin,
+                base_seq,
+                scratch,
+                outcomes,
+            );
+            // Every group steps all of its shards every batch (even shards
+            // whose bin was empty this batch): the hysteresis clock is
+            // per-batch, not per-packet, so it must tick uniformly.
+            for st in shards.iter_mut() {
+                st.end_batch(overload);
+            }
+        });
+
+        // Reassemble outcomes into packet order: each group emits one
+        // outcome per bin row in bin order, and the bins partition
+        // 0..pkts.len(), so every index is written exactly once.
+        out.resize(pkts.len(), BLACKLISTED);
+        for (g, group) in groups.iter().enumerate() {
+            debug_assert_eq!(bins.bin(g).len(), group.outcomes.len());
+            for (&i, &outcome) in bins.bin(g).iter().zip(&group.outcomes) {
+                out[i as usize] = outcome;
+            }
+        }
     }
 
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>) {
-        out.append(&mut self.state.digests);
+        // One logical shard: its buffer is already in arrival order.
+        if self.logical == 1 {
+            out.append(&mut self.groups[0].shards[0].digests);
+            return;
+        }
+        // Restore global packet arrival order across shards (seq is
+        // unique — at most one digest per packet — so the sort is a
+        // total, grouping-independent order).
+        let start = out.len();
+        span!("switch.sharded.digest_merge").time(|| {
+            for st in self.groups.iter_mut().flat_map(|g| &mut g.shards) {
+                out.append(&mut st.digests);
+            }
+            out[start..].sort_unstable_by_key(|sd| sd.seq);
+        });
+        // Occupancy telemetry only on productive drains — replay drains
+        // after every batch and most drains are empty.
+        if out.len() > start {
+            for st in self.shards() {
+                histogram!("switch.sharded.shard_occupancy").record(st.flow.occupancy() as u64);
+            }
+        }
     }
 
     fn apply(&mut self, action: ControlAction) {
-        Pipeline::apply(self, action);
+        let (ControlAction::InstallBlacklist(five)
+        | ControlAction::RemoveBlacklist(five)
+        | ControlAction::ClearFlow(five)) = action;
+        let (l, phys) = (self.shard_of(&five), self.groups.len());
+        self.groups[l % phys].shards[l / phys].apply(action);
     }
 
     fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
-        Pipeline::apply_ruleset(self, txn)
+        // One engine is shared read-only by every shard group, so a single
+        // epoch flip swaps the ruleset for all shards at once — between
+        // batches, per the trait contract.
+        self.engine.apply_ruleset(txn)
     }
 
     fn ruleset_version(&self) -> u64 {
-        Pipeline::ruleset_version(self)
+        self.engine.ruleset_version()
     }
 
     fn ruleset_counters(&self) -> RulesetCounters {
-        Pipeline::ruleset_counters(self)
+        self.engine.ruleset_counters()
     }
 
-    fn blacklist_contents(&self) -> Vec<iguard_flow::five_tuple::FiveTuple> {
-        Pipeline::blacklist_contents(self)
+    fn blacklist_contents(&self) -> Vec<FiveTuple> {
+        let mut v: Vec<FiveTuple> =
+            self.shards().flat_map(|s| s.blacklist.iter().copied()).collect();
+        v.sort_unstable();
+        v
     }
 
     fn resync_labeled_into(&mut self, out: &mut Vec<SeqDigest>) {
+        // Logical-shard order is fixed regardless of the physical
+        // grouping, so the resync stream is shard/worker invariant.
         let mut flows = Vec::new();
-        self.state.flow.labeled_flows_into(&mut flows);
+        for st in self.shards() {
+            st.flow.labeled_flows_into(&mut flows);
+        }
         for (five, malicious) in flows {
             out.push(SeqDigest {
                 seq: RESYNC_SEQ_BASE + self.resync_seq,
@@ -1474,48 +1524,77 @@ impl DataPlane for Pipeline {
     }
 
     fn counters(&self) -> PathCounters {
-        self.state.paths
+        let mut total = PathCounters::default();
+        for st in self.shards() {
+            total.add(&st.paths);
+        }
+        total
     }
 
     fn whitelist_counters(&self) -> WhitelistCounters {
-        self.scratch.wl
+        // Per-packet and batch-classification lookups both accumulate in
+        // group scratches. Addition is commutative, so the sum is
+        // grouping-invariant.
+        self.groups.iter().fold(WhitelistCounters::default(), |acc, g| acc.merge(&g.scratch.wl))
     }
 
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
         out.clear();
-        if rows.rows() == 0 {
+        let n = rows.rows();
+        if n == 0 {
             return;
         }
-        record_batch_telemetry(rows.rows());
-        out.reserve(rows.rows());
-        for start in (0..rows.rows()).step_by(BATCH_CHUNK) {
-            let end = (start + BATCH_CHUNK).min(rows.rows());
-            self.engine.classify_fl_batch(rows, start, end, &mut self.scratch, out);
+        // Fixed `BATCH_CHUNK` boundaries, dealt to the groups as
+        // contiguous runs of chunks: neither the boundaries nor the
+        // concatenation order depend on the worker count, so the verdict
+        // vector (and the counter totals) are worker-invariant.
+        record_batch_telemetry(n);
+        let Self { groups, engine, crew, .. } = self;
+        let phys = groups.len();
+        let rows_per_group = n.div_ceil(BATCH_CHUNK).div_ceil(phys) * BATCH_CHUNK;
+        let engine = &*engine;
+        let classify = |g: usize, group: &mut Group| {
+            let Group { scratch, verdicts, .. } = group;
+            verdicts.clear();
+            let end = ((g + 1) * rows_per_group).min(n);
+            for start in (g * rows_per_group..end).step_by(BATCH_CHUNK) {
+                let chunk_end = (start + BATCH_CHUNK).min(n);
+                engine.classify_fl_batch(rows, start, chunk_end, scratch, verdicts);
+            }
+        };
+        Crew::sized(crew, par::current_workers().min(phys)).for_each_mut(groups, classify);
+        out.reserve(n);
+        for group in groups.iter() {
+            out.extend_from_slice(&group.verdicts);
         }
     }
 
     fn flow_table_stats(&self) -> FlowTableStats {
-        self.state.flow.stats()
+        self.shards().fold(FlowTableStats::default(), |acc, s| acc.merge(&s.flow.stats()))
     }
 
-    fn overload_stats(&self) -> crate::data_plane::OverloadStats {
-        self.state.overload_view()
+    fn overload_stats(&self) -> OverloadStats {
+        self.shards().fold(OverloadStats::default(), |acc, s| acc.merge(&s.overload_view()))
+    }
+
+    fn sketch_stats(&self) -> Option<SketchStats> {
+        self.shard(0).sketch.as_ref().map(|sk| sk.stats())
     }
 
     fn blacklist_len(&self) -> usize {
-        Pipeline::blacklist_len(self)
+        self.shards().map(|s| s.blacklist.len()).sum()
     }
 
     fn packets_processed(&self) -> u64 {
-        self.state.processed
+        self.processed
     }
 }
 
-/// Batch-path telemetry, shared by both backends: row-count distribution
-/// and the number of [`BATCH_CHUNK`] chunks the batch cuts into. Recorded
-/// once per top-level batch call — never per worker or per shard group —
-/// so the totals are invariant under worker and shard count.
-pub(crate) fn record_batch_telemetry(rows: usize) {
+/// Batch-path telemetry: row-count distribution and the number of
+/// [`BATCH_CHUNK`] chunks the batch cuts into. Recorded once per
+/// top-level batch call — never per worker or per shard group — so the
+/// totals are invariant under worker and shard count.
+fn record_batch_telemetry(rows: usize) {
     histogram!("switch.batch.rows").record(rows as u64);
     counter!("switch.batch.chunks").add(rows.div_ceil(BATCH_CHUNK) as u64);
 }
@@ -1523,19 +1602,15 @@ pub(crate) fn record_batch_telemetry(rows: usize) {
 /// The scalar per-packet backend behind the [`DataPlane`] interface:
 /// every batch call loops [`Pipeline::process`] /
 /// [`MatchEngine::classify_fl`] one row at a time, exactly as the data
-/// plane worked before the columnar refactor. It exists as the measured
-/// baseline and parity oracle for the structure-of-arrays path — same
-/// rules, same state, no batching.
+/// plane worked before the columnar refactor. It wraps a [`Pipeline`] of
+/// any [`Layout`], so it is the measured baseline and parity oracle of
+/// the structure-of-arrays walk for the serial, sharded and sketched
+/// layouts alike — same rules, same state, no batching.
 pub struct ScalarPipeline(Pipeline);
 
 impl ScalarPipeline {
-    pub fn new(cfg: impl Into<PipelineConfig>, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
-        Self(Pipeline::new(cfg, fl_rules, pl_rules))
-    }
-
-    /// The wrapped serial pipeline.
-    pub fn inner(&self) -> &Pipeline {
-        &self.0
+    pub fn new(layout: impl Into<Layout>, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
+        Self(Pipeline::new(layout, fl_rules, pl_rules))
     }
 
     /// Installs per-phase whitelists on the wrapped pipeline (see
@@ -1548,18 +1623,14 @@ impl ScalarPipeline {
 impl DataPlane for ScalarPipeline {
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>) {
         out.clear();
-        out.reserve(pkts.len());
-        for pkt in pkts {
-            out.push(self.0.process(pkt));
+        // An empty batch is a no-op on every path: no overload tick.
+        if pkts.is_empty() {
+            return;
         }
-        // One overload tick per batch, same cadence as the columnar
-        // backend, so the two stay parity-pinned under pressure too.
-        let overload = self.0.cfg.overload;
-        update_overload(&mut self.0.state, &overload);
-    }
-
-    fn drain_digests_into(&mut self, out: &mut Vec<Digest>) {
-        self.0.drain_digests_into(out);
+        out.extend(pkts.iter().map(|p| self.0.process(p)));
+        // One overload tick per batch, same cadence as the columnar walk,
+        // so the two stay parity-pinned under pressure too.
+        self.0.end_batch();
     }
 
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>) {
@@ -1591,27 +1662,30 @@ impl DataPlane for ScalarPipeline {
     }
 
     fn counters(&self) -> PathCounters {
-        self.0.state.paths
+        self.0.counters()
     }
 
     fn whitelist_counters(&self) -> WhitelistCounters {
-        self.0.scratch.wl
+        self.0.whitelist_counters()
     }
 
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
         out.clear();
-        out.reserve(rows.rows());
-        for i in 0..rows.rows() {
-            out.push(self.0.engine.classify_fl(rows.row(i), &mut self.0.scratch));
-        }
+        let Pipeline { engine, groups, .. } = &mut self.0;
+        let scratch = &mut groups[0].scratch;
+        out.extend((0..rows.rows()).map(|i| engine.classify_fl(rows.row(i), scratch)));
     }
 
     fn flow_table_stats(&self) -> FlowTableStats {
         self.0.flow_table_stats()
     }
 
-    fn overload_stats(&self) -> crate::data_plane::OverloadStats {
-        self.0.state.overload_view()
+    fn overload_stats(&self) -> OverloadStats {
+        self.0.overload_stats()
+    }
+
+    fn sketch_stats(&self) -> Option<SketchStats> {
+        self.0.sketch_stats()
     }
 
     fn blacklist_len(&self) -> usize {
@@ -1676,6 +1750,13 @@ mod tests {
         }
     }
 
+    /// Drains `p`'s digests through the seq-tagged drain, tags dropped.
+    fn drained(p: &mut Pipeline) -> Vec<Digest> {
+        let mut v = Vec::new();
+        p.drain_seq_digests_into(&mut v);
+        v.into_iter().map(|sd| sd.digest).collect()
+    }
+
     fn cfg(n: u64) -> PipelineConfig {
         PipelineConfig {
             flow_table: FlowTableConfig { pkt_threshold: n, ..Default::default() },
@@ -1700,8 +1781,8 @@ mod tests {
         // After classification: purple.
         let o4 = p.process(&pkt(1, 3, 100));
         assert_eq!(o4.path, PathTaken::Purple);
-        assert_eq!(p.paths().green_loopback, 1);
-        assert_eq!(p.drain_digests(), vec![Digest::new(pkt(1, 0, 0).five, false)]);
+        assert_eq!(p.counters().green_loopback, 1);
+        assert_eq!(drained(&mut p), vec![Digest::new(pkt(1, 0, 0).five, false)]);
     }
 
     #[test]
@@ -1715,7 +1796,7 @@ mod tests {
         let o3 = p.process(&pkt(2, 2, 1000));
         assert_eq!(o3.path, PathTaken::Purple);
         assert_eq!(o3.verdict, PacketVerdict::Drop);
-        let d = p.drain_digests();
+        let d = drained(&mut p);
         assert!(d[0].malicious);
     }
 
@@ -1750,7 +1831,7 @@ mod tests {
         let o = p.process(&pkt(3, 0, 100));
         assert_eq!(o.path, PathTaken::Orange);
         assert_eq!(o.verdict, PacketVerdict::Forward);
-        assert_eq!(p.paths().orange, 1);
+        assert_eq!(p.counters().orange, 1);
     }
 
     #[test]
@@ -1763,9 +1844,9 @@ mod tests {
         assert_eq!(p.blacklist_len(), 0);
         // ClearFlow releases storage.
         let _ = p.process(&pkt(9, 0, 100));
-        assert_eq!(p.flow_table().occupancy(), 1);
+        assert_eq!(p.flow_table_stats().occupancy, 1);
         p.apply(ControlAction::ClearFlow(five));
-        assert_eq!(p.flow_table().occupancy(), 0);
+        assert_eq!(p.flow_table_stats().occupancy, 0);
     }
 
     #[test]
@@ -1776,7 +1857,7 @@ mod tests {
         let _ = p.process(&pkt(5, 0, 500));
         let o = p.process(&pkt(5, 1, 500));
         assert_eq!(o.verdict, PacketVerdict::Forward); // detected but forwarded
-        assert!(p.drain_digests()[0].malicious); // still reported
+        assert!(drained(&mut p)[0].malicious); // still reported
     }
 
     #[test]
@@ -1787,7 +1868,7 @@ mod tests {
                 let _ = p.process(&pkt(f, i, 100));
             }
         }
-        assert_eq!(p.paths().total_offered(), 40);
+        assert_eq!(p.counters().total_offered(), 40);
         assert_eq!(p.packets_processed(), 40);
     }
 
@@ -1830,7 +1911,7 @@ mod tests {
         columnar.process_batch(&pkts, &mut out);
         let col_paths: Vec<PathTaken> = out.iter().map(|o| o.path).collect();
         assert_eq!(col_paths, scalar_paths, "columnar boundary diverged from scalar");
-        assert_eq!(columnar.drain_digests(), scalar.drain_digests());
+        assert_eq!(drained(&mut columnar), drained(&mut scalar));
     }
 
     #[test]
@@ -1850,7 +1931,7 @@ mod tests {
         let o3 = p.process(&pkt(1, 2, 1000));
         assert_eq!(o3.path, PathTaken::Purple);
         assert_eq!(o3.verdict, PacketVerdict::Drop);
-        let d = p.drain_digests();
+        let d = drained(&mut p);
         assert_eq!(d.len(), 1);
         assert!(d[0].malicious);
         assert_eq!(d[0].phase, 0, "digest must carry the deciding phase");
@@ -1870,7 +1951,7 @@ mod tests {
         assert_eq!(p.process(&pkt(2, 2, 100)).path, PathTaken::Brown);
         let o4 = p.process(&pkt(2, 3, 100));
         assert_eq!(o4.path, PathTaken::Blue);
-        let d = p.drain_digests();
+        let d = drained(&mut p);
         assert_eq!(d.len(), 1, "escalated flows digest once, at the threshold");
         assert_eq!(d[0].phase, FINAL_PHASE);
     }
@@ -1887,7 +1968,7 @@ mod tests {
             let b = phased.process(p);
             assert_eq!((a.verdict, a.path, a.mirrored), (b.verdict, b.path, b.mirrored));
         }
-        assert_eq!(plain.drain_digests(), phased.drain_digests());
+        assert_eq!(drained(&mut plain), drained(&mut phased));
     }
 
     #[test]
@@ -2007,12 +2088,12 @@ mod tests {
             (0..512u16).map(|f| pkt(f, f as u64, if f == 1 { 1000 } else { 100 })).collect();
         p.process_batch(&storm, &mut out);
         assert_eq!(p.overload_stats().degraded_shards, 1);
-        p.drain_digests(); // discard pre-storm digests
+        drained(&mut p); // discard pre-storm digests
 
         p.process_batch(&[pkt(0, 600, 100), pkt(1, 601, 1000)], &mut out);
         assert_eq!(out[0].path, PathTaken::Blue);
         assert_eq!(out[1].path, PathTaken::Blue);
-        let d = p.drain_digests();
+        let d = drained(&mut p);
         assert_eq!(d.len(), 1, "benign digest shed at the source");
         assert!(d[0].malicious);
         assert_eq!(d[0].five, pkt(1, 0, 0).five.canonical());

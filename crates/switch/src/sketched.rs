@@ -1,17 +1,20 @@
-//! Sketch-assisted data plane: a count–min + Bloom admission filter in
-//! front of the exact flow tables, under a hard resident-bytes budget.
+//! The sketched layout: a count–min + Bloom admission stage in front of
+//! the exact flow tables, under a hard resident-bytes budget.
 //!
-//! The exact [`crate::pipeline::Pipeline`] gives every new flow a table
-//! slot on its first packet. At a million concurrent flows that is
-//! hundreds of megabytes of register state — far beyond what a switch
-//! pipeline stage holds. The Zipf reality of traffic is that *most flows
-//! are short*: a slot spent on a two-packet DNS exchange is a slot a
-//! long-lived flow (the ones the FL whitelist can actually classify)
-//! cannot use.
+//! The serial layout gives every new flow a table slot on its first
+//! packet. At a million concurrent flows that is hundreds of megabytes
+//! of register state — far beyond what a switch pipeline stage holds.
+//! The Zipf reality of traffic is that *most flows are short*: a slot
+//! spent on a two-packet DNS exchange is a slot a long-lived flow (the
+//! ones the FL whitelist can actually classify) cannot use.
 //!
-//! [`SketchedPipeline`] interposes an **admission layer** on the untracked
-//! path of the flow table (the [`iguard_flow::table::FlowShard`]
-//! resident/admit seam):
+//! A [`Pipeline`] built from a [`SketchedPipelineConfig`] (the
+//! [`SketchedPipeline`] alias) has one logical shard carrying a
+//! [`SketchStage`]. It is a stage of the shared walk, not a separate
+//! backend: both walks call [`crate::pipeline::ShardState::observe`],
+//! which hands an untracked flow — the
+//! [`iguard_flow::table::FlowShard`] resident/admit seam — to
+//! [`SketchStage::admit`] instead of straight to the slot claim:
 //!
 //! * A **Bloom filter** remembers "seen at least once" — the first packet
 //!   of any flow stays in the sketch (implicit estimate 1) and never
@@ -33,30 +36,22 @@
 //! survive eviction, so an evicted-but-active flow re-promotes on its
 //! next packet.
 //!
-//! With `promote_threshold ≤ 1` **and** no budget, the admission layer is
-//! inert and the backend is packet-for-packet identical to [`Pipeline`]
+//! With `promote_threshold ≤ 1` **and** no budget, the admission stage is
+//! inert and the layout is packet-for-packet identical to the serial one
 //! (verdicts, seq-tagged digests, every counter) — pinned by the
-//! `scale_parity` suite.
+//! `scale_parity` suite, which also pins budgeted runs to golden
+//! fingerprints.
 
-use iguard_core::error::SwitchError;
-use iguard_core::rules::RuleSet;
-use iguard_flow::features::packet_level_features_array;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::sketch::{BloomFilter, CountMinSketch};
-use iguard_flow::table::{FlowShard, FlowTableStats, InsertOutcome, ObserveTallies, SlotClaim};
+use iguard_flow::table::{FlowShard, InsertOutcome, ObserveTallies, SlotClaim};
 use iguard_runtime::hash::FlowMap;
 use iguard_runtime::rng::Rng;
-use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram};
 
-use crate::data_plane::{DataPlane, SketchStats};
-use crate::pipeline::{
-    record_batch_telemetry, update_overload, ControlAction, Digest, MatchEngine, MatchScratch,
-    PacketVerdict, PathCounters, PathTaken, PipelineConfig, ProcessOutcome, SeqDigest, ShardState,
-    WhitelistCounters, BATCH_CHUNK, RESYNC_SEQ_BASE,
-};
-use crate::ruleset::{RulesetCounters, RulesetTxn};
+use crate::data_plane::SketchStats;
+use crate::pipeline::{OverloadState, Pipeline, PipelineConfig};
 
 /// Victim-selection policy of the budgeted exact table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +69,7 @@ pub enum SketchEviction {
     TwoQ,
 }
 
-/// Configuration of a [`SketchedPipeline`]. The default is the inert
+/// Configuration of the sketched layout. The default is the inert
 /// exact-parity mode: no budget, promote on first packet.
 #[derive(Clone, Copy, Debug)]
 pub struct SketchedPipelineConfig {
@@ -290,80 +285,108 @@ impl EvictionBook {
     }
 }
 
-/// The sketch-assisted [`DataPlane`] backend — see the module docs.
-pub struct SketchedPipeline {
+/// The sketch admission stage of the sketched layout — see the module
+/// docs. It lives in the layout's one [`crate::pipeline::ShardState`] and
+/// is consulted only at the flow table's untracked seam
+/// ([`SketchStage::admit`]), plus an eviction-book touch on every
+/// resident hit.
+pub(crate) struct SketchStage {
     cfg: SketchedPipelineConfig,
-    engine: MatchEngine,
-    state: ShardState,
-    scratch: MatchScratch,
     cms: CountMinSketch,
     bloom: BloomFilter,
     book: EvictionBook,
     max_tracked: usize,
     window_left: u64,
-    tallies: ObserveTallies,
     promoted: u64,
     absorbed: u64,
     evicted: u64,
-    resync_seq: u64,
 }
 
-impl SketchedPipeline {
-    pub fn new(cfg: SketchedPipelineConfig, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
+impl SketchStage {
+    pub(crate) fn new(cfg: SketchedPipelineConfig) -> Self {
         assert!(cfg.window_packets >= 1, "sketch window must be at least one packet");
-        let max_tracked =
-            cfg.budget_bytes.map(|b| (b / FlowShard::slot_bytes()).max(1)).unwrap_or(usize::MAX);
         Self {
-            engine: MatchEngine::new(&cfg.pipeline, fl_rules, pl_rules),
-            state: ShardState::new(cfg.pipeline.flow_table),
-            scratch: MatchScratch::default(),
             cms: CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed),
             bloom: BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9),
             book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1)),
-            max_tracked,
+            max_tracked: cfg
+                .budget_bytes
+                .map(|b| (b / FlowShard::slot_bytes()).max(1))
+                .unwrap_or(usize::MAX),
             window_left: cfg.window_packets,
-            tallies: ObserveTallies::default(),
             promoted: 0,
             absorbed: 0,
             evicted: 0,
-            resync_seq: 0,
             cfg,
         }
     }
 
-    pub fn config(&self) -> &SketchedPipelineConfig {
-        &self.cfg
+    /// A tracked flow was seen again (resident hit).
+    #[inline]
+    pub(crate) fn touch(&mut self, key: &FiveTuple) {
+        self.book.touch(key);
     }
 
-    /// Flows currently holding an exact slot.
-    pub fn tracked(&self) -> usize {
-        self.book.len()
+    /// The controller released a tracked flow's slot.
+    pub(crate) fn forget(&mut self, key: &FiveTuple) {
+        self.book.remove(key);
     }
 
-    /// Promotion bar after pressure-adaptive tightening: the base
-    /// threshold doubles once the flow table crosses the degraded-enter
-    /// pressure and quadruples near saturation (≥ 900‰), demanding more
-    /// repeat evidence per exact slot exactly when slots are scarcest.
-    /// Inert in exact-parity mode (base ≤ 1 never consults the sketch).
-    fn effective_promote_threshold(&self) -> u32 {
-        let base = self.cfg.promote_threshold;
-        if base <= 1 {
-            return base;
+    /// Sketch admission of an untracked flow: the Bloom/CMS estimate
+    /// against the (pressure-tightened) promote bar, then — for an
+    /// admitted flow — budget eviction and the slot claim, keeping the
+    /// eviction book in lockstep with the table. `None` means the packet
+    /// was absorbed: the sketch holds the flow's only state, so the walk
+    /// gives it the stateless PL-only decision — the same "cannot track"
+    /// fallback as the collision path.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn admit(
+        &mut self,
+        flow: &mut FlowShard,
+        overload: &mut OverloadState,
+        key: FiveTuple,
+        i1: u32,
+        i2: u32,
+        pkt: &Packet,
+        tallies: &mut ObserveTallies,
+    ) -> Option<InsertOutcome> {
+        if self.cfg.promote_threshold > 1 {
+            if !self.sketch_admit(&key, flow.pressure_milli(), overload) {
+                self.absorbed += 1;
+                counter!("switch.sketch.absorbed").inc();
+                return None;
+            }
+            self.promoted += 1;
+            counter!("switch.sketch.promoted").inc();
         }
-        let p = self.state.flow.pressure_milli();
-        let mult = if p >= 900 {
-            4
-        } else if p >= self.cfg.pipeline.overload.degrade_enter_milli {
-            2
-        } else {
-            1
-        };
-        base.saturating_mul(mult)
+        // Budget: make room *before* claiming, so the tracked set never
+        // exceeds the cap even transiently.
+        while self.book.len() >= self.max_tracked {
+            let Some(victim) = self.book.pop_victim() else { break };
+            let released = flow.evict(&victim);
+            debug_assert!(released, "eviction book out of sync with table");
+            self.evicted += 1;
+            counter!("switch.sketch.evicted").inc();
+        }
+        let (out, claim) = flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies);
+        match claim {
+            SlotClaim::Fresh => self.book.insert(key),
+            SlotClaim::Displaced(old) => {
+                self.book.remove(&old);
+                self.book.insert(key);
+            }
+            SlotClaim::Unclaimed => {}
+        }
+        Some(out)
     }
 
     /// One sketch observation of an untracked flow: returns true when the
     /// flow's (over-)estimated packet count reaches the promotion bar.
-    fn sketch_admit(&mut self, key: &FiveTuple) -> bool {
+    /// The bar is pressure-adaptive: the base threshold doubles once the
+    /// flow table crosses the degraded-enter pressure and quadruples near
+    /// saturation (≥ 900‰), demanding more repeat evidence per exact slot
+    /// exactly when slots are scarcest.
+    fn sketch_admit(&mut self, key: &FiveTuple, pressure: u32, o: &mut OverloadState) -> bool {
         if self.window_left == 0 {
             self.cms.clear();
             self.bloom.clear();
@@ -375,209 +398,26 @@ impl SketchedPipeline {
         // First sighting is the implicit estimate 1; repeats go through
         // the CMS (whose count starts at the *second* packet, hence +1).
         let est = if seen { self.cms.increment(key).saturating_add(1) } else { 1 };
-        let eff = self.effective_promote_threshold();
-        if est >= self.cfg.promote_threshold && est < eff {
+        let base = self.cfg.promote_threshold;
+        let mult = if pressure >= 900 {
+            4
+        } else if pressure >= self.cfg.pipeline.overload.degrade_enter_milli {
+            2
+        } else {
+            1
+        };
+        let eff = base.saturating_mul(mult);
+        if est >= base && est < eff {
             // Would have been admitted at the calm threshold — rejected
             // only because pressure raised the bar.
-            self.state.overload.admission_tightened += 1;
+            o.admission_tightened += 1;
             counter!("switch.overload.admission_tightened").inc();
         }
         est >= eff
     }
 
-    /// The scalar sketch-assisted walk: identical to
-    /// [`MatchEngine::process_one`] except that an untracked flow must get
-    /// past the admission sketch (and the byte budget) before it can claim
-    /// an exact slot.
-    fn process_one_sketched(&mut self, pkt: &Packet, seq: u64) -> ProcessOutcome {
-        self.state.processed += 1;
-        let key = pkt.five.canonical();
-
-        // Red path: blacklist match.
-        if self.state.blacklist.contains(&key) {
-            self.state.paths.blacklist += 1;
-            counter!("switch.pipeline.path.blacklist").inc();
-            return ProcessOutcome {
-                verdict: PacketVerdict::Drop,
-                path: PathTaken::Blacklist,
-                mirrored: false,
-            };
-        }
-
-        let pl = packet_level_features_array(pkt);
-        let (i1, i2) = self.state.flow.slot_index_pair(&key);
-        let resident = self.state.flow.observe_resident_prehashed(
-            key,
-            i1,
-            i2,
-            pkt,
-            pkt.ts_ns,
-            &mut self.tallies,
-        );
-        let outcome = match resident {
-            Some(out) => {
-                self.book.touch(&key);
-                out
-            }
-            None => {
-                let admit = self.cfg.promote_threshold <= 1 || self.sketch_admit(&key);
-                if !admit {
-                    // Absorbed: the sketch holds the flow's only state, so
-                    // the packet gets the stateless PL-only decision — the
-                    // same "cannot track" fallback as the collision path.
-                    self.absorbed += 1;
-                    counter!("switch.sketch.absorbed").inc();
-                    self.state.paths.orange += 1;
-                    counter!("switch.pipeline.path.orange").inc();
-                    let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                    return ProcessOutcome {
-                        verdict: self.engine.verdict_for(malicious),
-                        path: PathTaken::Orange,
-                        mirrored: false,
-                    };
-                }
-                if self.cfg.promote_threshold > 1 {
-                    self.promoted += 1;
-                    counter!("switch.sketch.promoted").inc();
-                }
-                // Budget: make room *before* claiming, so the tracked set
-                // never exceeds the cap even transiently.
-                while self.book.len() >= self.max_tracked {
-                    match self.book.pop_victim() {
-                        Some(victim) => {
-                            let released = self.state.flow.evict(&victim);
-                            debug_assert!(released, "eviction book out of sync with table");
-                            self.evicted += 1;
-                            counter!("switch.sketch.evicted").inc();
-                        }
-                        None => break,
-                    }
-                }
-                let (out, claim) =
-                    self.state.flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, &mut self.tallies);
-                match claim {
-                    SlotClaim::Fresh => self.book.insert(key),
-                    SlotClaim::Displaced(old) => {
-                        self.book.remove(&old);
-                        self.book.insert(key);
-                    }
-                    SlotClaim::Unclaimed => {}
-                }
-                out
-            }
-        };
-
-        match outcome {
-            InsertOutcome::Classified { label } => {
-                self.state.paths.purple += 1;
-                counter!("switch.pipeline.path.purple").inc();
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(label),
-                    path: PathTaken::Purple,
-                    mirrored: false,
-                }
-            }
-            InsertOutcome::Early { .. } => {
-                self.state.paths.brown += 1;
-                counter!("switch.pipeline.path.brown").inc();
-                let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Brown,
-                    mirrored: false,
-                }
-            }
-            InsertOutcome::Ready { stats, timed_out: _ } => {
-                self.state.paths.blue += 1;
-                counter!("switch.pipeline.path.blue").inc();
-                let malicious = self.engine.predict_blue(&stats, &pl, &mut self.scratch);
-                let ShardState { overload, digests, .. } = &mut self.state;
-                overload.push_digest(
-                    digests,
-                    SeqDigest { seq, digest: Digest::new(pkt.five, malicious) },
-                    &self.cfg.pipeline.overload,
-                );
-                self.state.paths.green_loopback += 1;
-                counter!("switch.pipeline.path.green_loopback").inc();
-                self.state.flow.set_label_prehashed(key, i1, i2, malicious);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Blue,
-                    mirrored: true,
-                }
-            }
-            InsertOutcome::PhaseReady { stats, phase } => {
-                counter!("switch.phase.boundary").inc();
-                // Convict-only early look, same semantics as the exact
-                // pipeline: a phase-whitelist hit pulls the blue verdict
-                // forward; a benign-looking flow escalates like brown.
-                let convicted = self.engine.predict_phase(phase, &stats, &mut self.scratch);
-                if convicted {
-                    counter!("switch.phase.convicted").inc();
-                    self.state.paths.blue += 1;
-                    counter!("switch.pipeline.path.blue").inc();
-                    let ShardState { overload, digests, .. } = &mut self.state;
-                    overload.push_digest(
-                        digests,
-                        SeqDigest { seq, digest: Digest::at_phase(pkt.five, true, phase) },
-                        &self.cfg.pipeline.overload,
-                    );
-                    self.state.paths.green_loopback += 1;
-                    counter!("switch.pipeline.path.green_loopback").inc();
-                    self.state.flow.set_label_prehashed(key, i1, i2, true);
-                    ProcessOutcome {
-                        verdict: self.engine.verdict_for(true),
-                        path: PathTaken::Blue,
-                        mirrored: true,
-                    }
-                } else {
-                    counter!("switch.phase.escalated").inc();
-                    self.state.paths.brown += 1;
-                    counter!("switch.pipeline.path.brown").inc();
-                    let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                    ProcessOutcome {
-                        verdict: self.engine.verdict_for(malicious),
-                        path: PathTaken::Brown,
-                        mirrored: false,
-                    }
-                }
-            }
-            InsertOutcome::Collision | InsertOutcome::ReplacedClassified { .. } => {
-                self.state.paths.orange += 1;
-                counter!("switch.pipeline.path.orange").inc();
-                let malicious = self.engine.predict_pl(&pl, &mut self.scratch);
-                ProcessOutcome {
-                    verdict: self.engine.verdict_for(malicious),
-                    path: PathTaken::Orange,
-                    mirrored: false,
-                }
-            }
-        }
-    }
-
-    /// Installs one whitelist per intermediate phase boundary via the
-    /// engine's hitless epoch flip (see [`MatchEngine::set_phase_rulesets`]).
-    pub fn set_phase_rulesets(&mut self, rulesets: &[RuleSet]) {
-        self.engine.set_phase_rulesets(rulesets);
-    }
-}
-
-impl DataPlane for SketchedPipeline {
-    fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>) {
-        out.clear();
-        if pkts.is_empty() {
-            return;
-        }
-        record_batch_telemetry(pkts.len());
-        out.reserve(pkts.len());
-        let base_seq = self.state.processed;
-        for (i, p) in pkts.iter().enumerate() {
-            let o = self.process_one_sketched(p, base_seq + i as u64);
-            out.push(o);
-        }
-        self.tallies.flush();
-        let ocfg = self.cfg.pipeline.overload;
-        update_overload(&mut self.state, &ocfg);
+    /// Per-batch occupancy gauges.
+    pub(crate) fn record_batch(&self) {
         let tracked = self.book.len();
         histogram!("switch.sketch.occupancy").record(tracked as u64);
         if tracked > 0 {
@@ -586,99 +426,8 @@ impl DataPlane for SketchedPipeline {
         }
     }
 
-    fn drain_digests_into(&mut self, out: &mut Vec<Digest>) {
-        out.extend(self.state.digests.drain(..).map(|sd| sd.digest));
-    }
-
-    fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>) {
-        out.append(&mut self.state.digests);
-    }
-
-    fn apply(&mut self, action: ControlAction) {
-        match action {
-            ControlAction::InstallBlacklist(five) => {
-                self.state.blacklist.insert(five.canonical());
-            }
-            ControlAction::RemoveBlacklist(five) => {
-                self.state.blacklist.remove(&five.canonical());
-            }
-            ControlAction::ClearFlow(five) => {
-                if self.state.flow.clear(&five) {
-                    self.book.remove(&five.canonical());
-                }
-            }
-        }
-    }
-
-    fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
-        self.engine.apply_ruleset(txn)
-    }
-
-    fn ruleset_version(&self) -> u64 {
-        self.engine.ruleset_version()
-    }
-
-    fn ruleset_counters(&self) -> RulesetCounters {
-        self.engine.ruleset_counters()
-    }
-
-    fn blacklist_contents(&self) -> Vec<FiveTuple> {
-        let mut v: Vec<FiveTuple> = self.state.blacklist.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn resync_labeled_into(&mut self, out: &mut Vec<SeqDigest>) {
-        let mut flows = Vec::new();
-        self.state.flow.labeled_flows_into(&mut flows);
-        for (five, malicious) in flows {
-            out.push(SeqDigest {
-                seq: RESYNC_SEQ_BASE + self.resync_seq,
-                digest: Digest::new(five, malicious),
-            });
-            self.resync_seq += 1;
-        }
-    }
-
-    fn counters(&self) -> PathCounters {
-        self.state.paths
-    }
-
-    fn whitelist_counters(&self) -> WhitelistCounters {
-        self.scratch.wl
-    }
-
-    fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
-        out.clear();
-        if rows.rows() == 0 {
-            return;
-        }
-        record_batch_telemetry(rows.rows());
-        out.reserve(rows.rows());
-        for start in (0..rows.rows()).step_by(BATCH_CHUNK) {
-            let end = (start + BATCH_CHUNK).min(rows.rows());
-            self.engine.classify_fl_batch(rows, start, end, &mut self.scratch, out);
-        }
-    }
-
-    fn flow_table_stats(&self) -> FlowTableStats {
-        self.state.flow.stats()
-    }
-
-    fn blacklist_len(&self) -> usize {
-        self.state.blacklist.len()
-    }
-
-    fn packets_processed(&self) -> u64 {
-        self.state.processed
-    }
-
-    fn overload_stats(&self) -> crate::data_plane::OverloadStats {
-        self.state.overload_view()
-    }
-
-    fn sketch_stats(&self) -> Option<SketchStats> {
-        Some(SketchStats {
+    pub(crate) fn stats(&self) -> SketchStats {
+        SketchStats {
             tracked: self.book.len(),
             max_tracked: self.max_tracked,
             resident_bytes: self.book.len() * FlowShard::slot_bytes(),
@@ -687,14 +436,20 @@ impl DataPlane for SketchedPipeline {
             promoted: self.promoted,
             absorbed: self.absorbed,
             evicted: self.evicted,
-        })
+        }
     }
 }
+
+/// The sketched layout: one logical shard behind the admission stage,
+/// built by [`Pipeline::new`] from a [`SketchedPipelineConfig`].
+pub type SketchedPipeline = Pipeline;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data_plane::DataPlane;
     use crate::pipeline::testutil::accept_all;
+    use crate::pipeline::PathTaken;
     use iguard_flow::five_tuple::PROTO_UDP;
     use iguard_flow::packet::TcpFlags;
 
@@ -723,11 +478,11 @@ mod tests {
         dp.process_batch(&[pkt(1, 0)], &mut out);
         // First packet: sketch only, orange fallback, nothing tracked.
         assert_eq!(out[0].path, PathTaken::Orange);
-        assert_eq!(dp.tracked(), 0);
+        assert_eq!(dp.sketch_stats().unwrap().tracked, 0);
         assert_eq!(dp.sketch_stats().unwrap().absorbed, 1);
         dp.process_batch(&[pkt(1, 1)], &mut out);
         // Second packet: estimate reaches 2 → promoted into an exact slot.
-        assert_eq!(dp.tracked(), 1);
+        assert_eq!(dp.sketch_stats().unwrap().tracked, 1);
         assert_eq!(dp.sketch_stats().unwrap().promoted, 1);
         assert_eq!(out[0].path, PathTaken::Brown);
     }
@@ -744,7 +499,11 @@ mod tests {
             let mut out = Vec::new();
             for f in 0..64u16 {
                 dp.process_batch(&[pkt(f, f as u64)], &mut out);
-                assert!(dp.tracked() <= 4, "{policy:?} exceeded budget: {}", dp.tracked());
+                assert!(
+                    dp.sketch_stats().unwrap().tracked <= 4,
+                    "{policy:?} exceeded budget: {}",
+                    dp.sketch_stats().unwrap().tracked
+                );
             }
             let st = dp.sketch_stats().unwrap();
             assert_eq!(st.tracked, 4);
@@ -771,11 +530,11 @@ mod tests {
         let fifo = drive(SketchEviction::Fifo);
         let lru = drive(SketchEviction::Lru);
         // FIFO victim = flow 0 (oldest admit); its key is gone.
-        assert!(!fifo.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(fifo.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(!fifo.shard(0).flow.label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(fifo.shard(0).flow.label_of(&pkt(1, 0).five.canonical()).is_some());
         // LRU victim = flow 1 (flow 0 was refreshed).
-        assert!(lru.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(!lru.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(lru.shard(0).flow.label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(!lru.shard(0).flow.label_of(&pkt(1, 0).five.canonical()).is_some());
     }
 
     #[test]
@@ -790,9 +549,9 @@ mod tests {
         for f in [3u16, 4] {
             dp.process_batch(&[pkt(f, 2)], &mut out);
         }
-        assert!(dp.state.flow.label_of(&pkt(0, 0).five.canonical()).is_some());
-        assert!(!dp.state.flow.label_of(&pkt(1, 0).five.canonical()).is_some());
-        assert!(!dp.state.flow.label_of(&pkt(2, 0).five.canonical()).is_some());
+        assert!(dp.shard(0).flow.label_of(&pkt(0, 0).five.canonical()).is_some());
+        assert!(!dp.shard(0).flow.label_of(&pkt(1, 0).five.canonical()).is_some());
+        assert!(!dp.shard(0).flow.label_of(&pkt(2, 0).five.canonical()).is_some());
     }
 
     #[test]
@@ -807,7 +566,7 @@ mod tests {
             for f in 0..200u16 {
                 dp.process_batch(&[pkt(f, f as u64)], &mut out);
             }
-            let mut keys: Vec<FiveTuple> = dp.book.dense.clone();
+            let mut keys: Vec<FiveTuple> = dp.shard(0).sketch.as_ref().unwrap().book.dense.clone();
             keys.sort_unstable();
             keys
         };

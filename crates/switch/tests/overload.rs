@@ -222,6 +222,11 @@ proptest_lite! {
         );
         let mut p = Pipeline::new(cfg, accept_all(13), accept_all(4));
         p.set_phase_rulesets(&[fl_mean_size_below(200.0)]);
+        let drained = |p: &mut Pipeline| {
+            let mut v = Vec::new();
+            p.drain_seq_digests_into(&mut v);
+            v.into_iter().map(|sd| sd.digest).collect::<Vec<_>>()
+        };
         let ipd = rng.gen_range(1_000_000u64..10_000_000);
         let mut ts = 1_000_000u64;
 
@@ -231,14 +236,14 @@ proptest_lite! {
         assert_eq!(p.process(&pkt(7, ts, 100)).path, PathTaken::Brown);
         ts += ipd;
         assert_eq!(p.process(&pkt(7, ts, 100)).path, PathTaken::Brown);
-        assert!(p.drain_digests().is_empty(), "escalation emits no digest");
+        assert!(drained(&mut p).is_empty(), "escalation emits no digest");
 
         // Idle strictly past the timeout. The returning packet flushes
         // the stale stats as a single-shot timeout verdict (benign under
         // accept-all FL) and the controller releases the slot.
         ts += timeout_ns + rng.gen_range(1u64..50_000_000);
         assert_eq!(p.process(&pkt(7, ts, 1000)).path, PathTaken::Blue);
-        let flushed = p.drain_digests();
+        let flushed = drained(&mut p);
         assert_eq!(flushed.len(), 1);
         assert!(!flushed[0].malicious, "stale small-packet stats judge benign");
         assert_eq!(flushed[0].phase, FINAL_PHASE, "timeout flush is a single-shot verdict");
@@ -253,7 +258,7 @@ proptest_lite! {
         let out = p.process(&pkt(7, ts, 1000));
         assert_eq!(out.path, PathTaken::Blue, "reborn flow must re-enter the phase ladder");
         assert!(out.mirrored, "phase conviction mirrors the deciding packet");
-        let convicted = p.drain_digests();
+        let convicted = drained(&mut p);
         assert_eq!(convicted.len(), 1);
         assert!(convicted[0].malicious);
         assert_eq!(convicted[0].phase, 0, "reborn flow restarts at phase 0");

@@ -429,3 +429,121 @@ fn cms_bound_holds_on_adversarial_zipf_stream() {
     let frac = violations as f64 / truth.len() as f64;
     assert!(frac <= 4.0 * cms.delta(), "violation fraction {frac} vs δ {}", cms.delta());
 }
+
+/// FNV-1a over the `Debug` rendering of a run — a stable 64-bit digest,
+/// so the golden table below can pin a whole fingerprint in one literal.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// One budgeted sketched run, fed in batches of `batch` packets with
+/// controller feedback at fixed batch indices: blacklist installs plus a
+/// removal, and `ClearFlow`s that must also leave the eviction book.
+/// Returns the digest of everything observable plus the sketch and
+/// overload views (for the case-specific sanity checks).
+fn budgeted_fingerprint(
+    scfg: SketchedPipelineConfig,
+    phase_rules: &[RuleSet],
+    pl: &RuleSet,
+    pkts: &[Packet],
+    pool: &[FiveTuple],
+    batch: usize,
+) -> (u64, iguard_switch::SketchStats, iguard_switch::OverloadStats) {
+    let mut dp = SketchedPipeline::new(scfg, mean_size_whitelist(600.0), pl.clone());
+    dp.set_phase_rulesets(phase_rules);
+    let (mut out, mut digests, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+    for (b, chunk) in pkts.chunks(batch).enumerate() {
+        // Feedback lands at fixed packet offsets, whatever the batch size.
+        let (lo, hi) = (b * batch, b * batch + chunk.len());
+        if (lo..hi).contains(&(pkts.len() / 3)) {
+            for &v in &pool[..4] {
+                dp.apply(ControlAction::InstallBlacklist(v));
+            }
+            dp.apply(ControlAction::RemoveBlacklist(pool[0]));
+        }
+        if (lo..hi).contains(&(2 * pkts.len() / 3)) {
+            for &v in &pool[4..12] {
+                dp.apply(ControlAction::ClearFlow(v));
+            }
+        }
+        dp.process_batch(chunk, &mut buf);
+        out.extend_from_slice(&buf);
+        dp.drain_seq_digests_into(&mut digests);
+    }
+    let sketch = dp.sketch_stats().expect("sketched backend reports stats");
+    let overload = dp.overload_stats();
+    let seen = format!(
+        "{out:?}|{digests:?}|{sketch:?}|{overload:?}|{:?}|{:?}|{:?}|{}",
+        dp.whitelist_counters(),
+        dp.counters(),
+        dp.blacklist_contents(),
+        dp.packets_processed()
+    );
+    (fnv1a64(&seen), sketch, overload)
+}
+
+/// Golden fingerprints of the budgeted sketched walk: every eviction
+/// policy, promote thresholds 2 and 3, 16- and 64-slot budgets, a case
+/// with phase rulesets installed, and a pressure case whose tightened
+/// admission bar rejects flows. The literals were recorded from the
+/// per-packet sketched walk; any rewrite of the walk must reproduce them.
+/// One literal per batch size (1, a prime, and one straddling the
+/// 1,024-row chunk boundary): the overload clock ticks once per batch, so
+/// degraded-mode residency — and with it the fingerprint — is a function
+/// of the batch size.
+#[test]
+fn budgeted_sketched_walk_matches_golden_fingerprints() {
+    let mut rng = Rng::seed_from_u64(0x5EED_0014);
+    let pool = random_pool(&mut rng, 300);
+    let pkts = random_packets(&mut rng, &pool, 5000);
+    let pl = random_rules(&mut rng, 4);
+    let phase_rules = [mean_size_whitelist(300.0), mean_size_whitelist(450.0)];
+    let slot = iguard_flow::table::FlowShard::slot_bytes();
+    let base = |threshold: u64| {
+        PipelineConfig::default()
+            .with_flow_table(FlowTableConfig::default().with_pkt_threshold(threshold))
+    };
+    let sketched = |pipe: PipelineConfig, slots: usize, promote: u32, policy| {
+        SketchedPipelineConfig::default()
+            .with_pipeline(pipe)
+            .with_budget_bytes(Some(slots * slot))
+            .with_promote_threshold(promote)
+            .with_eviction(policy)
+    };
+    let phased = PipelineConfig::default().with_flow_table(
+        FlowTableConfig::default()
+            .with_pkt_threshold(6)
+            .with_phases(iguard_flow::table::PhaseSchedule::new(&[2, 4])),
+    );
+    // A 4-slot table under 300 never-classified flows collides on almost
+    // every promoted packet: churn passes the degraded-enter pressure and
+    // the promote bar doubles (the table, not the budget, caps residency).
+    let pressured = PipelineConfig::default()
+        .with_flow_table(FlowTableConfig::default().with_pkt_threshold(50).with_slots_per_table(2));
+    #[rustfmt::skip]
+    let cases: [(&str, SketchedPipelineConfig, bool, [u64; 3]); 9] = [
+        ("fifo/16/p2", sketched(base(4), 16, 2, SketchEviction::Fifo), false, [0xdc71dbf12c438b7b, 0x3a362e091e2104a8, 0xa0be62899a5b1613]),
+        ("lru/16/p2", sketched(base(4), 16, 2, SketchEviction::Lru), false, [0x8f7cb384ba8be409, 0xa8d11522702e43c2, 0xc45791b327bcbf5f]),
+        ("random/16/p2", sketched(base(4), 16, 2, SketchEviction::Random), false, [0xf2f31e19093e1404, 0x10d6be0b6d32a157, 0x1cd6d25126be8144]),
+        ("twoq/16/p2", sketched(base(4), 16, 2, SketchEviction::TwoQ), false, [0x4d255dae482ed3dc, 0xb6c06ff18c6c357b, 0x0935f1f3cc977891]),
+        ("lru/64/p3", sketched(base(3), 64, 3, SketchEviction::Lru), false, [0x98d4817eac776ed0, 0x0ee6b097137e0799, 0x7602feb49381a591]),
+        ("twoq/64/p3", sketched(base(5), 64, 3, SketchEviction::TwoQ), false, [0x93d509b90085c08f, 0x1d63ca2d4267835b, 0x517bb8acad9c675a]),
+        ("fifo/64/p2", sketched(base(4), 64, 2, SketchEviction::Fifo), false, [0x1f98f5edb4157e3d, 0x867727415f754356, 0x25f23de79fffc6cc]),
+        ("phases/twoq/16/p2", sketched(phased, 16, 2, SketchEviction::TwoQ), true, [0xc83467983ce59a6c, 0x747bb7d0e047631c, 0x7f182f54da77fe5e]),
+        ("pressure/lru/64/p2", sketched(pressured, 64, 2, SketchEviction::Lru), false, [0x51f6867050870b11, 0xf19c20fb6a30097b, 0x8e180215ab11d7b6]),
+    ];
+    for (name, scfg, with_phases, golden) in cases {
+        let rules: &[RuleSet] = if with_phases { &phase_rules } else { &[] };
+        for (batch, want) in [1usize, 97, 1024 + 300].into_iter().zip(golden) {
+            let (fp, sketch, overload) =
+                budgeted_fingerprint(scfg, rules, &pl, &pkts, &pool, batch);
+            assert!(sketch.absorbed > 0, "{name}: {sketch:?}");
+            if name.starts_with("pressure") {
+                assert!(overload.admission_tightened > 0, "{name}: {overload:?}");
+            } else {
+                assert!(sketch.evicted > 0, "{name}: {sketch:?}");
+            }
+            assert_eq!(fp, want, "{name}: batch {batch} drifted from the golden walk ({fp:#018x})");
+        }
+    }
+}

@@ -143,9 +143,9 @@ fn digest_stream<D: DataPlane + ?Sized>(trace: &Trace, dp: &mut D, batch: usize)
     let mut outcomes: Vec<ProcessOutcome> = Vec::new();
     for chunk in trace.packets.chunks(batch) {
         dp.process_batch(chunk, &mut outcomes);
-        dp.drain_digests_into(&mut out);
+        dp.drain_seq_digests_into(&mut out);
     }
-    out
+    out.into_iter().map(|sd| sd.digest).collect()
 }
 
 #[test]
@@ -253,7 +253,7 @@ fn worker_count_changes_between_batches() {
                 }
             });
             all_outcomes.extend_from_slice(&outcomes);
-            dp.drain_digests_into(&mut digests);
+            dp.drain_seq_digests_into(&mut digests);
         }
         (
             all_outcomes,

@@ -3,11 +3,12 @@
 //! The columnar batch path ([`Pipeline::process_batch`] /
 //! [`DataPlane::classify_batch`]) must be byte-identical to per-packet
 //! processing ([`ScalarPipeline`]) — same verdicts, same seq-tagged digest
-//! stream, same path and whitelist counters — on every backend, at any
-//! worker count, and at any physical shard grouping. These seeded
-//! randomized suites throw NaN/∞ features, edge wire lengths and TTLs,
-//! timeout-crossing timestamp jumps, mid-stream blacklist installs, and
-//! chunk-boundary-straddling batch sizes at that claim.
+//! stream, same path and whitelist counters — on every layout (serial,
+//! sharded, sketched), at any worker count, and at any physical shard
+//! grouping. These seeded randomized suites throw NaN/∞ features, edge
+//! wire lengths and TTLs, timeout-crossing timestamp jumps, mid-stream
+//! blacklist installs and flow clears, and chunk-boundary-straddling
+//! batch sizes at that claim.
 
 use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::features::SWITCH_FL_DIM;
@@ -19,11 +20,13 @@ use iguard_runtime::proptest_lite;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 use iguard_switch::pipeline::{
-    ControlAction, PacketVerdict, PathCounters, Pipeline, PipelineConfig, ProcessOutcome,
+    ControlAction, Layout, PacketVerdict, PathCounters, Pipeline, PipelineConfig, ProcessOutcome,
     ScalarPipeline, SeqDigest, WhitelistCounters,
 };
 use iguard_switch::sharded::ShardedPipelineConfig;
-use iguard_switch::{DataPlane, ShardedPipeline};
+use iguard_switch::{
+    DataPlane, OverloadStats, ShardedPipeline, SketchEviction, SketchStats, SketchedPipelineConfig,
+};
 
 /// A random whitelist: a handful of hypercubes with open/closed faces
 /// (sometimes empty — then nothing matches and everything is malicious).
@@ -118,6 +121,54 @@ fn drive(dp: &mut dyn DataPlane, batches: &[Vec<Packet>], victims: &[FiveTuple])
         dp.blacklist_contents(),
         dp.packets_processed(),
     )
+}
+
+/// Feeds `pkts` in batches of `size` with controller feedback at fixed
+/// packet offsets — blacklist installs plus one removal, then
+/// `ClearFlow`s — and collects everything observable, the sketch and
+/// overload views included. In the sketched layout the eviction book must
+/// track the table exactly after every step, so a `ClearFlow` that left
+/// its flow in the book would show as `tracked > occupancy`.
+fn drive_sliced(
+    dp: &mut dyn DataPlane,
+    pkts: &[Packet],
+    size: usize,
+    victims: &[FiveTuple],
+) -> (Observed, Option<SketchStats>, OverloadStats) {
+    let (mut out, mut digests, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+    let book_in_lockstep = |dp: &dyn DataPlane| {
+        if let Some(sk) = dp.sketch_stats() {
+            assert_eq!(sk.tracked, dp.flow_table_stats().occupancy, "eviction book drifted");
+        }
+    };
+    for (b, chunk) in pkts.chunks(size).enumerate() {
+        let (lo, hi) = (b * size, b * size + chunk.len());
+        if (lo..hi).contains(&(pkts.len() / 3)) {
+            for &v in victims {
+                dp.apply(ControlAction::InstallBlacklist(v));
+            }
+            dp.apply(ControlAction::RemoveBlacklist(victims[0]));
+        }
+        if (lo..hi).contains(&(2 * pkts.len() / 3)) {
+            for &v in victims {
+                dp.apply(ControlAction::ClearFlow(v));
+            }
+            book_in_lockstep(dp);
+        }
+        dp.process_batch(chunk, &mut buf);
+        book_in_lockstep(dp);
+        out.extend_from_slice(&buf);
+        dp.drain_seq_digests_into(&mut digests);
+    }
+    let observed = (
+        out,
+        digests,
+        dp.whitelist_counters(),
+        dp.counters(),
+        dp.blacklist_contents(),
+        dp.packets_processed(),
+    );
+    (observed, dp.sketch_stats(), dp.overload_stats())
 }
 
 fn random_cfg(rng: &mut Rng) -> PipelineConfig {
@@ -236,6 +287,51 @@ proptest_lite! {
         }
     }
 
+    /// The oracle covers every layout: `ScalarPipeline` over a budgeted
+    /// sketched layout, and over the sharded layout with slot pressure,
+    /// equals the columnar walk of the same layout — verdicts, digests,
+    /// counters, blacklist, sketch and overload views — at batch sizes 1,
+    /// 7, and one straddling the 1,024-row chunk boundary, with mid-stream
+    /// blacklist installs and `ClearFlow`s.
+    fn scalar_oracle_matches_columnar_on_every_layout(rng, cases = 8) {
+        let cfg = random_cfg(rng).with_flow_table(
+            FlowTableConfig::default()
+                .with_pkt_threshold(rng.gen_range(2u64..6))
+                .with_slots_per_table(64),
+        );
+        let fl = random_rules(rng, SWITCH_FL_DIM);
+        let pl = random_rules(rng, 4);
+        let pool = random_pool(rng, 160);
+        let pkts = random_packets(rng, &pool, 2600);
+        let victims: Vec<FiveTuple> = (0..6).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        let eviction = [SketchEviction::Fifo, SketchEviction::Lru, SketchEviction::Random,
+            SketchEviction::TwoQ][rng.gen_range(0..4usize)];
+        let sketched = SketchedPipelineConfig::default()
+            .with_pipeline(cfg)
+            .with_budget_bytes(Some(24 * iguard_flow::table::FlowShard::slot_bytes()))
+            .with_promote_threshold(rng.gen_range(2u32..4))
+            .with_eviction(eviction);
+        let sharded = ShardedPipelineConfig::default().with_pipeline(cfg).with_shards(4);
+
+        for size in [1usize, 7, 1024 + 500] {
+            let mut scalar = ScalarPipeline::new(sketched, fl.clone(), pl.clone());
+            let want = drive_sliced(&mut scalar, &pkts, size, &victims);
+            let mut soa = Pipeline::new(sketched, fl.clone(), pl.clone());
+            let got = drive_sliced(&mut soa, &pkts, size, &victims);
+            assert_eq!(got, want, "sketched columnar != scalar oracle at batch {size}");
+            let sk = got.1.expect("sketched layout reports sketch stats");
+            assert!(sk.absorbed > 0 && sk.evicted > 0, "budget never bit: {sk:?}");
+
+            let mut scalar = ScalarPipeline::new(sharded, fl.clone(), pl.clone());
+            let want = drive_sliced(&mut scalar, &pkts, size, &victims);
+            let got = with_workers(2, || {
+                let mut soa = ShardedPipeline::new(sharded, fl.clone(), pl.clone());
+                drive_sliced(&mut soa, &pkts, size, &victims)
+            });
+            assert_eq!(got, want, "sharded columnar != scalar oracle at batch {size}");
+        }
+    }
+
     /// Drop-malicious off means nothing is ever dropped on either path,
     /// and outcome parity still holds.
     fn forward_only_mode_parity(rng, cases = 8) {
@@ -255,5 +351,68 @@ proptest_lite! {
             got.0.iter().all(|o| o.verdict == PacketVerdict::Forward),
             "nothing may drop with drop_malicious=false and no blacklist"
         );
+    }
+}
+
+/// An empty batch is a no-op on every path and every layout; in
+/// particular it must not tick the per-batch overload clock. A 512-flow
+/// storm into a 2-slot table trips degraded mode (the sharded layout
+/// needs 16× the flows to fill every logical shard's pressure window);
+/// five empty batches afterwards must leave the scalar oracle's overload
+/// view (degraded residency included) equal to the columnar walk's and
+/// unchanged.
+#[test]
+fn empty_batches_are_no_ops_on_every_path() {
+    let cfg = PipelineConfig::default().with_flow_table(
+        FlowTableConfig::default().with_slots_per_table(2).with_pkt_threshold(100),
+    );
+    let storm = |flows: u32| -> Vec<Packet> {
+        (0..flows)
+            .map(|f| Packet {
+                ts_ns: f as u64 * 1_000_000,
+                five: FiveTuple::new(0x0A00_0000 + f, 0xC0A8_0001, 40_000, 80, PROTO_TCP),
+                wire_len: 100,
+                ttl: 64,
+                flags: TcpFlags::default(),
+            })
+            .collect()
+    };
+    let sketched =
+        SketchedPipelineConfig::default().with_pipeline(cfg).with_budget_bytes(Some(1 << 12));
+    let sharded = ShardedPipelineConfig::default().with_pipeline(cfg).with_shards(2);
+    let layouts: [(&str, Layout, u32); 3] = [
+        ("serial", cfg.into(), 512),
+        ("sketched", sketched.into(), 512),
+        ("sharded", sharded.into(), 512 * 16),
+    ];
+    for (name, layout, flows) in layouts {
+        let storm = storm(flows);
+        let run = |dp: &mut dyn DataPlane| {
+            let mut out = Vec::new();
+            dp.process_batch(&storm, &mut out);
+            let after_storm = dp.overload_stats();
+            for _ in 0..5 {
+                dp.process_batch(&[], &mut out);
+                assert!(out.is_empty());
+            }
+            assert_eq!(dp.overload_stats(), after_storm, "{name}: an empty batch ticked overload");
+            (after_storm, dp.packets_processed(), dp.counters())
+        };
+        let columnar = run(&mut Pipeline::new(layout, accept_all(SWITCH_FL_DIM), accept_all(4)));
+        assert!(columnar.0.degraded_entries > 0, "{name}: the storm must trip degraded mode");
+        let scalar =
+            run(&mut ScalarPipeline::new(layout, accept_all(SWITCH_FL_DIM), accept_all(4)));
+        assert_eq!(scalar, columnar, "{name}: scalar oracle != columnar walk");
+    }
+}
+
+fn accept_all(dim: usize) -> RuleSet {
+    RuleSet {
+        bounds: vec![(0.0, 1.0); dim],
+        whitelist: vec![Hypercube {
+            lo: vec![f32::NEG_INFINITY; dim],
+            hi: vec![f32::INFINITY; dim],
+        }],
+        total_regions: 1,
     }
 }

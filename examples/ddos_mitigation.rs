@@ -92,14 +92,10 @@ fn main() {
         cm.macro_f1()
     );
     println!("blacklist entries installed: {}", pipeline.blacklist_len());
+    let paths = pipeline.counters();
     println!(
         "paths: blacklist {} brown {} blue {} purple {} orange {} (+{} loopback)",
-        pipeline.paths().blacklist,
-        pipeline.paths().brown,
-        pipeline.paths().blue,
-        pipeline.paths().purple,
-        pipeline.paths().orange,
-        pipeline.paths().green_loopback,
+        paths.blacklist, paths.brown, paths.blue, paths.purple, paths.orange, paths.green_loopback,
     );
     println!(
         "throughput {:.2} Gbps, avg latency {:.1} ns, digest bandwidth {:.1} KBps",

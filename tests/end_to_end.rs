@@ -130,7 +130,10 @@ fn controller_blacklist_shortens_detection_path() {
     );
     let mut controller = Controller::new(ControllerConfig::default());
     let _ = replay(&trace, &mut pipeline, &mut controller, &ReplayConfig::default());
-    assert!(pipeline.paths().blacklist > 0, "no packet was dropped by an installed blacklist rule");
+    assert!(
+        pipeline.counters().blacklist > 0,
+        "no packet was dropped by an installed blacklist rule"
+    );
 }
 
 #[test]
