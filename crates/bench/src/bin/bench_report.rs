@@ -76,9 +76,8 @@ use iguard_switch::data_plane::OverloadStats;
 use iguard_switch::pipeline::{
     OverloadConfig, PacketVerdict, Pipeline, PipelineConfig, ProcessOutcome,
 };
-use iguard_switch::replay::replay_stream;
 use iguard_switch::replay::{
-    replay, replay_chaos, replay_chaos_traced, ChaosConfig, MitigationLog, MitigationRecord,
+    replay, replay_chaos_traced, replay_source, ChaosConfig, MitigationLog, MitigationRecord,
     ReplayConfig, ReplayReport,
 };
 use iguard_switch::resources::ResourceModel;
@@ -417,7 +416,8 @@ fn run_chaos_case(
     let mut pipeline = Pipeline::new(pipe_cfg, fl_rules.clone(), pl_rules.clone());
     let mut controller = Controller::new(ControllerConfig::default());
     let replay_cfg = ReplayConfig::default().with_batch_size(CHAOS_BATCH);
-    let report = replay_chaos(trace, &mut pipeline, &mut controller, &replay_cfg, chaos);
+    let report =
+        replay_chaos_traced(trace, &mut pipeline, &mut controller, &replay_cfg, chaos, None);
     (report, pipeline.blacklist_contents())
 }
 
@@ -853,7 +853,9 @@ fn run_stream_once(scfg: &StreamingConfig, dp: &mut dyn DataPlane, label: &str) 
     let mut controller = Controller::new(ControllerConfig::default());
     let replay_cfg = ReplayConfig::default().with_batch_size(STREAM_BATCH);
     let t = Instant::now();
-    let report = replay_stream(&mut source, dp, &mut controller, &replay_cfg);
+    let report =
+        replay_source(&mut source, dp, &mut controller, &replay_cfg, &ChaosConfig::default(), None)
+            .expect("generated packets need no parsing");
     let wall_ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     StreamRun {
         label: label.into(),
@@ -894,7 +896,15 @@ fn run_alloc_probe(seed: u64, fl_rules: &RuleSet, pl_rules: &RuleSet, flows: usi
         let mut controller = Controller::new(ControllerConfig::default());
         let replay_cfg = ReplayConfig::default().with_batch_size(512);
         let before = alloc_calls();
-        let report = replay_stream(&mut source, &mut dp, &mut controller, &replay_cfg);
+        let report = replay_source(
+            &mut source,
+            &mut dp,
+            &mut controller,
+            &replay_cfg,
+            &ChaosConfig::default(),
+            None,
+        )
+        .expect("generated packets need no parsing");
         let allocs = alloc_calls() - before;
         (allocs, report.packets.div_ceil(512))
     };
@@ -1108,12 +1118,13 @@ fn run_swap_chaos_case(
         let cfg = ShardedPipelineConfig::from(swap_pipe_cfg()).with_shards(shards);
         let mut dp = ShardedPipeline::new(cfg, fl.clone(), accept_all(4));
         let mut controller = Controller::new(ControllerConfig::default());
-        let r = replay_chaos(
+        let r = replay_chaos_traced(
             trace,
             &mut dp,
             &mut controller,
             &ReplayConfig::default().with_batch_size(SWAP_BATCH),
             chaos,
+            None,
         );
         SwapChaosRun {
             confusion: (r.tp, r.fp, r.tn, r.fn_),
@@ -1247,7 +1258,8 @@ fn run_ruleset_swap_sweep(seed: u64, pl_rules: &RuleSet) -> SwapSweepDoc {
         benign_trace(80, 8.0, &mut rng),
         Attack::UdpDdos.trace(40, 8.0, &mut rng),
     ]);
-    let r_settle = replay_chaos(&settle, &mut pipeline, &mut controller, &replay_cfg, &chaos);
+    let r_settle =
+        replay_chaos_traced(&settle, &mut pipeline, &mut controller, &replay_cfg, &chaos, None);
     let delivered_version = pipeline.ruleset_version();
     if delivered_version != 2 || r_settle.ruleset_swaps != 1 {
         eprintln!(

@@ -48,7 +48,8 @@
 //! * [`replay`] — trace replay through any [`DataPlane`] with
 //!   cycle-accounting to estimate throughput and per-packet latency
 //!   (App. B.1), including a HorusEye-style control-plane detour model for
-//!   comparison, plus [`replay::replay_chaos`] for fault-injected runs.
+//!   comparison and deterministic fault injection on the control loop; one
+//!   loop serves materialised traces and generated packet streams.
 
 #![forbid(unsafe_code)]
 
@@ -74,8 +75,8 @@ pub use pipeline::{
     SeqDigest, WhitelistCounters, RESYNC_SEQ_BASE,
 };
 pub use replay::{
-    replay_chaos_traced_checked, ChaosConfig, CrashRecovery, CrashSpec, MitigationLog,
-    MitigationRecord,
+    replay_source, ChaosConfig, CrashRecovery, CrashSpec, MitigationLog, MitigationRecord,
+    PacketSource, TraceSource,
 };
 pub use resources::{ResourceModel, ResourceUsage};
 pub use rule_index::{RangeIndex, RangeScratch};

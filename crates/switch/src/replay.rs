@@ -17,12 +17,17 @@
 //! that bandwidth stall, capping effective throughput.
 //!
 //! ## Batching
-//! Replay feeds the data plane through [`DataPlane::process_batch`] in
+//! One loop, [`replay_source`], pulls packets from a [`PacketSource`] — a
+//! materialised [`Trace`] through the zero-copy [`TraceSource`], or a
+//! generated [`StreamingTrace`] in O(batch) memory — and feeds the data
+//! plane through [`DataPlane::process_batch`] in
 //! `ReplayConfig::batch_size` slices — the backend's columnar
 //! (structure-of-arrays) hot path. Verdicts, digests, and counters are
 //! byte-identical at every batch size (batch 1 degenerates to per-packet
 //! processing), so `batch_size` is purely a throughput knob; larger
 //! batches amortise feature extraction and index probes across rows.
+
+use std::num::NonZeroU64;
 
 use iguard_core::error::IguardError;
 use iguard_flow::five_tuple::FiveTuple;
@@ -31,6 +36,7 @@ use iguard_metrics::ConfusionMatrix;
 use iguard_runtime::hash::FlowMap;
 use iguard_runtime::{ChannelKind, FaultPlan};
 
+use iguard_synth::streaming::StreamingTrace;
 use iguard_synth::trace::Trace;
 
 use crate::channel::{ActionChannel, DigestChannel};
@@ -86,17 +92,25 @@ impl ControlPlaneModel {
 }
 
 /// Replay output.
+///
+/// Counts are measured on the emulated pipeline. `throughput_gbps`,
+/// `avg_latency_ns` and `digest_kbps` are *modelled*: they come from
+/// [`LatencyModel`], [`ControlPlaneModel`] and the controller's digest-size
+/// constants applied to those counts, not from a clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayReport {
     pub packets: u64,
     pub bytes: u64,
-    /// Trace duration (seconds of traffic time).
+    /// Trace span (seconds of traffic time): newest minus oldest packet
+    /// timestamp.
     pub duration_secs: f64,
     /// Offered load implied by the trace.
     pub offered_gbps: f64,
-    /// Sustainable throughput under the models above.
+    /// Modelled sustainable throughput under [`ReplayConfig::line_rate_gbps`]
+    /// and [`ControlPlaneModel`].
     pub throughput_gbps: f64,
-    /// Mean per-packet latency (ns), loopback passes included.
+    /// Modelled mean per-packet latency (ns) under [`LatencyModel`],
+    /// loopback passes included.
     pub avg_latency_ns: f64,
     /// Packets dropped by the pipeline.
     pub dropped: u64,
@@ -107,7 +121,8 @@ pub struct ReplayReport {
     pub tn: u64,
     pub fn_: u64,
     pub digests: u64,
-    /// Control-plane digest bandwidth (KBps over the trace duration).
+    /// Modelled control-plane digest bandwidth (KBps over the trace
+    /// duration, from the controller's per-digest size constants).
     pub digest_kbps: f64,
     /// Loopback copies generated.
     pub loopback: u64,
@@ -202,7 +217,7 @@ struct PendingMitigation {
 }
 
 /// Per-flow time-to-mitigation log, threaded through the replay
-/// digest/action loop by [`replay_chaos_traced`]. The replay loop notes
+/// digest/action loop by [`replay_source`]. The replay loop notes
 /// every truth-malicious packet; the control loop finalises a record the
 /// moment the flow's blacklist install lands on the data plane. Records
 /// accumulate in install order — a deterministic order, since installs
@@ -371,20 +386,21 @@ pub struct CrashSpec {
     pub recovery: CrashRecovery,
 }
 
-/// Chaos parameters for [`replay_chaos`]: the channel fault plan plus the
+/// Chaos parameters for [`replay_source`]: the channel fault plan plus the
 /// recovery machinery exercised against it. The default is the ideal
-/// loop — no faults, no resync, unlimited TCAM — under which
-/// [`replay_chaos`] is bit-identical to the fault-free [`replay`].
+/// loop — no faults, no resync, unlimited TCAM — under which the replay is
+/// bit-identical to the fault-free [`replay`].
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     pub plan: FaultPlan,
     /// Every `n` ticks the controller asks the data plane to re-derive
     /// digests from resident labeled flows, recovering classifications
     /// whose digests were lost in transit. `None` disables resync.
-    pub resync_interval: Option<u64>,
+    pub resync_interval: Option<NonZeroU64>,
     /// Every `n` ticks the controller snapshots itself (the state a
-    /// [`CrashRecovery::RestoreCheckpoint`] crash falls back to).
-    pub checkpoint_interval: Option<u64>,
+    /// [`CrashRecovery::RestoreCheckpoint`] crash falls back to). `None`
+    /// takes no checkpoints.
+    pub checkpoint_interval: Option<NonZeroU64>,
     pub crash: Option<CrashSpec>,
     /// Scripted ruleset swaps: at the start of each named tick the
     /// transaction is staged on the controller — as if a drift-triggered
@@ -425,17 +441,16 @@ iguard_runtime::builder_setters! { ChaosConfig =>
 }
 
 impl ChaosConfig {
-    /// Builder: resync sweep interval in ticks.
+    /// Builder: resync sweep interval in ticks; 0 disables resync.
     pub fn with_resync_interval(mut self, ticks: u64) -> Self {
-        assert!(ticks > 0, "resync interval must be positive");
-        self.resync_interval = Some(ticks);
+        self.resync_interval = NonZeroU64::new(ticks);
         self
     }
 
-    /// Builder: controller checkpoint interval in ticks.
+    /// Builder: controller checkpoint interval in ticks; 0 disables
+    /// checkpoints.
     pub fn with_checkpoint_interval(mut self, ticks: u64) -> Self {
-        assert!(ticks > 0, "checkpoint interval must be positive");
-        self.checkpoint_interval = Some(ticks);
+        self.checkpoint_interval = NonZeroU64::new(ticks);
         self
     }
 
@@ -457,21 +472,21 @@ impl ChaosConfig {
 ///
 /// Per-packet ground truth is "belongs to a malicious flow"; a detection
 /// is "the pipeline dropped (or flagged) the packet". This is the
-/// per-packet metric of §4.2.1. Generic over the backend: the serial
-/// [`crate::pipeline::Pipeline`] and the parallel
-/// [`crate::sharded::ShardedPipeline`] replay identically (including
-/// through `&mut dyn DataPlane`).
+/// per-packet metric of §4.2.1. Generic over the backend: every
+/// [`crate::pipeline::Pipeline`] layout (serial, sharded, sketched) and the
+/// [`crate::pipeline::ScalarPipeline`] oracle replay through it, including
+/// through `&mut dyn DataPlane`.
 ///
-/// Equivalent to [`replay_chaos`] with the default (ideal) [`ChaosConfig`]
-/// — the channels take their no-draw pass-through paths, so this is
-/// bit-identical to the pre-chaos replay loop.
+/// [`replay_chaos_traced`] with the default (ideal) [`ChaosConfig`] and no
+/// [`MitigationLog`] — the channels take their no-draw pass-through paths,
+/// so this is bit-identical to the pre-chaos replay loop.
 pub fn replay<D: DataPlane + ?Sized>(
     trace: &Trace,
     data_plane: &mut D,
     controller: &mut Controller,
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    replay_chaos(trace, data_plane, controller, cfg, &ChaosConfig::default())
+    replay_chaos_traced(trace, data_plane, controller, cfg, &ChaosConfig::default(), None)
 }
 
 /// Mutable control-loop state threaded through the per-tick step.
@@ -608,32 +623,71 @@ fn recover<D: DataPlane + ?Sized>(
     }
 }
 
-/// [`replay`] with deterministic fault injection on the control loop.
-///
-/// Each data-plane batch is one control-loop *tick*: digests drained from
-/// the backend ride a [`DigestChannel`] governed by `chaos.plan`, the
-/// controller processes whatever arrives (dedup'd on sequence tags), and
-/// its actions go back over an [`ActionChannel`] whose failures feed the
-/// controller's retry queue. After the trace ends the loop keeps ticking
-/// — bounded by `chaos.max_flush_ticks` — until delayed digests, retries
-/// and resync sweeps drain, so eventual convergence is observable in the
-/// returned report.
-pub fn replay_chaos<D: DataPlane + ?Sized>(
-    trace: &Trace,
-    data_plane: &mut D,
-    controller: &mut Controller,
-    cfg: &ReplayConfig,
-    chaos: &ChaosConfig,
-) -> ReplayReport {
-    replay_chaos_traced(trace, data_plane, controller, cfg, chaos, None)
+/// A pull-based packet supplier for [`replay_source`]. Successive calls
+/// walk one fixed packet sequence — the concatenation of all batches must
+/// not depend on `max`.
+pub trait PacketSource {
+    /// Returns the next batch of at most `max` packets with their
+    /// ground-truth labels (`true` = malicious flow); empty at end of
+    /// stream. A source that holds its packets returns sub-slices of them
+    /// and leaves the buffers alone; a generator fills `pkts`/`labels`
+    /// (owned by the replay loop, reused across batches, so the loop never
+    /// allocates per batch) and returns them.
+    fn next_batch<'a>(
+        &'a mut self,
+        max: usize,
+        pkts: &'a mut Vec<Packet>,
+        labels: &'a mut Vec<bool>,
+    ) -> (&'a [Packet], &'a [bool]);
 }
 
-/// [`replay_chaos`] that additionally fills a per-flow
-/// [`MitigationLog`]: every truth-malicious packet is noted against its
-/// flow, and the control loop stamps the tick at which the flow's
-/// blacklist install lands. `None` disables the tracking entirely (no
-/// per-packet map work), making this a drop-in superset of
-/// [`replay_chaos`].
+/// Zero-copy [`PacketSource`] over a materialised [`Trace`]: every batch
+/// is a sub-slice of the trace.
+#[derive(Clone, Debug)]
+pub struct TraceSource<'t> {
+    trace: &'t Trace,
+    pos: usize,
+}
+
+impl<'t> TraceSource<'t> {
+    /// A source positioned at the trace's first packet.
+    pub fn new(trace: &'t Trace) -> Self {
+        Self { trace, pos: 0 }
+    }
+}
+
+impl PacketSource for TraceSource<'_> {
+    fn next_batch<'a>(
+        &'a mut self,
+        max: usize,
+        _pkts: &'a mut Vec<Packet>,
+        _labels: &'a mut Vec<bool>,
+    ) -> (&'a [Packet], &'a [bool]) {
+        let start = self.pos;
+        self.pos = (start + max).min(self.trace.len());
+        (&self.trace.packets[start..self.pos], &self.trace.labels[start..self.pos])
+    }
+}
+
+/// The million-flow generator: fills the loop's buffers, so memory is
+/// O(batch), not O(trace).
+impl PacketSource for StreamingTrace {
+    fn next_batch<'a>(
+        &'a mut self,
+        max: usize,
+        pkts: &'a mut Vec<Packet>,
+        labels: &'a mut Vec<bool>,
+    ) -> (&'a [Packet], &'a [bool]) {
+        self.fill_next(max, pkts, labels);
+        (pkts, labels)
+    }
+}
+
+/// [`replay_source`] over a materialised [`Trace`], with a wire-exercise
+/// parse failure raised as a panic: a trace whose packets came from
+/// [`Packet::to_bytes`] re-parses by construction. `mitigation`, when
+/// given, is filled as [`replay_source`] describes; `None` disables the
+/// tracking entirely (no per-packet map work).
 pub fn replay_chaos_traced<D: DataPlane + ?Sized>(
     trace: &Trace,
     data_plane: &mut D,
@@ -642,20 +696,31 @@ pub fn replay_chaos_traced<D: DataPlane + ?Sized>(
     chaos: &ChaosConfig,
     mitigation: Option<&mut MitigationLog>,
 ) -> ReplayReport {
-    // Infallible convenience over the checked loop: the only fallible
-    // step is the wire round-trip of `exercise_wire`, and a trace whose
-    // packets came from [`Packet::to_bytes`] re-parses by construction.
-    replay_chaos_traced_checked(trace, data_plane, controller, cfg, chaos, mitigation)
+    replay_source(&mut TraceSource::new(trace), data_plane, controller, cfg, chaos, mitigation)
         .unwrap_or_else(|e| panic!("replay wire exercise failed: {e}"))
 }
 
-/// [`replay_chaos_traced`] with the wire-exercise parse failures
-/// surfaced as typed [`IguardError::Wire`] values instead of a panic —
-/// for callers feeding externally sourced (pcap-derived or fuzzed)
-/// traces through `exercise_wire`, where a malformed packet is an input
+/// The replay loop: pulls `cfg.batch_size` packets at a time from
+/// `source`, runs them through the data plane, and runs the control loop
+/// under deterministic fault injection.
+///
+/// Each data-plane batch is one control-loop *tick*: digests drained from
+/// the backend ride a [`DigestChannel`] governed by `chaos.plan`, the
+/// controller processes whatever arrives (dedup'd on sequence tags), and
+/// its actions go back over an [`ActionChannel`] whose failures feed the
+/// controller's retry queue. After the source ends the loop keeps ticking
+/// — bounded by `chaos.max_flush_ticks` — until delayed digests, retries
+/// and resync sweeps drain, so eventual convergence is observable in the
+/// returned report.
+///
+/// `mitigation`, when given, notes every truth-malicious packet against
+/// its flow, and the control loop stamps the tick at which the flow's
+/// blacklist install lands. Wire-exercise parse failures surface as typed
+/// [`IguardError::Wire`] values — for sources of externally sourced
+/// (pcap-derived or fuzzed) packets, where a malformed packet is an input
 /// condition, not a codec bug.
-pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
-    trace: &Trace,
+pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
+    source: &mut S,
     data_plane: &mut D,
     controller: &mut Controller,
     cfg: &ReplayConfig,
@@ -668,6 +733,8 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
     let base_ns = cfg.latency.base_ns();
     let batch_size = cfg.batch_size.max(1);
     // All hot-loop buffers are allocated once and reused across batches.
+    let mut pkts: Vec<Packet> = Vec::new();
+    let mut labels: Vec<bool> = Vec::new();
     let mut wire_buf: Vec<Packet> = Vec::new();
     let mut outcomes: Vec<ProcessOutcome> = Vec::with_capacity(batch_size);
     let mut ctl = ControlLoop {
@@ -689,9 +756,13 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
     swaps.sort_by_key(|(at, _)| *at);
     let mut next_swap = 0usize;
     let mut tick: u64 = 0;
-    let n = trace.packets.len();
-    let mut start = 0;
-    while start < n {
+    let (mut ts_min, mut ts_max) = (u64::MAX, 0u64);
+    loop {
+        let (batch, truths) = source.next_batch(batch_size, &mut pkts, &mut labels);
+        if batch.is_empty() {
+            break;
+        }
+        debug_assert_eq!(batch.len(), truths.len());
         if let Some(crash) = crash_pending {
             if crash.at_tick == tick {
                 recover(controller, data_plane, crash.recovery, checkpoint.as_ref());
@@ -702,31 +773,30 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
             controller.stage_ruleset(swaps[next_swap].1.clone());
             next_swap += 1;
         }
-        let end = (start + batch_size).min(n);
         // Wire exercise re-encodes into the scratch buffer; otherwise the
-        // trace slice is fed zero-copy.
+        // source's batch is fed as is.
         let batch: &[Packet] = if cfg.exercise_wire {
             wire_buf.clear();
-            for pkt in &trace.packets[start..end] {
-                let bytes = pkt.to_bytes();
-                wire_buf.push(Packet::from_bytes(pkt.ts_ns, &bytes)?);
+            for pkt in batch {
+                wire_buf.push(Packet::from_bytes(pkt.ts_ns, &pkt.to_bytes())?);
             }
             &wire_buf
         } else {
-            &trace.packets[start..end]
+            batch
         };
         data_plane.process_batch(batch, &mut outcomes);
         debug_assert_eq!(outcomes.len(), batch.len());
-        // Per-packet work is the confusion-matrix branch only; everything
-        // additive (bytes, drops, loopback copies, latency) folds into the
-        // report once per batch.
+        // Per-packet work is the confusion-matrix branch and the span
+        // bounds only; everything additive (bytes, drops, loopback copies,
+        // latency) folds into the report once per batch.
+        let first_seq = report.packets;
         let mut mirrored = 0u64;
         let mut dropped = 0u64;
         let mut bytes = 0u64;
-        for (i, ((outcome, pkt), &truth)) in
-            outcomes.iter().zip(batch).zip(&trace.labels[start..end]).enumerate()
-        {
+        for (i, ((outcome, pkt), &truth)) in outcomes.iter().zip(batch).zip(truths).enumerate() {
             bytes += pkt.wire_len as u64;
+            ts_min = ts_min.min(pkt.ts_ns);
+            ts_max = ts_max.max(pkt.ts_ns);
             let flagged = outcome.verdict == PacketVerdict::Drop;
             dropped += flagged as u64;
             match (truth, flagged) {
@@ -737,7 +807,7 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
             }
             if truth {
                 if let Some(m) = mitigation.as_deref_mut() {
-                    m.note_malicious(pkt.five.canonical(), start as u64 + i as u64, tick);
+                    m.note_malicious(pkt.five.canonical(), first_seq + i as u64, tick);
                 }
             }
             mirrored += outcome.mirrored as u64;
@@ -756,14 +826,13 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
             checkpoint = Some(controller.snapshot());
         }
         tick += 1;
-        start = end;
     }
 
-    // Flush phase: the trace is over, but delayed digests, queued retries
-    // and un-resynced labels may still be outstanding. Keep ticking the
-    // control loop (resyncing every tick, since there is no more packet
-    // work to interleave with) until a fully quiescent tick or the budget
-    // runs out.
+    // Flush phase: the source is drained, but delayed digests, queued
+    // retries and un-resynced labels may still be outstanding. Keep
+    // ticking the control loop (resyncing every tick, since there is no
+    // more packet work to interleave with) until a fully quiescent tick or
+    // the budget runs out.
     let resync_enabled = chaos.resync_interval.is_some();
     let mut flush_ticks = 0u64;
     while flush_ticks < chaos.max_flush_ticks {
@@ -819,7 +888,7 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
     report.wl_lookups = wl_end.lookups - wl_start.lookups;
     report.wl_hits = wl_end.hits - wl_start.hits;
 
-    report.duration_secs = trace.duration_secs().max(1e-9);
+    report.duration_secs = (ts_max.saturating_sub(ts_min) as f64 / 1e9).max(1e-9);
     report.avg_latency_ns = latency_total / report.packets.max(1) as f64;
     report.offered_gbps = report.bytes as f64 * 8.0 / report.duration_secs / 1e9;
 
@@ -837,129 +906,6 @@ pub fn replay_chaos_traced_checked<D: DataPlane + ?Sized>(
     report.throughput_gbps = throughput.min(cfg.line_rate_gbps);
     report.digest_kbps = controller.overhead_kbps(report.duration_secs);
     Ok(report)
-}
-
-/// A pull-based packet supplier for [`replay_stream`]: fills caller-owned
-/// buffers so the replay loop never allocates per batch, no matter how
-/// long the stream runs. Implemented by
-/// [`iguard_synth::streaming::StreamingTrace`]; tests implement it over
-/// in-memory traces.
-pub trait PacketSource {
-    /// Fills `pkts`/`labels` (cleared first) with up to `max` packets;
-    /// returns the count, 0 at end of stream. Successive calls walk one
-    /// fixed packet sequence — the concatenation of all fills must not
-    /// depend on `max`.
-    fn fill_next(&mut self, max: usize, pkts: &mut Vec<Packet>, labels: &mut Vec<bool>) -> usize;
-}
-
-impl PacketSource for iguard_synth::streaming::StreamingTrace {
-    fn fill_next(&mut self, max: usize, pkts: &mut Vec<Packet>, labels: &mut Vec<bool>) -> usize {
-        iguard_synth::streaming::StreamingTrace::fill_next(self, max, pkts, labels)
-    }
-}
-
-/// [`replay`] over a [`PacketSource`] instead of a materialised
-/// [`Trace`]: the workload is generated batch-by-batch into two reused
-/// buffers, so memory is O(batch), not O(trace) — the entry point of the
-/// million-flow benches. The control loop is the ideal (fault-free) one;
-/// accounting matches [`replay_chaos`] with the default [`ChaosConfig`]
-/// fed the same packets at the same batch size.
-pub fn replay_stream<D: DataPlane + ?Sized, S: PacketSource + ?Sized>(
-    source: &mut S,
-    data_plane: &mut D,
-    controller: &mut Controller,
-    cfg: &ReplayConfig,
-) -> ReplayReport {
-    let mut report = ReplayReport::default();
-    let wl_start = data_plane.whitelist_counters();
-    let base_ns = cfg.latency.base_ns();
-    let batch_size = cfg.batch_size.max(1);
-    // The entire hot loop runs on these five buffers, allocated once.
-    let mut pkts: Vec<Packet> = Vec::with_capacity(batch_size);
-    let mut labels: Vec<bool> = Vec::with_capacity(batch_size);
-    let mut outcomes: Vec<ProcessOutcome> = Vec::with_capacity(batch_size);
-    let mut ctl = ControlLoop {
-        digest_chan: DigestChannel::new(FaultPlan::none()),
-        action_chan: ActionChannel::new(FaultPlan::none(), usize::MAX),
-        seq_buf: Vec::new(),
-        delivered: Vec::new(),
-        actions: Vec::new(),
-        due: Vec::new(),
-        resync_digests: 0,
-        last_install_tick: None,
-    };
-    let mut tick: u64 = 0;
-    let mut first_ts: Option<u64> = None;
-    let mut last_ts: u64 = 0;
-    while source.fill_next(batch_size, &mut pkts, &mut labels) > 0 {
-        data_plane.process_batch(&pkts, &mut outcomes);
-        debug_assert_eq!(outcomes.len(), pkts.len());
-        if first_ts.is_none() {
-            first_ts = pkts.first().map(|p| p.ts_ns);
-        }
-        if let Some(p) = pkts.last() {
-            last_ts = p.ts_ns;
-        }
-        let mut mirrored = 0u64;
-        let mut dropped = 0u64;
-        let mut bytes = 0u64;
-        for ((outcome, pkt), &truth) in outcomes.iter().zip(&pkts).zip(&labels) {
-            bytes += pkt.wire_len as u64;
-            let flagged = outcome.verdict == PacketVerdict::Drop;
-            dropped += flagged as u64;
-            match (truth, flagged) {
-                (true, true) => report.tp += 1,
-                (true, false) => report.fn_ += 1,
-                (false, true) => report.fp += 1,
-                (false, false) => report.tn += 1,
-            }
-            mirrored += outcome.mirrored as u64;
-        }
-        report.packets += outcomes.len() as u64;
-        report.bytes += bytes;
-        report.dropped += dropped;
-        report.loopback += mirrored;
-        report.avg_latency_ns += (outcomes.len() as u64 + mirrored) as f64 * base_ns;
-        ctl.tick(data_plane, controller, tick, false, &mut report, None);
-        tick += 1;
-    }
-    // Flush in-transit control work (the ideal channel is synchronous, so
-    // this converges in at most a couple of ticks).
-    let mut flush_ticks = 0u64;
-    while flush_ticks < 16 {
-        if !ctl.has_outstanding(controller) {
-            break;
-        }
-        let active = ctl.tick(data_plane, controller, tick, false, &mut report, None);
-        tick += 1;
-        flush_ticks += 1;
-        if !active && !ctl.has_outstanding(controller) {
-            break;
-        }
-    }
-    report.flush_ticks = flush_ticks;
-    report.ruleset_swaps = controller.rulesets_delivered();
-    report.ruleset_retries = controller.ruleset_send_failures();
-
-    let wl_end = data_plane.whitelist_counters();
-    report.wl_lookups = wl_end.lookups - wl_start.lookups;
-    report.wl_hits = wl_end.hits - wl_start.hits;
-
-    report.duration_secs = ((last_ts.saturating_sub(first_ts.unwrap_or(0))) as f64 / 1e9).max(1e-9);
-    report.avg_latency_ns /= report.packets.max(1) as f64;
-    report.offered_gbps = report.bytes as f64 * 8.0 / report.duration_secs / 1e9;
-    let total_slots = (report.packets + report.loopback) as f64;
-    let pipe_share = report.packets as f64 / total_slots.max(1.0);
-    let mut throughput = cfg.line_rate_gbps * pipe_share;
-    let cp = cfg.control_plane;
-    if cp.detour_fraction > 0.0 {
-        let detoured = throughput * cp.detour_fraction;
-        let passed = throughput - detoured + detoured.min(cp.cp_port_gbps);
-        throughput = passed.min(cfg.line_rate_gbps);
-    }
-    report.throughput_gbps = throughput.min(cfg.line_rate_gbps);
-    report.digest_kbps = controller.overhead_kbps(report.duration_secs);
-    report
 }
 
 #[cfg(test)]
@@ -1055,8 +1001,8 @@ mod tests {
             let mut p = pipeline(accept_all(13));
             let mut c = Controller::new(ControllerConfig::default());
             if checked {
-                replay_chaos_traced_checked(
-                    &trace,
+                replay_source(
+                    &mut TraceSource::new(&trace),
                     &mut p,
                     &mut c,
                     &cfg,
@@ -1065,7 +1011,7 @@ mod tests {
                 )
                 .expect("self-generated trace round-trips")
             } else {
-                replay_chaos(&trace, &mut p, &mut c, &cfg, &ChaosConfig::default())
+                replay_chaos_traced(&trace, &mut p, &mut c, &cfg, &ChaosConfig::default(), None)
             }
         };
         let (a, b) = (run(true), run(false));
@@ -1151,22 +1097,39 @@ mod tests {
         use iguard_synth::streaming::StreamingConfig;
         let scfg = StreamingConfig::default().with_seed(11).with_total_flows(400);
         let trace = StreamingTrace::new(scfg.clone()).materialize();
-        let cfg = ReplayConfig::default().with_batch_size(64);
-        let run_mat = || {
+        let run_mat = |cfg: &ReplayConfig| {
             let mut p = pipeline(fl_ipd_jitter_above(0.0008));
             let mut c = Controller::new(ControllerConfig::default());
-            let r = replay(&trace, &mut p, &mut c, &cfg);
-            (r, p.blacklist_contents())
+            let mut log = MitigationLog::default();
+            let r = replay_chaos_traced(
+                &trace,
+                &mut p,
+                &mut c,
+                cfg,
+                &ChaosConfig::default(),
+                Some(&mut log),
+            );
+            (r, p.blacklist_contents(), log.records)
         };
-        let run_stream = || {
+        let run_stream = |cfg: &ReplayConfig| {
             let mut src = StreamingTrace::new(scfg.clone());
             let mut p = pipeline(fl_ipd_jitter_above(0.0008));
             let mut c = Controller::new(ControllerConfig::default());
-            let r = replay_stream(&mut src, &mut p, &mut c, &cfg);
-            (r, p.blacklist_contents())
+            let mut log = MitigationLog::default();
+            let r = replay_source(
+                &mut src,
+                &mut p,
+                &mut c,
+                cfg,
+                &ChaosConfig::default(),
+                Some(&mut log),
+            )
+            .expect("generated packets need no parsing");
+            (r, p.blacklist_contents(), log.records)
         };
-        let (m, m_bl) = run_mat();
-        let (s, s_bl) = run_stream();
+        let cfg = ReplayConfig::default().with_batch_size(64);
+        let (m, m_bl, m_log) = run_mat(&cfg);
+        let (s, s_bl, s_log) = run_stream(&cfg);
         assert_eq!((m.tp, m.fp, m.tn, m.fn_), (s.tp, s.fp, s.tn, s.fn_));
         assert_eq!(m.packets, s.packets);
         assert_eq!(m.bytes, s.bytes);
@@ -1174,8 +1137,20 @@ mod tests {
         assert_eq!(m.loopback, s.loopback);
         assert_eq!(m.digests, s.digests);
         assert_eq!(m.wl_lookups, s.wl_lookups);
+        assert_eq!(format!("{m:?}"), format!("{s:?}"), "whole report differs");
         assert_eq!(m_bl, s_bl);
+        assert_eq!(m_log, s_log, "mitigation records differ");
+        assert!(!m_log.is_empty(), "stream must mitigate some flows");
         assert!(m.packets > 1000, "trace too small to be meaningful");
+        // Wire exercise applies to streams too: the round-tripped stream
+        // replays exactly like the round-tripped trace, and losslessly.
+        let wire = cfg.with_exercise_wire(true);
+        let (mw, mw_bl, mw_log) = run_mat(&wire);
+        let (sw, sw_bl, sw_log) = run_stream(&wire);
+        assert_eq!(format!("{mw:?}"), format!("{sw:?}"), "wire-exercised report differs");
+        assert_eq!((mw_bl, mw_log), (sw_bl, sw_log));
+        assert_eq!((sw.tp, sw.fp, sw.tn, sw.fn_), (s.tp, s.fp, s.tn, s.fn_));
+        assert_eq!((sw.packets, sw.bytes, sw.dropped), (s.packets, s.bytes, s.dropped));
     }
 
     #[test]
@@ -1194,11 +1169,35 @@ mod tests {
             .with_plan(FaultPlan::none().with_outage(ChannelKind::Action, 0, 10).with_seed(5))
             .with_ruleset_swap(2, txn);
         let cfg = ReplayConfig::default().with_batch_size(8);
-        let r = replay_chaos(&trace, &mut p, &mut c, &cfg, &chaos);
+        let r = replay_chaos_traced(&trace, &mut p, &mut c, &cfg, &chaos, None);
         assert_eq!(r.ruleset_swaps, 1, "swap must deliver once the channel heals");
         assert!(r.ruleset_retries >= 1, "outage must force at least one retry");
         assert_eq!(p.ruleset_version(), 1);
         assert!(!c.has_pending_ruleset());
+    }
+
+    /// A zero resync or checkpoint interval is "disabled", not a
+    /// remainder by zero: it replays exactly like an unset one.
+    #[test]
+    fn zero_intervals_replay_like_unset_ones() {
+        let mut rng = Rng::seed_from_u64(9);
+        let benign = benign_trace(60, 5.0, &mut rng);
+        let attack = Attack::UdpDdos.trace(15, 5.0, &mut rng);
+        let trace = iguard_synth::trace::Trace::merge(vec![benign, attack]);
+        let zero = ChaosConfig::default().with_resync_interval(0).with_checkpoint_interval(0);
+        assert_eq!((zero.resync_interval, zero.checkpoint_interval), (None, None));
+        let run = |chaos: &ChaosConfig| {
+            let mut p = pipeline(fl_ipd_jitter_above(0.0008));
+            let mut c = Controller::new(ControllerConfig::default());
+            let cfg = ReplayConfig::default().with_batch_size(16);
+            let r = replay_chaos_traced(&trace, &mut p, &mut c, &cfg, chaos, None);
+            format!("{r:?} {:?}", p.blacklist_contents())
+        };
+        assert_eq!(run(&zero), run(&ChaosConfig::default()));
+        // A crash restoring a checkpoint that was never taken falls back to
+        // a pristine controller, as with no checkpoint schedule at all.
+        let crash = |c: ChaosConfig| c.with_crash(3, CrashRecovery::RestoreCheckpoint);
+        assert_eq!(run(&crash(zero)), run(&crash(ChaosConfig::default())));
     }
 
     #[test]
@@ -1210,7 +1209,8 @@ mod tests {
             let mut p = pipeline(fl_ipd_jitter_above(0.0008));
             let mut c = Controller::new(ControllerConfig::default());
             let cfg = ReplayConfig::default().with_batch_size(batch);
-            replay_stream(&mut src, &mut p, &mut c, &cfg)
+            replay_source(&mut src, &mut p, &mut c, &cfg, &ChaosConfig::default(), None)
+                .expect("generated packets need no parsing")
         };
         let a = run(97);
         let b = run(97);

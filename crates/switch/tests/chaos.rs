@@ -5,7 +5,7 @@
 //!
 //! Three families of assertions:
 //!
-//! 1. **Byte-identity of the ideal loop.** `replay_chaos` with
+//! 1. **Byte-identity of the ideal loop.** `replay_chaos_traced` with
 //!    `FaultPlan::none()` equals plain `replay` exactly, at every
 //!    shard/worker combination, with every chaos counter at zero.
 //! 2. **Determinism of faulty runs.** For a fixed fault seed, replay
@@ -22,6 +22,8 @@
 //! packet sizes and a mean-size FL rule, so a flow's classification is
 //! stable no matter when (or how often) it is re-derived.
 
+mod support;
+
 use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::{Packet, TcpFlags};
@@ -33,38 +35,13 @@ use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::pipeline::PipelineConfig;
 use iguard_switch::replay::{
-    replay, replay_chaos, ChaosConfig, CrashRecovery, ReplayConfig, ReplayReport,
+    replay, replay_chaos_traced, ChaosConfig, CrashRecovery, ReplayConfig, ReplayReport,
 };
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
 use iguard_synth::attacks::Attack;
 use iguard_synth::benign::benign_trace;
 use iguard_synth::trace::Trace;
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
-}
-
-/// FL whitelist benign iff mean packet size (feature 2) < `cut` — with
-/// per-flow-constant sizes this classifies each flow identically on every
-/// (re-)derivation, which the exact convergence tests rely on.
-fn fl_mean_size_below(cut: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let mut hi = vec![f32::INFINITY; 13];
-    lo[2] = f32::NEG_INFINITY;
-    hi[2] = cut;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
+use support::{accept_all, fl_mean_size_below};
 
 /// FL whitelist benign iff std of IPD (feature 10) above a floor — the
 /// mixed-trace rule used by the determinism grid.
@@ -167,12 +144,13 @@ fn run_chaos(
         let cfg = ShardedPipelineConfig::from(flow_cfg(4096)).with_shards(shards);
         let mut dp = ShardedPipeline::new(cfg, fl.clone(), accept_all(4));
         let mut controller = Controller::new(ControllerConfig::default());
-        let r = replay_chaos(
+        let r = replay_chaos_traced(
             trace,
             &mut dp,
             &mut controller,
             &ReplayConfig::default().with_batch_size(batch),
             chaos,
+            None,
         );
         ChaosFingerprint::of(&r, &dp, &controller)
     })
@@ -349,12 +327,13 @@ fn tcam_saturation_degrades_gracefully() {
         accept_all(4),
     );
     let mut controller = Controller::new(ControllerConfig::default());
-    let r = replay_chaos(
+    let r = replay_chaos_traced(
         &trace,
         &mut dp,
         &mut controller,
         &ReplayConfig::default().with_batch_size(64),
         &chaos,
+        None,
     );
     assert_eq!(dp.blacklist_len(), 4, "TCAM budget must cap the installed rules");
     assert!(r.degraded, "saturation must raise the degraded flag");

@@ -6,6 +6,8 @@
 //! and LRU eviction, regardless of how the stream is chunked into
 //! controller calls.
 
+mod support;
+
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_runtime::proptest_lite;
@@ -13,20 +15,10 @@ use iguard_runtime::rng::Rng;
 use iguard_switch::controller::{Controller, ControllerConfig, EvictionPolicy};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::pipeline::{ControlAction, Digest, Pipeline, PipelineConfig, SeqDigest};
+use support::accept_all;
 
 fn five(flow: u16) -> FiveTuple {
     FiveTuple::new(0x0A000001, 0xC0A80101, 20_000 + flow, 443, PROTO_TCP)
-}
-
-fn accept_all(dim: usize) -> iguard_core::rules::RuleSet {
-    iguard_core::rules::RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![iguard_core::rules::Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
 }
 
 /// A pipeline with one resident (unclassified) flow per id, so ClearFlow

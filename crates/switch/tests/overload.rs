@@ -5,9 +5,10 @@
 //! boundary (pulse-wave shape): digest sequence tags stay unique and no
 //! stale statistics leak into a reborn flow's features (DESIGN.md §15).
 
+mod support;
+
 use std::collections::HashMap;
 
-use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::table::PhaseSchedule;
@@ -24,32 +25,7 @@ use iguard_switch::DataPlane;
 use iguard_synth::benign::benign_trace;
 use iguard_synth::scenarios::Scenario;
 use iguard_synth::trace::Trace;
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
-}
-
-/// Phase whitelist whose benign envelope is "mean packet size below
-/// `cut`": flows of large packets fall outside it and convict at the
-/// boundary, flows of small packets escalate.
-fn fl_mean_size_below(cut: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let mut hi = vec![f32::INFINITY; 13];
-    lo[2] = f32::NEG_INFINITY;
-    hi[2] = cut;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
+use support::{accept_all, fl_mean_size_below};
 
 fn pkt(flow: u32, ts_ns: u64, len: u16) -> Packet {
     Packet {

@@ -7,7 +7,9 @@
 //! operation, and every backend (scalar, columnar, sharded, sketched)
 //! must agree packet-for-packet when phases are live.
 
-use iguard_core::rules::{Hypercube, RuleSet};
+mod support;
+
+use iguard_core::rules::RuleSet;
 use iguard_flow::table::{FlowTableConfig, PhaseSchedule};
 use iguard_runtime::par::with_workers;
 use iguard_runtime::rng::Rng;
@@ -21,32 +23,7 @@ use iguard_switch::DataPlane;
 use iguard_synth::benign::benign_trace;
 use iguard_synth::scenarios::Scenario;
 use iguard_synth::trace::Trace;
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
-}
-
-/// Phase whitelist accepting flows whose mean packet size stays below
-/// `cut` — large-packet flows convict at the boundary, the rest
-/// escalate toward the final threshold.
-fn fl_mean_size_below(cut: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let mut hi = vec![f32::INFINITY; 13];
-    lo[2] = f32::NEG_INFINITY;
-    hi[2] = cut;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
+use support::{accept_all, fl_mean_size_below};
 
 /// Mixed storm: benign background plus the adversarial canon, small
 /// enough to grid over but with enough collision churn and flow rebirth

@@ -25,7 +25,9 @@
 //! *timing* — which faults legitimately shift — cannot alter any flow
 //! label, making exact fingerprint equality the right oracle.
 
-use iguard_core::rules::{Hypercube, RuleSet};
+mod support;
+
+use iguard_core::rules::RuleSet;
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::table::FlowTableConfig;
@@ -36,35 +38,12 @@ use iguard_runtime::{ChannelKind, FaultPlan};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::pipeline::{PacketVerdict, Pipeline, PipelineConfig, ProcessOutcome};
-use iguard_switch::replay::{replay_chaos, ChaosConfig, ReplayConfig};
+use iguard_switch::replay::{replay_chaos_traced, ChaosConfig, ReplayConfig};
 use iguard_switch::ruleset::{canonical_entries, RulesetDiff, RulesetTxn};
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
 use iguard_switch::tcam::{RangeEntry, RangeTable};
 use iguard_synth::trace::Trace;
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
-}
-
-/// FL whitelist benign iff mean packet size (feature 2) < `cut`.
-fn fl_mean_size_below(cut: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let mut hi = vec![f32::INFINITY; 13];
-    lo[2] = f32::NEG_INFINITY;
-    hi[2] = cut;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
+use support::{accept_all, fl_mean_size_below};
 
 /// Interleaved trace of `flows` flows × `pkts_per_flow` packets with
 /// per-flow-constant wire length (flows with `f % 3 == 0` send 1400 B,
@@ -283,12 +262,13 @@ fn run_swap_chaos(
         let cfg = ShardedPipelineConfig::from(flow_cfg(4096)).with_shards(shards);
         let mut dp = ShardedPipeline::new(cfg, fl.clone(), accept_all(4));
         let mut controller = Controller::new(ControllerConfig::default());
-        let r = replay_chaos(
+        let r = replay_chaos_traced(
             trace,
             &mut dp,
             &mut controller,
             &ReplayConfig::default().with_batch_size(64),
             chaos,
+            None,
         );
         SwapFingerprint {
             confusion: (r.tp, r.fp, r.tn, r.fn_),

@@ -12,11 +12,13 @@
 //! lossy-convergence shape, applied to memory pressure instead of channel
 //! faults).
 
+mod support;
+
 use std::collections::HashSet;
 
 use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::features::SWITCH_FL_DIM;
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
+use iguard_flow::five_tuple::{FiveTuple, PROTO_UDP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::sketch::CountMinSketch;
 use iguard_flow::table::FlowTableConfig;
@@ -32,40 +34,7 @@ use iguard_switch::replay::{replay, ReplayConfig, ReplayReport};
 use iguard_switch::{DataPlane, SketchEviction, SketchedPipeline, SketchedPipelineConfig};
 use iguard_synth::trace::Trace;
 use iguard_synth::Zipf;
-
-fn random_rules(rng: &mut Rng, dim: usize) -> RuleSet {
-    let n = rng.gen_range(0usize..4);
-    let whitelist = (0..n)
-        .map(|_| {
-            let mut lo = vec![f32::NEG_INFINITY; dim];
-            let mut hi = vec![f32::INFINITY; dim];
-            for d in 0..dim {
-                if rng.gen_bool(0.5) {
-                    lo[d] = rng.gen_range(-10.0f32..1000.0);
-                }
-                if rng.gen_bool(0.5) {
-                    hi[d] = lo[d].max(0.0) + rng.gen_range(0.0f32..1500.0);
-                }
-            }
-            Hypercube { lo, hi }
-        })
-        .collect();
-    RuleSet { bounds: vec![(0.0, 2000.0); dim], whitelist, total_regions: n.max(1) }
-}
-
-fn random_pool(rng: &mut Rng, flows: usize) -> Vec<FiveTuple> {
-    (0..flows)
-        .map(|_| {
-            FiveTuple::new(
-                0x0A00_0000 | rng.gen_range(0u32..64),
-                0xC0A8_0000 | rng.gen_range(0u32..64),
-                rng.gen_range(1024u16..1024 + 32),
-                [80u16, 443, 53][rng.gen_range(0..3usize)],
-                if rng.gen_bool(0.7) { PROTO_TCP } else { PROTO_UDP },
-            )
-        })
-        .collect()
-}
+use support::{accept_all, random_pool, random_rules};
 
 fn random_packets(rng: &mut Rng, pool: &[FiveTuple], n: usize) -> Vec<Packet> {
     let mut ts = 0u64;
@@ -278,17 +247,6 @@ fn mean_size_whitelist(cut: f32) -> RuleSet {
         bounds: vec![(0.0, 2000.0); SWITCH_FL_DIM],
         whitelist: vec![Hypercube { lo, hi }],
         total_regions: 2,
-    }
-}
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
     }
 }
 

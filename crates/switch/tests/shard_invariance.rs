@@ -6,6 +6,8 @@
 //! enough that neither backend sees slot collisions (cross-flow coupling
 //! exists only through shared slots).
 
+mod support;
+
 use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::table::FlowTableConfig;
@@ -19,17 +21,7 @@ use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
 use iguard_synth::attacks::Attack;
 use iguard_synth::benign::benign_trace;
 use iguard_synth::trace::Trace;
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
-    }
-}
+use support::accept_all;
 
 /// FL whitelist benign iff the std of inter-packet delay (feature 10) is
 /// above a floor — separates machine-regular flood tooling from benign

@@ -10,9 +10,10 @@
 //! blacklist installs and flow clears, and chunk-boundary-straddling
 //! batch sizes at that claim.
 
-use iguard_core::rules::{Hypercube, RuleSet};
+mod support;
+
 use iguard_flow::features::SWITCH_FL_DIM;
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
+use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::table::FlowTableConfig;
 use iguard_runtime::par::with_workers;
@@ -27,42 +28,7 @@ use iguard_switch::sharded::ShardedPipelineConfig;
 use iguard_switch::{
     DataPlane, OverloadStats, ShardedPipeline, SketchEviction, SketchStats, SketchedPipelineConfig,
 };
-
-/// A random whitelist: a handful of hypercubes with open/closed faces
-/// (sometimes empty — then nothing matches and everything is malicious).
-fn random_rules(rng: &mut Rng, dim: usize) -> RuleSet {
-    let n = rng.gen_range(0usize..4);
-    let whitelist = (0..n)
-        .map(|_| {
-            let mut lo = vec![f32::NEG_INFINITY; dim];
-            let mut hi = vec![f32::INFINITY; dim];
-            for d in 0..dim {
-                if rng.gen_bool(0.5) {
-                    lo[d] = rng.gen_range(-10.0f32..1000.0);
-                }
-                if rng.gen_bool(0.5) {
-                    hi[d] = lo[d].max(0.0) + rng.gen_range(0.0f32..1500.0);
-                }
-            }
-            Hypercube { lo, hi }
-        })
-        .collect();
-    RuleSet { bounds: vec![(0.0, 2000.0); dim], whitelist, total_regions: n.max(1) }
-}
-
-fn random_pool(rng: &mut Rng, flows: usize) -> Vec<FiveTuple> {
-    (0..flows)
-        .map(|_| {
-            FiveTuple::new(
-                0x0A00_0000 | rng.gen_range(0u32..64),
-                0xC0A8_0000 | rng.gen_range(0u32..64),
-                rng.gen_range(1024u16..1024 + 32),
-                [80u16, 443, 53][rng.gen_range(0..3usize)],
-                if rng.gen_bool(0.7) { PROTO_TCP } else { PROTO_UDP },
-            )
-        })
-        .collect()
-}
+use support::{accept_all, random_pool, random_rules};
 
 /// Random packets over a small flow pool: edge wire lengths/TTLs and
 /// occasional timeout-crossing timestamp jumps.
@@ -403,16 +369,5 @@ fn empty_batches_are_no_ops_on_every_path() {
         let scalar =
             run(&mut ScalarPipeline::new(layout, accept_all(SWITCH_FL_DIM), accept_all(4)));
         assert_eq!(scalar, columnar, "{name}: scalar oracle != columnar walk");
-    }
-}
-
-fn accept_all(dim: usize) -> RuleSet {
-    RuleSet {
-        bounds: vec![(0.0, 1.0); dim],
-        whitelist: vec![Hypercube {
-            lo: vec![f32::NEG_INFINITY; dim],
-            hi: vec![f32::INFINITY; dim],
-        }],
-        total_regions: 1,
     }
 }

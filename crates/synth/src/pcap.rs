@@ -143,6 +143,27 @@ mod tests {
         }
     }
 
+    /// Records are read back in file order, so a capture whose last
+    /// record is older than its first yields an unsorted trace; its span
+    /// must still be newest minus oldest, not a `u64` underflow.
+    #[test]
+    fn reversed_trace_roundtrip_keeps_its_span() {
+        let mut rng = Rng::seed_from_u64(3);
+        let trace = benign_trace(30, 2.0, &mut rng);
+        let mut reversed = trace.clone();
+        reversed.packets.reverse();
+        reversed.labels.reverse();
+        let read_back = |t: &Trace| {
+            let mut buf = Vec::new();
+            write_trace(t, &mut buf).unwrap();
+            read_trace(&buf[..]).unwrap()
+        };
+        let (fwd, back) = (read_back(&trace), read_back(&reversed));
+        assert!(back.packets[0].ts_ns > back.packets[back.len() - 1].ts_ns);
+        assert!(fwd.duration_secs() > 1.0, "span {}", fwd.duration_secs());
+        assert_eq!(back.duration_secs(), fwd.duration_secs());
+    }
+
     #[test]
     fn attack_traces_roundtrip_too() {
         let mut rng = Rng::seed_from_u64(2);

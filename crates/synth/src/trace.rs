@@ -57,12 +57,15 @@ impl Trace {
         out
     }
 
-    /// Duration of the trace in seconds.
+    /// Span of the trace in seconds: newest minus oldest packet
+    /// timestamp, so a trace kept in file order (e.g. from pcap) that is
+    /// not sorted still reads a non-negative span.
     pub fn duration_secs(&self) -> f64 {
-        match (self.packets.first(), self.packets.last()) {
-            (Some(a), Some(b)) => (b.ts_ns - a.ts_ns) as f64 / 1e9,
-            _ => 0.0,
-        }
+        let (lo, hi) = self
+            .packets
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.ts_ns), hi.max(p.ts_ns)));
+        hi.saturating_sub(lo) as f64 / 1e9
     }
 
     /// Total wire bytes.

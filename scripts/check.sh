@@ -24,6 +24,14 @@ IGUARD_WORKERS=1 cargo test -q --offline --workspace
 echo "== cargo test -q --offline (IGUARD_WORKERS=8) =="
 IGUARD_WORKERS=8 cargo test -q --offline --workspace
 
+# perf/ is its own workspace, so the two gates above never reach it, yet
+# it compiles against the switch crate's public replay API.
+echo "== cargo fmt --check (perf/) =="
+cargo fmt --manifest-path perf/Cargo.toml -- --check
+
+echo "== cargo build --release --offline (perf/, warnings are errors) =="
+RUSTFLAGS="-D warnings" cargo build --release --offline --manifest-path perf/Cargo.toml
+
 echo "== benchmark package unit tests (perf/, its own workspace) =="
 # perf/ is not a member of the root workspace, so the two passes above
 # never reach its tests: metric arithmetic, every workload end to end at
