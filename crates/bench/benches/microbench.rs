@@ -8,8 +8,8 @@
 //! * `inference/*` — forest vote vs compiled-rule match vs TCAM lookup
 //!   (the data-plane story of §3.2.3).
 //! * `rulegen/*` — whitelist compilation (§3.2.3).
-//! * `pipeline/*` — per-packet cost of the Fig.-4 emulated pipeline, the
-//!   wire parser (App. B.1's latency side) and the blacklist probe under
+//! * `pipeline/*` — per-packet cost of the Fig.-4 emulated pipeline, a
+//!   budgeted sketched `process_batch`, the wire parser (App. B.1's latency side) and the blacklist probe under
 //!   std's SipHash vs the keyed flow hasher.
 //! * `features/*` — flow-state update + feature extraction (§3.3.1).
 
@@ -28,10 +28,12 @@ use iguard_flow::features::switch_fl_features;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::stats::FlowStats;
+use iguard_flow::table::FlowShard;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::pipeline::{Pipeline, PipelineConfig};
+use iguard_switch::sketched::{SketchEviction, SketchedPipeline, SketchedPipelineConfig};
 use iguard_switch::tcam::{compile_ruleset, quantize_key_into, FieldSpec};
 use iguard_synth::benign::benign_trace;
 
@@ -161,6 +163,26 @@ fn pipeline() {
                 p.apply(a);
             }
             out
+        });
+    }
+    {
+        // The sketched layout under budget pressure, batched as the
+        // streaming replay drives it: 2Q eviction, promote on the second
+        // packet, and 64 exact slots for the trace's 200 flows, so every
+        // batch mixes resident touches, sketch admission and evictions.
+        let cfg = SketchedPipelineConfig::default()
+            .with_budget_bytes(Some(64 * FlowShard::slot_bytes()))
+            .with_promote_threshold(2)
+            .with_eviction(SketchEviction::TwoQ);
+        let mut p = SketchedPipeline::new(cfg, accept_all(13), accept_all(4));
+        let batches: Vec<&[Packet]> = trace.packets.chunks(256).collect();
+        let (mut b, mut out, mut digests) = (0usize, Vec::new(), Vec::new());
+        bench("sketched_2q_process_batch_256", || {
+            p.process_batch(batches[b % batches.len()], &mut out);
+            b += 1;
+            digests.clear();
+            p.drain_seq_digests_into(&mut digests);
+            out.len()
         });
     }
     let pkt = trace.packets[0];

@@ -246,15 +246,18 @@ struct Slot {
 /// What [`FlowShard::admit_prehashed`] did to slot storage — the
 /// bookkeeping signal the memory-budgeted (sketched) data plane needs to
 /// keep an exact resident count and an exact eviction book without ever
-/// scanning the tables.
+/// scanning the tables. A claim names the slot's *position*: its index
+/// in table 1, or `slots_per_table + index` in table 2 — the one address
+/// [`FlowShard::evict_at`], [`FlowShard::clear`] and the eviction book
+/// share, the way the paper's register arrays share the bi-hash index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotClaim {
     /// Installed into a previously empty slot: one more resident flow.
-    Fresh,
+    Fresh(u32),
     /// Installed over a timed-out or already-classified foreign resident,
     /// whose key is returned: resident count unchanged, but the displaced
     /// key is no longer tracked.
-    Displaced(FiveTuple),
+    Displaced(FiveTuple, u32),
     /// Nothing installed (collision): resident set unchanged.
     Unclaimed,
 }
@@ -286,11 +289,12 @@ pub enum InsertOutcome {
     ReplacedClassified { pkt_count: u64 },
 }
 
-/// Deferred telemetry of [`FlowShard::observe_prehashed`]: per-event
-/// counts accumulated in plain fields and flushed to the global registry
-/// in one atomic add per event kind. A batched caller flushes once per
-/// chunk; [`FlowShard::observe_keyed`] flushes per call — either way the
-/// registry totals are identical to per-packet `counter!(..).inc()` calls.
+/// Deferred telemetry of [`FlowShard::observe_prehashed`] and
+/// [`FlowShard::evict_at`]: per-event counts accumulated in plain fields
+/// and flushed to the global registry in one atomic add per event kind.
+/// A batched caller flushes once per chunk; [`FlowShard::observe_keyed`]
+/// flushes per call — either way the registry totals are identical to
+/// per-packet `counter!(..).inc()` calls.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ObserveTallies {
     pub classified: u64,
@@ -301,6 +305,7 @@ pub struct ObserveTallies {
     pub install: u64,
     pub evict_classified: u64,
     pub collision: u64,
+    pub evict_budget: u64,
 }
 
 impl ObserveTallies {
@@ -320,8 +325,55 @@ impl ObserveTallies {
         flush_one(self.install, counter!("flow.table.install"));
         flush_one(self.evict_classified, counter!("flow.table.evict_classified"));
         flush_one(self.collision, counter!("flow.table.collision"));
+        flush_one(self.evict_budget, counter!("flow.table.evict_budget"));
         *self = Self::default();
     }
+}
+
+/// Advances a resident flow by one packet — the state machine behind
+/// [`FlowShard::observe_resident_prehashed`].
+#[inline]
+fn advance(
+    slot: &mut Slot,
+    cfg: &FlowTableConfig,
+    p: &Packet,
+    now_ns: u64,
+    tallies: &mut ObserveTallies,
+) -> InsertOutcome {
+    if let Some(label) = slot.label {
+        tallies.classified += 1;
+        return InsertOutcome::Classified { label };
+    }
+    // Timeout check before updating: an idle flow is classified on
+    // whatever state it accumulated.
+    if slot.stats.timed_out(now_ns, cfg.timeout_ns) {
+        let stats = slot.stats;
+        // Restart tracking from this packet. The reborn incarnation
+        // restarts its phase ladder too — phase progress must not leak
+        // across the idle gap.
+        slot.stats = FlowStats::from_first_packet(p);
+        slot.phase = 0;
+        tallies.ready_timeout += 1;
+        return InsertOutcome::Ready { stats, timed_out: true };
+    }
+    slot.stats.update(p);
+    if slot.stats.pkt_count >= cfg.pkt_threshold {
+        tallies.ready += 1;
+        return InsertOutcome::Ready { stats: slot.stats, timed_out: false };
+    }
+    // Intermediate phase boundary: surface the current state for an
+    // early look but keep tracking. `>=` (not `==`) catches up a ladder
+    // that skipped a boundary, though with one outcome per packet and
+    // strictly increasing boundaries that cannot happen from this walk
+    // alone.
+    let ph = slot.phase as usize;
+    if ph < cfg.phases.len() && slot.stats.pkt_count >= cfg.phases.boundaries()[ph] {
+        slot.phase += 1;
+        tallies.phase_ready += 1;
+        return InsertOutcome::PhaseReady { stats: slot.stats, phase: ph as u8 };
+    }
+    tallies.early += 1;
+    InsertOutcome::Early { pkt_count: slot.stats.pkt_count }
 }
 
 /// Double-hash-table flow storage: one self-contained partition.
@@ -331,8 +383,10 @@ impl ObserveTallies {
 /// state is shared between shards.
 pub struct FlowShard {
     cfg: FlowTableConfig,
-    table1: Vec<Option<Slot>>,
-    table2: Vec<Option<Slot>>,
+    /// Both hash tables as one register array: table 1 is
+    /// `slots[..slots_per_table]`, table 2 the rest, so an index here is
+    /// a slot's [`SlotClaim`] position.
+    slots: Vec<Option<Slot>>,
     /// `slots_per_table - 1` when the size is a power of two (the
     /// default): `h % size == h & mask`, and the AND avoids a 64-bit
     /// divide on the per-packet path. `None` falls back to `%`.
@@ -379,8 +433,7 @@ impl FlowShard {
             prev = b;
         }
         Self {
-            table1: vec![None; cfg.slots_per_table],
-            table2: vec![None; cfg.slots_per_table],
+            slots: vec![None; 2 * cfg.slots_per_table],
             pow2_mask: cfg
                 .slots_per_table
                 .is_power_of_two()
@@ -436,11 +489,11 @@ impl FlowShard {
     #[inline]
     fn note_claim(&mut self, claim: &SlotClaim) {
         match claim {
-            SlotClaim::Fresh => {
+            SlotClaim::Fresh(_) => {
                 self.resident += 1;
                 self.occupancy_hwm = self.occupancy_hwm.max(self.resident);
             }
-            SlotClaim::Displaced(_) => {
+            SlotClaim::Displaced(..) => {
                 self.evictions += 1;
                 self.win_evictions += 1;
             }
@@ -475,19 +528,28 @@ impl FlowShard {
         }
     }
 
-    fn idx1(&self, key: &FiveTuple) -> usize {
-        self.reduce(key.bi_hash(self.cfg.seed1))
-    }
-
-    fn idx2(&self, key: &FiveTuple) -> usize {
-        self.reduce(key.bi_hash(self.cfg.seed2))
-    }
-
     /// The candidate slot pair of `key` — a pure function of the config
     /// (seeds + table size), exposed so a caller hashes a packet's key
     /// once for the probe, the slot claim and the label write.
     pub fn slot_index_pair(&self, key: &FiveTuple) -> (u32, u32) {
-        (self.idx1(key) as u32, self.idx2(key) as u32)
+        (
+            self.reduce(key.bi_hash(self.cfg.seed1)) as u32,
+            self.reduce(key.bi_hash(self.cfg.seed2)) as u32,
+        )
+    }
+
+    /// The [`SlotClaim`] positions of a slot pair, table 1 first.
+    #[inline]
+    fn positions(&self, i1: u32, i2: u32) -> [usize; 2] {
+        [i1 as usize, self.cfg.slots_per_table + i2 as usize]
+    }
+
+    /// Position of the canonical `key`'s slot; hashes table 2 only on a miss.
+    fn locate(&self, key: &FiveTuple) -> Option<usize> {
+        let tables = [(self.cfg.seed1, 0), (self.cfg.seed2, self.cfg.slots_per_table)];
+        let mut positions =
+            tables.into_iter().map(|(seed, base)| base + self.reduce(key.bi_hash(seed)));
+        positions.find(|&pos| matches!(&self.slots[pos], Some(s) if s.key == *key))
     }
 
     /// Observes one packet, advancing flow state and reporting which
@@ -522,7 +584,7 @@ impl FlowShard {
         tallies: &mut ObserveTallies,
     ) -> InsertOutcome {
         match self.observe_resident_prehashed(key, i1, i2, p, now_ns, tallies) {
-            Some(out) => out,
+            Some((out, _)) => out,
             None => self.admit_prehashed(key, i1, i2, p, now_ns, tallies).0,
         }
     }
@@ -530,10 +592,13 @@ impl FlowShard {
     /// The resident half of the probe/install walk: if `key` is tracked
     /// in either table, advance its state (classified / early / ready /
     /// timeout-restart, exactly as [`FlowShard::observe_prehashed`]) and
-    /// return the outcome; if untracked, return `None` **without claiming
-    /// a slot**. The seam the sketch-assisted data plane interposes on:
-    /// untracked flows go to the admission sketch instead of straight to
-    /// [`FlowShard::admit_prehashed`].
+    /// return the outcome with the slot's [`SlotClaim`] position; if
+    /// untracked, return `None` **without claiming a slot**. The seam the
+    /// sketch-assisted data plane interposes on: untracked flows go to
+    /// the admission sketch instead of straight to
+    /// [`FlowShard::admit_prehashed`]. Inlined: out of line, unwrapping
+    /// the pair copied the outcome per packet (−6% `stream_exact` pps).
+    #[inline]
     pub fn observe_resident_prehashed(
         &mut self,
         key: FiveTuple,
@@ -542,59 +607,15 @@ impl FlowShard {
         p: &Packet,
         now_ns: u64,
         tallies: &mut ObserveTallies,
-    ) -> Option<InsertOutcome> {
+    ) -> Option<(InsertOutcome, u32)> {
         debug_assert_eq!(key, p.five.canonical());
         debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
         self.note_observe();
-        let (i1, i2) = (i1 as usize, i2 as usize);
-
         // Probe for the flow itself first (either table).
-        for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
-            if let Some(slot) = slot_opt {
+        for pos in self.positions(i1, i2) {
+            if let Some(slot) = &mut self.slots[pos] {
                 if slot.key == key {
-                    if let Some(label) = slot.label {
-                        tallies.classified += 1;
-                        return Some(InsertOutcome::Classified { label });
-                    }
-                    // Timeout check before updating: an idle flow is
-                    // classified on whatever state it accumulated.
-                    if slot.stats.timed_out(now_ns, self.cfg.timeout_ns) {
-                        let stats = slot.stats;
-                        // Restart tracking from this packet. The reborn
-                        // incarnation restarts its phase ladder too — phase
-                        // progress must not leak across the idle gap.
-                        slot.stats = FlowStats::from_first_packet(p);
-                        slot.phase = 0;
-                        tallies.ready_timeout += 1;
-                        return Some(InsertOutcome::Ready { stats, timed_out: true });
-                    }
-                    slot.stats.update(p);
-                    if slot.stats.pkt_count >= self.cfg.pkt_threshold {
-                        let stats = slot.stats;
-                        tallies.ready += 1;
-                        return Some(InsertOutcome::Ready { stats, timed_out: false });
-                    }
-                    // Intermediate phase boundary: surface the current
-                    // state for an early look but keep tracking. `>=`
-                    // (not `==`) catches up a ladder that skipped a
-                    // boundary, though with one outcome per packet and
-                    // strictly increasing boundaries that cannot happen
-                    // from this walk alone.
-                    let ph = slot.phase as usize;
-                    if ph < self.cfg.phases.len()
-                        && slot.stats.pkt_count >= self.cfg.phases.boundaries()[ph]
-                    {
-                        slot.phase += 1;
-                        tallies.phase_ready += 1;
-                        return Some(InsertOutcome::PhaseReady {
-                            stats: slot.stats,
-                            phase: ph as u8,
-                        });
-                    }
-                    tallies.early += 1;
-                    return Some(InsertOutcome::Early { pkt_count: slot.stats.pkt_count });
+                    return Some((advance(slot, &self.cfg, p, now_ns, tallies), pos as u32));
                 }
             }
         }
@@ -617,17 +638,16 @@ impl FlowShard {
     ) -> (InsertOutcome, SlotClaim) {
         debug_assert_eq!(key, p.five.canonical());
         debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
-        let (i1, i2) = (i1 as usize, i2 as usize);
+        let positions = self.positions(i1, i2);
 
         // Find a free slot (table 1 preferred), evicting timed-out
         // residents.
-        for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
+        for pos in positions {
+            let slot_opt = &mut self.slots[pos];
             let claim = match slot_opt {
-                None => Some(SlotClaim::Fresh),
+                None => Some(SlotClaim::Fresh(pos as u32)),
                 Some(s) if s.stats.timed_out(now_ns, self.cfg.timeout_ns) => {
-                    Some(SlotClaim::Displaced(s.key))
+                    Some(SlotClaim::Displaced(s.key, pos as u32))
                 }
                 Some(_) => None,
             };
@@ -653,9 +673,8 @@ impl FlowShard {
         // Both occupied by live foreign flows — the orange path. A
         // *classified* resident can be evicted (its verdict lives on in the
         // blacklist/whitelist outcome); an unclassified one cannot.
-        for (table_id, idx) in [(1usize, i1), (2usize, i2)] {
-            let slot_opt =
-                if table_id == 1 { &mut self.table1[idx] } else { &mut self.table2[idx] };
+        for pos in positions {
+            let slot_opt = &mut self.slots[pos];
             if let Some(s) = slot_opt {
                 if s.label.is_some() {
                     let displaced = s.key;
@@ -665,7 +684,7 @@ impl FlowShard {
                         label: None,
                         phase: 0,
                     });
-                    let claim = SlotClaim::Displaced(displaced);
+                    let claim = SlotClaim::Displaced(displaced, pos as u32);
                     self.note_claim(&claim);
                     tallies.evict_classified += 1;
                     tallies.install += 1;
@@ -679,30 +698,25 @@ impl FlowShard {
         (InsertOutcome::Collision, SlotClaim::Unclaimed)
     }
 
-    /// Releases a flow's slot under memory pressure (the budgeted data
-    /// plane's policy eviction). Identical storage effect to
-    /// [`FlowShard::clear`], but counted as an eviction, not a
-    /// controller-driven clear. Returns false if the flow was not
-    /// resident (e.g. a stale eviction-book entry).
-    pub fn evict(&mut self, key: &FiveTuple) -> bool {
-        let key = key.canonical();
-        let i1 = self.idx1(&key);
-        if matches!(&self.table1[i1], Some(s) if s.key == key) {
-            self.table1[i1] = None;
-            self.resident -= 1;
-            self.evictions += 1;
-            counter!("flow.table.evict_budget").inc();
-            return true;
+    /// Releases the slot at `pos` — a position a [`SlotClaim`] or
+    /// [`FlowShard::observe_resident_prehashed`] reported — under memory
+    /// pressure (the budgeted data plane's policy eviction). No key is
+    /// re-hashed. Identical storage effect to [`FlowShard::clear`], but
+    /// counted as an eviction, not a controller-driven clear. Returns
+    /// false if the slot was already empty (a stale eviction-book entry).
+    pub fn evict_at(&mut self, pos: u32, tallies: &mut ObserveTallies) -> bool {
+        if self.slots[pos as usize].take().is_none() {
+            return false;
         }
-        let i2 = self.idx2(&key);
-        if matches!(&self.table2[i2], Some(s) if s.key == key) {
-            self.table2[i2] = None;
-            self.resident -= 1;
-            self.evictions += 1;
-            counter!("flow.table.evict_budget").inc();
-            return true;
-        }
-        false
+        self.resident -= 1;
+        self.evictions += 1;
+        tallies.evict_budget += 1;
+        true
+    }
+
+    /// The flow resident at slot position `pos`, if any.
+    pub fn key_at(&self, pos: u32) -> Option<FiveTuple> {
+        self.slots.get(pos as usize)?.as_ref().map(|s| s.key)
     }
 
     /// Resident bytes one tracked flow costs: one slot (key + stats +
@@ -727,8 +741,8 @@ impl FlowShard {
     pub fn set_label_prehashed(&mut self, key: FiveTuple, i1: u32, i2: u32, label: bool) -> bool {
         debug_assert_eq!(key, key.canonical());
         debug_assert_eq!((i1, i2), self.slot_index_pair(&key));
-        let slots = [&mut self.table1[i1 as usize], &mut self.table2[i2 as usize]];
-        for slot in slots.into_iter().flatten() {
+        let (table1, table2) = self.slots.split_at_mut(self.cfg.slots_per_table);
+        for slot in [&mut table1[i1 as usize], &mut table2[i2 as usize]].into_iter().flatten() {
             if slot.key == key {
                 slot.label = Some(label);
                 return true;
@@ -739,39 +753,19 @@ impl FlowShard {
 
     /// Reads the label of a tracked flow, if any.
     pub fn label_of(&self, key: &FiveTuple) -> Option<Option<bool>> {
-        let key = key.canonical();
-        if let Some(slot) = &self.table1[self.idx1(&key)] {
-            if slot.key == key {
-                return Some(slot.label);
-            }
-        }
-        if let Some(slot) = &self.table2[self.idx2(&key)] {
-            if slot.key == key {
-                return Some(slot.label);
-            }
-        }
-        None
+        let pos = self.locate(&key.canonical())?;
+        self.slots[pos].as_ref().map(|s| s.label)
     }
 
     /// Releases the storage of a flow (controller cleanup on digest).
-    /// Returns true if the flow was resident.
-    pub fn clear(&mut self, key: &FiveTuple) -> bool {
-        let key = key.canonical();
-        let i1 = self.idx1(&key);
-        if matches!(&self.table1[i1], Some(s) if s.key == key) {
-            self.table1[i1] = None;
-            self.resident -= 1;
-            counter!("flow.table.clear").inc();
-            return true;
-        }
-        let i2 = self.idx2(&key);
-        if matches!(&self.table2[i2], Some(s) if s.key == key) {
-            self.table2[i2] = None;
-            self.resident -= 1;
-            counter!("flow.table.clear").inc();
-            return true;
-        }
-        false
+    /// Returns the freed slot's [`SlotClaim`] position if the flow was
+    /// resident.
+    pub fn clear(&mut self, key: &FiveTuple) -> Option<u32> {
+        let pos = self.locate(&key.canonical())?;
+        self.slots[pos] = None;
+        self.resident -= 1;
+        counter!("flow.table.clear").inc();
+        Some(pos as u32)
     }
 
     /// Appends every resident flow that already carries a label, in slot
@@ -779,7 +773,7 @@ impl FlowShard {
     /// control-plane resync path uses to re-derive lost digests after a
     /// channel outage.
     pub fn labeled_flows_into(&self, out: &mut Vec<(FiveTuple, bool)>) {
-        for slot in self.table1.iter().chain(&self.table2).flatten() {
+        for slot in self.slots.iter().flatten() {
             if let Some(label) = slot.label {
                 out.push((slot.key, label));
             }
@@ -792,7 +786,7 @@ impl FlowShard {
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.resident,
-            self.table1.iter().chain(&self.table2).filter(|s| s.is_some()).count(),
+            self.slots.iter().filter(|s| s.is_some()).count(),
             "resident counter drifted from slot scan"
         );
         self.resident
@@ -855,7 +849,7 @@ impl FlowTable {
     }
 
     /// See [`FlowShard::clear`].
-    pub fn clear(&mut self, key: &FiveTuple) -> bool {
+    pub fn clear(&mut self, key: &FiveTuple) -> Option<u32> {
         self.shard.clear(key)
     }
 
@@ -1073,7 +1067,7 @@ mod tests {
             vec![(pkt(1, 0).five.canonical(), true), (pkt(3, 0).five.canonical(), false)]
         );
         // Clearing removes the flow from the resync view.
-        assert!(t.clear(&pkt(1, 0).five));
+        assert!(t.clear(&pkt(1, 0).five).is_some());
         labeled.clear();
         t.labeled_flows_into(&mut labeled);
         assert_eq!(labeled, vec![(pkt(3, 0).five.canonical(), false)]);
@@ -1084,9 +1078,54 @@ mod tests {
         let mut t = FlowTable::new(cfg());
         let _ = t.observe(&pkt(1, 0), 0);
         assert_eq!(t.occupancy(), 1);
-        assert!(t.clear(&pkt(1, 0).five));
+        assert!(t.clear(&pkt(1, 0).five).is_some());
         assert_eq!(t.occupancy(), 0);
-        assert!(!t.clear(&pkt(1, 0).five));
+        assert!(t.clear(&pkt(1, 0).five).is_none());
+    }
+
+    /// Claims a slot for flow `f` at `ts_ms` through the untracked seam.
+    fn admit(t: &mut FlowShard, f: u16, ts_ms: u64, tallies: &mut ObserveTallies) -> SlotClaim {
+        let p = pkt(f, ts_ms);
+        let key = p.five.canonical();
+        let (i1, i2) = t.slot_index_pair(&key);
+        t.admit_prehashed(key, i1, i2, &p, p.ts_ns, tallies).1
+    }
+
+    #[test]
+    fn evict_at_and_clear_free_the_claimed_position() {
+        // One slot per table: position 0 is table 1, position 1 table 2.
+        let small = FlowTableConfig { slots_per_table: 1, pkt_threshold: 100, ..cfg() };
+        let mut t = FlowShard::new(small);
+        let mut tl = ObserveTallies::default();
+        let key = |f: u16| pkt(f, 0).five.canonical();
+        assert_eq!(admit(&mut t, 1, 0, &mut tl), SlotClaim::Fresh(0));
+        assert_eq!(admit(&mut t, 2, 0, &mut tl), SlotClaim::Fresh(1));
+        assert_eq!((t.key_at(0), t.key_at(1)), (Some(key(1)), Some(key(2))));
+
+        // A resident hit reports the position its claim named.
+        let p = pkt(2, 1);
+        let (i1, i2) = t.slot_index_pair(&key(2));
+        let hit = t.observe_resident_prehashed(key(2), i1, i2, &p, p.ts_ns, &mut tl);
+        assert_eq!(hit.map(|(_, pos)| pos), Some(1));
+
+        assert_eq!(t.clear(&key(2)), Some(1));
+        assert_eq!((t.key_at(1), t.occupancy()), (None, 1));
+        assert_eq!(admit(&mut t, 2, 0, &mut tl), SlotClaim::Fresh(1));
+
+        assert!(t.evict_at(0, &mut tl));
+        assert_eq!((t.key_at(0), t.key_at(1), t.occupancy()), (None, Some(key(2)), 1));
+        assert!(!t.evict_at(0, &mut tl), "an empty slot is not evicted twice");
+        assert_eq!(tl.evict_budget, 1);
+
+        // Idle-timeout displacement names the stale resident and its slot.
+        assert_eq!(admit(&mut t, 3, 5000, &mut tl), SlotClaim::Fresh(0));
+        assert_eq!(admit(&mut t, 4, 5000, &mut tl), SlotClaim::Displaced(key(2), 1));
+        // Classified-resident displacement: both live, flow 3 labelled.
+        assert!(t.set_label(&key(3), false));
+        assert_eq!(admit(&mut t, 5, 5000, &mut tl), SlotClaim::Displaced(key(3), 0));
+        assert_eq!(t.clear(&key(5)), Some(0));
+        assert!(t.evict_at(1, &mut tl));
+        assert_eq!(t.occupancy(), 0);
     }
 
     #[test]

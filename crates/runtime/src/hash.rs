@@ -1,7 +1,7 @@
 //! A keyed hasher for the exact-match sets keyed by flow identity.
 //!
-//! The switch probes its blacklist, its controller maps, the sketch
-//! eviction book and the mitigation log on every packet or digest, with
+//! The switch probes its blacklist, its controller maps and the
+//! mitigation log on every packet or digest, with
 //! small fixed-layout keys: a 5-tuple or a `u64` sequence tag. A probe of
 //! a 4,096-entry 5-tuple set costs about 31 ns under std's default
 //! SipHash-1-3 and 7 ns under a multiply-mix hash (the `pipeline` group of

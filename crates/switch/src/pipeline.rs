@@ -435,9 +435,9 @@ impl ShardState {
     ) -> Option<InsertOutcome> {
         let Self { flow, sketch, overload, .. } = self;
         match flow.observe_resident_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies) {
-            Some(out) => {
+            Some((out, pos)) => {
                 if let Some(sk) = sketch {
-                    sk.touch(&key);
+                    sk.touch(pos);
                 }
                 Some(out)
             }
@@ -459,10 +459,8 @@ impl ShardState {
                 self.blacklist.remove(&five.canonical());
             }
             ControlAction::ClearFlow(five) => {
-                if self.flow.clear(&five) {
-                    if let Some(sk) = &mut self.sketch {
-                        sk.forget(&five.canonical());
-                    }
+                if let (Some(pos), Some(sk)) = (self.flow.clear(&five), &mut self.sketch) {
+                    sk.forget(pos);
                 }
             }
         }
@@ -473,13 +471,13 @@ impl ShardState {
     /// deltas, steps the hysteretic degraded-mode machine — enter
     /// immediately at `degrade_enter_milli`, exit only after
     /// `degrade_calm_batches` consecutive batches at or below
-    /// `degrade_exit_milli` — and records the sketch occupancy gauges.
-    /// Called exactly once per non-empty batch per logical shard by both
-    /// walks, so mode transitions are invariant under worker count and
-    /// shard grouping.
+    /// `degrade_exit_milli` — and closes the sketch stage's batch (counter
+    /// flush, occupancy gauges). Called exactly once per non-empty batch
+    /// per logical shard by both walks, so mode transitions are invariant
+    /// under worker count and shard grouping.
     pub(crate) fn end_batch(&mut self, cfg: &OverloadConfig) {
-        if let Some(sk) = &self.sketch {
-            sk.record_batch();
+        if let Some(sk) = &mut self.sketch {
+            sk.end_batch();
         }
         let ps = self.flow.pressure_stats();
         histogram!("switch.flow_table.pressure").record(ps.pressure_milli as u64);
@@ -1004,6 +1002,9 @@ impl MatchEngine {
             let slots = s.flow.slot_index_pair(&key);
             let seen = s.observe(key, slots.0, slots.1, pkt, &mut scratch.tallies);
             scratch.tallies.flush();
+            if let Some(sk) = &mut s.sketch {
+                sk.flush_counters();
+            }
             let (mut o, pending) = self.dispatch(s, scratch, seen, pkt, key, slots, seq);
             if pending {
                 let MatchScratch { words, wl, .. } = scratch;
@@ -1261,7 +1262,8 @@ impl Pipeline {
         for l in 0..logical {
             groups[l % phys].shards.push(ShardState::new(shard_cfg));
         }
-        groups[0].shards[0].sketch = sketch.map(|s| Box::new(SketchStage::new(s)));
+        let first = &mut groups[0].shards[0];
+        first.sketch = sketch.map(|s| Box::new(SketchStage::new(s, first.flow.capacity())));
         Self {
             engine: MatchEngine::new(&cfg, fl_rules, pl_rules),
             groups,

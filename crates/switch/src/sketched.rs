@@ -32,9 +32,11 @@
 //! Promoted flows claim exact slots, subject to a **resident-byte
 //! budget**: `budget_bytes / slot_bytes` flows at most. At the cap, a
 //! pluggable policy ([`SketchEviction`]: FIFO / LRU / random / 2Q) picks
-//! a victim, whose slot is released (`switch.sketch.evicted`). CMS counts
-//! survive eviction, so an evicted-but-active flow re-promotes on its
-//! next packet.
+//! a victim, whose slot is released (`switch.sketch.evicted`). The
+//! policy's book is a register array at the flow table's slot positions,
+//! like the paper's per-flow registers: no key is hashed to keep it. CMS
+//! counts survive eviction, so an evicted-but-active flow re-promotes on
+//! its next packet.
 //!
 //! With `promote_threshold ≤ 1` **and** no budget, the admission stage is
 //! inert and the layout is packet-for-packet identical to the serial one
@@ -42,13 +44,14 @@
 //! `scale_parity` suite, which also pins budgeted runs to golden
 //! fingerprints.
 
+use std::num::NonZeroU64;
+
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::sketch::{BloomFilter, CountMinSketch};
 use iguard_flow::table::{FlowShard, InsertOutcome, ObserveTallies, SlotClaim};
-use iguard_runtime::hash::FlowMap;
 use iguard_runtime::rng::Rng;
-use iguard_telemetry::{counter, histogram};
+use iguard_telemetry::{counter, histogram, Counter};
 
 use crate::data_plane::SketchStats;
 use crate::pipeline::{OverloadState, Pipeline, PipelineConfig};
@@ -90,7 +93,7 @@ pub struct SketchedPipelineConfig {
     pub bloom_hashes: usize,
     /// Sketch window: CMS + Bloom are cleared after this many untracked
     /// observations, so stale counts cannot promote dead flows forever.
-    pub window_packets: u64,
+    pub window_packets: NonZeroU64,
     /// Seed of the sketch hash families and the random-eviction RNG.
     pub seed: u64,
 }
@@ -106,7 +109,7 @@ impl Default for SketchedPipelineConfig {
             cms_depth: 4,
             bloom_bits: 1 << 16,
             bloom_hashes: 2,
-            window_packets: 1 << 20,
+            window_packets: const { NonZeroU64::new(1 << 20).unwrap() },
             seed: 0xC0FF_EE00,
         }
     }
@@ -127,162 +130,150 @@ iguard_runtime::builder_setters! { SketchedPipelineConfig =>
 
 const NIL: u32 = u32::MAX;
 
-/// Intrusive doubly-linked-list node of the queue-based policies.
+/// One eviction-book entry, stored at its flow's slot position: the
+/// intrusive doubly-linked-list links of the queue-based policies.
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    key: FiveTuple,
     prev: u32,
     next: u32,
     /// Which list the node is on: 0 = probation/main queue, 1 = 2Q's
     /// protected Am queue.
     list: u8,
+    /// Whether the position holds a tracked flow.
+    live: bool,
 }
 
-/// The set of tracked flows plus the policy's victim ordering. `len()` is
-/// exactly the number of exact-table residents — kept in lockstep via the
-/// [`SlotClaim`] channel — so budget checks are O(1) and never scan the
-/// tables.
+/// The set of tracked flows plus the policy's victim ordering, addressed
+/// by flow-table slot position (see [`SlotClaim`]) — a register array
+/// beside the table's, not an associative map, so a resident touch or a
+/// victim's release never hashes a key. `len` is exactly the number of
+/// exact-table residents — kept in lockstep via the [`SlotClaim`]
+/// channel — so budget checks are O(1) and never scan the tables.
 struct EvictionBook {
     policy: SketchEviction,
-    /// Point lookups only — never iterated, so the randomly keyed hasher
-    /// cannot leak nondeterminism into victim choice.
-    map: FlowMap<FiveTuple, u32>,
-    slab: Vec<Node>,
-    free: Vec<u32>,
+    nodes: Vec<Node>,
+    len: usize,
     /// Queue heads/tails, indexed by list id (list 1 used by 2Q only).
     head: [u32; 2],
     tail: [u32; 2],
-    /// Dense key vector of the Random policy (swap-remove victimhood).
-    dense: Vec<FiveTuple>,
+    /// Random policy: the live positions (swap-remove victimhood), and
+    /// each position's index in `dense`.
+    dense: Vec<u32>,
+    dense_at: Vec<u32>,
     rng: Rng,
 }
 
 impl EvictionBook {
-    fn new(policy: SketchEviction, seed: u64) -> Self {
+    fn new(policy: SketchEviction, seed: u64, positions: usize) -> Self {
         Self {
             policy,
-            map: FlowMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            nodes: vec![Node { prev: NIL, next: NIL, list: 0, live: false }; positions],
+            len: 0,
             head: [NIL; 2],
             tail: [NIL; 2],
             dense: Vec::new(),
+            dense_at: vec![NIL; if policy == SketchEviction::Random { positions } else { 0 }],
             rng: Rng::seed_from_u64(seed),
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     fn unlink(&mut self, i: u32) {
-        let Node { prev, next, list, .. } = self.slab[i as usize];
+        let Node { prev, next, list, .. } = self.nodes[i as usize];
         match prev {
             NIL => self.head[list as usize] = next,
-            p => self.slab[p as usize].next = next,
+            p => self.nodes[p as usize].next = next,
         }
         match next {
             NIL => self.tail[list as usize] = prev,
-            n => self.slab[n as usize].prev = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
     }
 
     fn push_tail(&mut self, i: u32, list: u8) {
         let t = self.tail[list as usize];
-        self.slab[i as usize].prev = t;
-        self.slab[i as usize].next = NIL;
-        self.slab[i as usize].list = list;
+        let node = &mut self.nodes[i as usize];
+        (node.prev, node.next, node.list) = (t, NIL, list);
         match t {
             NIL => self.head[list as usize] = i,
-            t => self.slab[t as usize].next = i,
+            t => self.nodes[t as usize].next = i,
         }
         self.tail[list as usize] = i;
     }
 
-    /// Records a freshly admitted flow.
-    fn insert(&mut self, key: FiveTuple) {
+    /// Records a freshly admitted flow at `pos`.
+    fn insert(&mut self, pos: u32) {
+        debug_assert!(!self.nodes[pos as usize].live, "slot {pos} admitted twice");
+        self.nodes[pos as usize].live = true;
+        self.len += 1;
         if self.policy == SketchEviction::Random {
-            self.map.insert(key, self.dense.len() as u32);
-            self.dense.push(key);
+            self.dense_at[pos as usize] = self.dense.len() as u32;
+            self.dense.push(pos);
+        } else {
+            self.push_tail(pos, 0);
+        }
+    }
+
+    /// The tracked flow at `pos` was seen again (resident hit).
+    fn touch(&mut self, pos: u32) {
+        // 2Q: any re-access lands the flow at the protected queue's LRU
+        // tail.
+        let list = match self.policy {
+            SketchEviction::Fifo | SketchEviction::Random => return,
+            SketchEviction::Lru => 0,
+            SketchEviction::TwoQ => 1,
+        };
+        if self.nodes[pos as usize].live {
+            self.unlink(pos);
+            self.push_tail(pos, list);
+        }
+    }
+
+    /// Forgets the flow at `pos` (controller clear, budget victim, or
+    /// displacement by the table's own timeout/classified-evict reclaim).
+    fn remove(&mut self, pos: u32) {
+        let node = &mut self.nodes[pos as usize];
+        if !node.live {
             return;
         }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize].key = key;
-                i
-            }
-            None => {
-                self.slab.push(Node { key, prev: NIL, next: NIL, list: 0 });
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.map.insert(key, i);
-        self.push_tail(i, 0);
-    }
-
-    /// A tracked flow was seen again (resident hit).
-    fn touch(&mut self, key: &FiveTuple) {
-        match self.policy {
-            SketchEviction::Fifo | SketchEviction::Random => {}
-            SketchEviction::Lru => {
-                if let Some(&i) = self.map.get(key) {
-                    self.unlink(i);
-                    self.push_tail(i, 0);
-                }
-            }
-            SketchEviction::TwoQ => {
-                // Any re-access lands the flow at the protected queue's
-                // LRU tail.
-                if let Some(&i) = self.map.get(key) {
-                    self.unlink(i);
-                    self.push_tail(i, 1);
-                }
-            }
-        }
-    }
-
-    /// Forgets a flow (controller clear, or displacement by the table's
-    /// own timeout/classified-evict reclaim). Returns false if unknown.
-    fn remove(&mut self, key: &FiveTuple) -> bool {
-        let Some(i) = self.map.remove(key) else { return false };
+        node.live = false;
+        self.len -= 1;
         if self.policy == SketchEviction::Random {
-            let i = i as usize;
+            let i = self.dense_at[pos as usize] as usize;
             self.dense.swap_remove(i);
-            if i < self.dense.len() {
-                self.map.insert(self.dense[i], i as u32);
+            if let Some(&moved) = self.dense.get(i) {
+                self.dense_at[moved as usize] = i as u32;
             }
-            return true;
+        } else {
+            self.unlink(pos);
         }
-        self.unlink(i);
-        self.free.push(i);
-        true
     }
 
-    /// Picks and removes the policy's victim.
-    fn pop_victim(&mut self) -> Option<FiveTuple> {
-        if self.policy == SketchEviction::Random {
+    /// Picks and removes the policy's victim, returning its position.
+    fn pop_victim(&mut self) -> Option<u32> {
+        let pos = if self.policy == SketchEviction::Random {
             if self.dense.is_empty() {
                 return None;
             }
-            let i = self.rng.gen_range(0..self.dense.len());
-            let key = self.dense[i];
-            self.remove(&key);
-            return Some(key);
-        }
-        // 2Q prefers the probation queue; FIFO/LRU only have list 0.
-        let i = match self.head[0] {
-            NIL => self.head[1],
-            i => i,
+            self.dense[self.rng.gen_range(0..self.dense.len())]
+        } else {
+            // 2Q prefers the probation queue; FIFO/LRU only have list 0.
+            match self.head {
+                [NIL, NIL] => return None,
+                [NIL, i] | [i, _] => i,
+            }
         };
-        if i == NIL {
-            return None;
-        }
-        let key = self.slab[i as usize].key;
-        self.map.remove(&key);
-        self.unlink(i);
-        self.free.push(i);
-        Some(key)
+        self.remove(pos);
+        Some(pos)
     }
+}
+
+/// Sketch event totals, read live by [`SketchStats`] and added to the
+/// registry once per batch by [`SketchStage::flush_counters`].
+#[derive(Clone, Copy, Debug, Default)]
+struct SketchCounts {
+    promoted: u64,
+    absorbed: u64,
+    evicted: u64,
 }
 
 /// The sketch admission stage of the sketched layout — see the module
@@ -297,39 +288,40 @@ pub(crate) struct SketchStage {
     book: EvictionBook,
     max_tracked: usize,
     window_left: u64,
-    promoted: u64,
-    absorbed: u64,
-    evicted: u64,
+    counts: SketchCounts,
+    /// The share of `counts` already added to the registry.
+    flushed: SketchCounts,
 }
 
 impl SketchStage {
-    pub(crate) fn new(cfg: SketchedPipelineConfig) -> Self {
-        assert!(cfg.window_packets >= 1, "sketch window must be at least one packet");
+    /// A stage in front of a flow table of `positions` slots (both hash
+    /// tables), which sizes the eviction book.
+    pub(crate) fn new(cfg: SketchedPipelineConfig, positions: usize) -> Self {
         Self {
             cms: CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed),
             bloom: BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9),
-            book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1)),
+            book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1), positions),
             max_tracked: cfg
                 .budget_bytes
                 .map(|b| (b / FlowShard::slot_bytes()).max(1))
                 .unwrap_or(usize::MAX),
-            window_left: cfg.window_packets,
-            promoted: 0,
-            absorbed: 0,
-            evicted: 0,
+            window_left: cfg.window_packets.get(),
+            counts: SketchCounts::default(),
+            flushed: SketchCounts::default(),
             cfg,
         }
     }
 
-    /// A tracked flow was seen again (resident hit).
+    /// The tracked flow at slot position `pos` was seen again (resident
+    /// hit).
     #[inline]
-    pub(crate) fn touch(&mut self, key: &FiveTuple) {
-        self.book.touch(key);
+    pub(crate) fn touch(&mut self, pos: u32) {
+        self.book.touch(pos);
     }
 
-    /// The controller released a tracked flow's slot.
-    pub(crate) fn forget(&mut self, key: &FiveTuple) {
-        self.book.remove(key);
+    /// The controller released the tracked flow at slot position `pos`.
+    pub(crate) fn forget(&mut self, pos: u32) {
+        self.book.remove(pos);
     }
 
     /// Sketch admission of an untracked flow: the Bloom/CMS estimate
@@ -352,32 +344,44 @@ impl SketchStage {
     ) -> Option<InsertOutcome> {
         if self.cfg.promote_threshold > 1 {
             if !self.sketch_admit(&key, flow.pressure_milli(), overload) {
-                self.absorbed += 1;
-                counter!("switch.sketch.absorbed").inc();
+                self.counts.absorbed += 1;
                 return None;
             }
-            self.promoted += 1;
-            counter!("switch.sketch.promoted").inc();
+            self.counts.promoted += 1;
         }
         // Budget: make room *before* claiming, so the tracked set never
         // exceeds the cap even transiently.
-        while self.book.len() >= self.max_tracked {
+        while self.book.len >= self.max_tracked {
             let Some(victim) = self.book.pop_victim() else { break };
-            let released = flow.evict(&victim);
+            let released = flow.evict_at(victim, tallies);
             debug_assert!(released, "eviction book out of sync with table");
-            self.evicted += 1;
-            counter!("switch.sketch.evicted").inc();
+            self.counts.evicted += 1;
         }
         let (out, claim) = flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies);
         match claim {
-            SlotClaim::Fresh => self.book.insert(key),
-            SlotClaim::Displaced(old) => {
-                self.book.remove(&old);
-                self.book.insert(key);
+            SlotClaim::Fresh(pos) => self.book.insert(pos),
+            SlotClaim::Displaced(_, pos) => {
+                self.book.remove(pos);
+                self.book.insert(pos);
             }
             SlotClaim::Unclaimed => {}
         }
         Some(out)
+    }
+
+    /// Adds the sketch events counted since the last flush to the
+    /// registry — one atomic add per event kind, identical totals to
+    /// per-event increments.
+    pub(crate) fn flush_counters(&mut self) {
+        let (now, then) = (self.counts, std::mem::replace(&mut self.flushed, self.counts));
+        let add = |n: u64, c: &'static Counter| {
+            if n > 0 {
+                c.add(n);
+            }
+        };
+        add(now.promoted - then.promoted, counter!("switch.sketch.promoted"));
+        add(now.absorbed - then.absorbed, counter!("switch.sketch.absorbed"));
+        add(now.evicted - then.evicted, counter!("switch.sketch.evicted"));
     }
 
     /// One sketch observation of an untracked flow: returns true when the
@@ -390,7 +394,7 @@ impl SketchStage {
         if self.window_left == 0 {
             self.cms.clear();
             self.bloom.clear();
-            self.window_left = self.cfg.window_packets;
+            self.window_left = self.cfg.window_packets.get();
             counter!("switch.sketch.window_reset").inc();
         }
         self.window_left -= 1;
@@ -416,9 +420,11 @@ impl SketchStage {
         est >= eff
     }
 
-    /// Per-batch occupancy gauges.
-    pub(crate) fn record_batch(&self) {
-        let tracked = self.book.len();
+    /// Batch end: flushes the event counters and records the occupancy
+    /// gauges.
+    pub(crate) fn end_batch(&mut self) {
+        self.flush_counters();
+        let tracked = self.book.len;
         histogram!("switch.sketch.occupancy").record(tracked as u64);
         if tracked > 0 {
             let bytes = tracked * FlowShard::slot_bytes() + self.cms.bytes() + self.bloom.bytes();
@@ -428,14 +434,14 @@ impl SketchStage {
 
     pub(crate) fn stats(&self) -> SketchStats {
         SketchStats {
-            tracked: self.book.len(),
+            tracked: self.book.len,
             max_tracked: self.max_tracked,
-            resident_bytes: self.book.len() * FlowShard::slot_bytes(),
+            resident_bytes: self.book.len * FlowShard::slot_bytes(),
             budget_bytes: self.cfg.budget_bytes,
             sketch_bytes: self.cms.bytes() + self.bloom.bytes(),
-            promoted: self.promoted,
-            absorbed: self.absorbed,
-            evicted: self.evicted,
+            promoted: self.counts.promoted,
+            absorbed: self.counts.absorbed,
+            evicted: self.counts.evicted,
         }
     }
 }
@@ -449,9 +455,10 @@ mod tests {
     use super::*;
     use crate::data_plane::DataPlane;
     use crate::pipeline::testutil::accept_all;
-    use crate::pipeline::PathTaken;
+    use crate::pipeline::{ControlAction, PathTaken};
     use iguard_flow::five_tuple::PROTO_UDP;
     use iguard_flow::packet::TcpFlags;
+    use iguard_flow::table::FlowTableConfig;
 
     fn pkt(flow: u16, ts_ms: u64) -> Packet {
         Packet {
@@ -566,11 +573,85 @@ mod tests {
             for f in 0..200u16 {
                 dp.process_batch(&[pkt(f, f as u64)], &mut out);
             }
-            let mut keys: Vec<FiveTuple> = dp.shard(0).sketch.as_ref().unwrap().book.dense.clone();
-            keys.sort_unstable();
-            keys
+            let mut positions = dp.shard(0).sketch.as_ref().unwrap().book.dense.clone();
+            positions.sort_unstable();
+            positions
         };
         assert_eq!(run(1), run(1), "same seed must evict the same victims");
         assert_ne!(run(1), run(2), "different seeds should diverge");
+    }
+
+    /// The eviction book agrees with the flow table slot for slot, and
+    /// the policy's own index (lists or dense vector) covers exactly the
+    /// live positions.
+    fn assert_lockstep(dp: &SketchedPipeline) {
+        let flow = &dp.shard(0).flow;
+        let book = &dp.shard(0).sketch.as_ref().unwrap().book;
+        assert_eq!(book.len, flow.occupancy());
+        for pos in 0..flow.capacity() as u32 {
+            let live = book.nodes[pos as usize].live;
+            assert_eq!(live, flow.key_at(pos).is_some(), "slot {pos} out of lockstep");
+        }
+        let indexed = if book.policy == SketchEviction::Random {
+            for (i, &pos) in book.dense.iter().enumerate() {
+                assert_eq!(book.dense_at[pos as usize], i as u32);
+            }
+            book.dense.len()
+        } else {
+            let mut n = 0;
+            for head in book.head {
+                let mut i = head;
+                while i != NIL {
+                    assert!(book.nodes[i as usize].live, "dead slot {i} on a queue");
+                    n += 1;
+                    i = book.nodes[i as usize].next;
+                }
+            }
+            n
+        };
+        assert_eq!(indexed, book.len);
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// After every batch the book's live positions are the table's
+        /// occupied slots — for every policy, at random budgets, promote
+        /// bars and batch sizes, with controller clears, idle-timeout
+        /// displacement and classified-resident displacement interleaved
+        /// (a small table, a short packet threshold and a 20 ms timeout
+        /// make all three frequent).
+        fn book_stays_in_lockstep_with_the_table(rng) {
+            let policies = [
+                SketchEviction::Fifo,
+                SketchEviction::Lru,
+                SketchEviction::Random,
+                SketchEviction::TwoQ,
+            ];
+            let flow_table = FlowTableConfig::default()
+                .with_slots_per_table(rng.gen_range(2..16))
+                .with_pkt_threshold(rng.gen_range(2..5))
+                .with_timeout_ns(20_000_000);
+            let cfg = SketchedPipelineConfig::default()
+                .with_pipeline(PipelineConfig::default().with_flow_table(flow_table))
+                .with_budget_bytes(Some(rng.gen_range(1..24) * FlowShard::slot_bytes()))
+                .with_promote_threshold(rng.gen_range(1..4))
+                .with_eviction(policies[rng.gen_range(0..4)])
+                .with_seed(rng.next_u64());
+            let mut dp = SketchedPipeline::new(cfg, accept_all(13), accept_all(4));
+            let (mut out, mut digests, mut ts_ms) = (Vec::new(), Vec::new(), 0);
+            for _ in 0..40 {
+                let batch: Vec<Packet> = (0..rng.gen_range(1..17))
+                    .map(|_| {
+                        ts_ms += rng.gen_range(0..8);
+                        pkt(rng.gen_range(0..48), ts_ms)
+                    })
+                    .collect();
+                dp.process_batch(&batch, &mut out);
+                dp.drain_seq_digests_into(&mut digests);
+                if rng.gen_bool(0.3) {
+                    dp.apply(ControlAction::ClearFlow(pkt(rng.gen_range(0..48), 0).five));
+                }
+                assert_lockstep(&dp);
+            }
+        }
     }
 }
