@@ -8,6 +8,11 @@
 //! * **τ_split** — sweep the skew stopping threshold: the paper credits it
 //!   for the smaller rule table (Table 1's TCAM column).
 //! * **k** — sweep the augmentation count used in training/distillation.
+//!
+//! Every arm of every ablation fits one deterministic teacher and draws
+//! its forest from the same training stream ([`ARM_STREAM`]), so arms
+//! differ only in the configuration under study: the guided row, the
+//! τ = 1e-2 row and the k = 64 row are the same model.
 
 use iguard_runtime::rng::Rng;
 
@@ -34,6 +39,9 @@ pub struct AblationPoint {
 }
 
 const BUDGET: usize = 600_000;
+
+/// Seed salt of the training stream every ablation arm draws from.
+const ARM_STREAM: u64 = 0xAB1;
 
 fn teacher_for(s: &Scenario, seed: u64) -> Magnifier {
     let mut rng = Rng::seed_from_u64(seed ^ 0x7E57);
@@ -66,11 +74,11 @@ fn eval_forest(s: &Scenario, forest: &mut IGuardForest) -> (DetectionSummary, Op
 /// quantile midpoint — an uninformed splitter.
 pub fn guidance(attack: Attack, seed: u64) -> Vec<AblationPoint> {
     let s = data::build(attack, &ScenarioConfig::testbed(seed));
+    let teacher = DetectorTeacher(teacher_for(&s, seed));
     let mut out = Vec::new();
     for (label, k, candidates) in
         [("guided (k=64, 8 candidates)", 64usize, 8usize), ("unguided (k=0, 1 candidate)", 0, 1)]
     {
-        let teacher = DetectorTeacher(teacher_for(&s, seed));
         let cfg = IGuardConfig {
             n_trees: 7,
             subsample: 64,
@@ -78,7 +86,7 @@ pub fn guidance(attack: Attack, seed: u64) -> Vec<AblationPoint> {
             n_candidates: candidates,
             ..Default::default()
         };
-        let mut rng = Rng::seed_from_u64(seed ^ 0xAB1);
+        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
         let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
         forest.distill(&s.train.features, &teacher, 64, &mut rng);
         let leaves = forest.total_leaves();
@@ -86,9 +94,8 @@ pub fn guidance(attack: Attack, seed: u64) -> Vec<AblationPoint> {
         out.push(AblationPoint { label: label.into(), summary, rules, total_leaves: leaves });
     }
     // Reference: the raw teacher and the conventional iForest.
-    let teacher = teacher_for(&s, seed);
-    let t_scores = teacher.scores(&s.test.features);
-    let t_pred: Vec<bool> = t_scores.iter().map(|&v| v > teacher.threshold()).collect();
+    let t_scores = teacher.0.scores(&s.test.features);
+    let t_pred: Vec<bool> = t_scores.iter().map(|&v| v > teacher.0.threshold()).collect();
     out.push(AblationPoint {
         label: "teacher (Magnifier)".into(),
         summary: DetectionSummary::compute(&s.test.labels, &t_pred, &t_scores),
@@ -118,9 +125,9 @@ pub fn guidance(attack: Attack, seed: u64) -> Vec<AblationPoint> {
 /// §4.2.2 for the smaller rule table.
 pub fn tau_split(attack: Attack, seed: u64) -> Vec<AblationPoint> {
     let s = data::build(attack, &ScenarioConfig::testbed(seed));
+    let teacher = DetectorTeacher(teacher_for(&s, seed));
     let mut out = Vec::new();
     for tau in [0.0f64, 1e-3, 1e-2, 1e-1] {
-        let teacher = DetectorTeacher(teacher_for(&s, seed));
         let cfg = IGuardConfig {
             n_trees: 7,
             subsample: 64,
@@ -128,7 +135,7 @@ pub fn tau_split(attack: Attack, seed: u64) -> Vec<AblationPoint> {
             tau_split: tau,
             ..Default::default()
         };
-        let mut rng = Rng::seed_from_u64(seed ^ 0xAB3);
+        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
         let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
         forest.distill(&s.train.features, &teacher, 64, &mut rng);
         let leaves = forest.total_leaves();
@@ -146,11 +153,11 @@ pub fn tau_split(attack: Attack, seed: u64) -> Vec<AblationPoint> {
 /// k sweep: augmentation budget during training and distillation.
 pub fn k_augment(attack: Attack, seed: u64) -> Vec<AblationPoint> {
     let s = data::build(attack, &ScenarioConfig::testbed(seed));
+    let teacher = DetectorTeacher(teacher_for(&s, seed));
     let mut out = Vec::new();
     for k in [0usize, 16, 64, 256] {
-        let teacher = DetectorTeacher(teacher_for(&s, seed));
         let cfg = IGuardConfig { n_trees: 7, subsample: 64, k_augment: k, ..Default::default() };
-        let mut rng = Rng::seed_from_u64(seed ^ 0xAB4);
+        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
         let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
         forest.distill(&s.train.features, &teacher, k, &mut rng);
         let leaves = forest.total_leaves();
@@ -162,11 +169,19 @@ pub fn k_augment(attack: Attack, seed: u64) -> Vec<AblationPoint> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// The τ sweep, computed once for both tests.
+    fn tau_points() -> &'static [AblationPoint] {
+        static POINTS: OnceLock<Vec<AblationPoint>> = OnceLock::new();
+        POINTS.get_or_init(|| tau_split(Attack::UdpDdos, 3))
+    }
 
     #[test]
     fn tau_split_controls_model_size() {
-        let points = tau_split(Attack::UdpDdos, 3);
+        let points = tau_points();
         assert_eq!(points.len(), 4);
         // A permissive τ (0.1) must not grow more leaves than a strict τ (0):
         // stopping earlier ⇒ fewer leaves.
@@ -183,5 +198,14 @@ mod tests {
         let points = guidance(Attack::UdpDdos, 3);
         assert_eq!(points.len(), 4);
         assert!(points.iter().all(|p| (0.0..=1.0).contains(&p.summary.macro_f1)));
+        // The guided arm's configuration is the τ = 1e-2 default, and both
+        // draw from one training stream: they must be the same model.
+        let (guided, tau) = (&points[0], &tau_points()[2]);
+        assert_eq!(tau.label, "tau_split = 1e-2");
+        assert_eq!(
+            (guided.rules, guided.total_leaves, guided.summary),
+            (tau.rules, tau.total_leaves, tau.summary),
+            "the guided arm and the τ = 1e-2 arm trained different models"
+        );
     }
 }

@@ -68,7 +68,6 @@ pub struct DriftDetector {
     mal_in_window: usize,
     /// Malicious fraction frozen at arm time (and re-frozen at each fire).
     reference: Option<f64>,
-    observed: u64,
     cooldown_left: u64,
     fired: u64,
 }
@@ -83,7 +82,6 @@ impl DriftDetector {
             cfg,
             mal_in_window: 0,
             reference: None,
-            observed: 0,
             cooldown_left: 0,
             fired: 0,
         }
@@ -92,7 +90,6 @@ impl DriftDetector {
     /// Feeds one digest label; returns `true` when this observation fires
     /// the drift trigger (at most once per cooldown period).
     pub fn observe(&mut self, malicious: bool) -> bool {
-        self.observed += 1;
         counter!("core.drift.observed").inc();
         if self.ring.len() == self.cfg.window {
             if self.ring.pop_front().expect("non-empty ring") {
@@ -141,11 +138,6 @@ impl DriftDetector {
     /// The frozen reference fraction, once armed.
     pub fn reference(&self) -> Option<f64> {
         self.reference
-    }
-
-    /// Total digests observed.
-    pub fn observed(&self) -> u64 {
-        self.observed
     }
 
     /// Drift triggers fired so far.

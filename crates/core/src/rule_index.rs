@@ -195,11 +195,6 @@ impl IntervalIndex {
         self.n_rules
     }
 
-    /// Total cut points across dimensions (a size measure for reporting).
-    pub fn total_cuts(&self) -> usize {
-        self.dims.iter().map(|d| d.cuts.len()).sum()
-    }
-
     /// First-match lookup: `key(d)` supplies the cut-space key for
     /// dimension `d`. Returns the lowest bit position whose rule covers
     /// the key in every dimension. `scratch` is the caller-owned AND
@@ -510,10 +505,6 @@ impl RuleIndex {
 
     pub fn n_rules(&self) -> usize {
         self.inner.n_rules()
-    }
-
-    pub fn total_cuts(&self) -> usize {
-        self.inner.total_cuts()
     }
 }
 

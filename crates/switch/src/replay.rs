@@ -196,14 +196,6 @@ pub struct MitigationRecord {
     pub deciding_phase: u8,
 }
 
-impl MitigationRecord {
-    /// Time to mitigation in replay ticks (0 = installed within the same
-    /// batch's control phase).
-    pub fn ticks_to_mitigation(&self) -> u64 {
-        self.installed_tick - self.first_seen_tick
-    }
-}
-
 /// In-flight exposure accounting of one not-yet-mitigated flow.
 #[derive(Clone, Copy, Debug)]
 struct PendingMitigation {
@@ -289,31 +281,6 @@ impl MitigationLog {
         let mut v: Vec<u64> = self.records.iter().map(|r| r.packets_before_install).collect();
         v.sort_unstable();
         v
-    }
-
-    /// Sorted per-flow time to mitigation in replay ticks.
-    pub fn ttm_ticks_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.records.iter().map(|r| r.ticks_to_mitigation()).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Per-deciding-phase exposure CDF samples: `(phase, sorted packet
-    /// exposures)` in ascending phase order, with
-    /// [`crate::pipeline::FINAL_PHASE`] (single-shot verdicts) last.
-    pub fn ttm_packets_by_phase(&self) -> Vec<(u8, Vec<u64>)> {
-        let mut by_phase: std::collections::BTreeMap<u8, Vec<u64>> =
-            std::collections::BTreeMap::new();
-        for r in &self.records {
-            by_phase.entry(r.deciding_phase).or_default().push(r.packets_before_install);
-        }
-        by_phase
-            .into_iter()
-            .map(|(p, mut v)| {
-                v.sort_unstable();
-                (p, v)
-            })
-            .collect()
     }
 }
 

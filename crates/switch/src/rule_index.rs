@@ -98,10 +98,6 @@ impl RangeIndex {
     pub fn n_rules(&self) -> usize {
         self.inner.n_rules()
     }
-
-    pub fn total_cuts(&self) -> usize {
-        self.inner.total_cuts()
-    }
 }
 
 #[cfg(test)]

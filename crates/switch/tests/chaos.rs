@@ -24,75 +24,20 @@
 
 mod support;
 
-use iguard_core::rules::{Hypercube, RuleSet};
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
-use iguard_flow::packet::{Packet, TcpFlags};
-use iguard_flow::table::FlowTableConfig;
+use iguard_core::rules::RuleSet;
+use iguard_flow::five_tuple::FiveTuple;
 use iguard_runtime::par::with_workers;
-use iguard_runtime::rng::Rng;
 use iguard_runtime::{ChannelKind, FaultPlan};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
-use iguard_switch::pipeline::PipelineConfig;
 use iguard_switch::replay::{
     replay, replay_chaos_traced, ChaosConfig, CrashRecovery, ReplayConfig, ReplayReport,
 };
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
-use iguard_synth::attacks::Attack;
-use iguard_synth::benign::benign_trace;
 use iguard_synth::trace::Trace;
-use support::{accept_all, fl_mean_size_below};
-
-/// FL whitelist benign iff std of IPD (feature 10) above a floor — the
-/// mixed-trace rule used by the determinism grid.
-fn fl_ipd_jitter_above(floor: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let hi = vec![f32::INFINITY; 13];
-    lo[10] = floor;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
-
-/// A mixed benign + flood + scan trace of at least 10k packets.
-fn mixed_trace() -> Trace {
-    let mut rng = Rng::seed_from_u64(42);
-    let benign = benign_trace(300, 8.0, &mut rng);
-    let flood = Attack::UdpDdos.trace(60, 8.0, &mut rng);
-    let scan = Attack::OsScan.trace(40, 8.0, &mut rng);
-    let trace = Trace::merge(vec![benign, flood, scan]);
-    assert!(trace.packets.len() >= 10_000, "trace too small: {}", trace.packets.len());
-    trace
-}
-
-/// Interleaved trace of `flows` flows × `pkts_per_flow` packets with
-/// per-flow-constant wire length: flows with `f % 3 == 0` send 1400 B
-/// (malicious under the mean-size rule), the rest 120 B.
-fn stable_trace(flows: u16, pkts_per_flow: u64) -> Trace {
-    let mut t = Trace::new();
-    for i in 0..(flows as u64 * pkts_per_flow) {
-        let f = (i % flows as u64) as u16;
-        let malicious = f % 3 == 0;
-        let len = if malicious { 1400 } else { 120 };
-        let pkt = Packet {
-            ts_ns: i * 1_000_000,
-            five: FiveTuple::new(0x0A000001, 0xC0A80101, 30_000 + f, 80, PROTO_TCP),
-            wire_len: len,
-            ttl: 64,
-            flags: TcpFlags::default(),
-        };
-        t.push(pkt, malicious);
-    }
-    t
-}
-
-fn flow_cfg(slots: usize) -> PipelineConfig {
-    PipelineConfig::default().with_flow_table(
-        FlowTableConfig::default().with_slots_per_table(slots).with_pkt_threshold(4),
-    )
-}
+use support::{
+    accept_all, fl_ipd_jitter_above, fl_mean_size_below, flow_cfg, mixed_trace, stable_trace,
+};
 
 /// Everything a chaos run makes observable, for exact equality.
 #[derive(Debug, PartialEq)]

@@ -9,8 +9,8 @@ mod support;
 
 use std::collections::HashMap;
 
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
-use iguard_flow::packet::{Packet, TcpFlags};
+use iguard_flow::five_tuple::FiveTuple;
+use iguard_flow::packet::Packet;
 use iguard_flow::table::PhaseSchedule;
 use iguard_flow::table::{FlowShard, FlowTableConfig, InsertOutcome};
 use iguard_runtime::par::with_workers;
@@ -25,23 +25,7 @@ use iguard_switch::DataPlane;
 use iguard_synth::benign::benign_trace;
 use iguard_synth::scenarios::Scenario;
 use iguard_synth::trace::Trace;
-use support::{accept_all, fl_mean_size_below};
-
-fn pkt(flow: u32, ts_ns: u64, len: u16) -> Packet {
-    Packet {
-        ts_ns,
-        five: FiveTuple::new(
-            0x0A00_0000 | (flow >> 6),
-            0xC0A8_0101,
-            30_000 + (flow & 63) as u16,
-            80,
-            if flow & 1 == 0 { PROTO_TCP } else { PROTO_UDP },
-        ),
-        wire_len: len,
-        ttl: 64,
-        flags: TcpFlags::default(),
-    }
-}
+use support::{accept_all, fl_mean_size_below, pkt};
 
 // ---------------------------------------------------------------------
 // Idle-timeout boundary: the raw flow-table rebirth contract.

@@ -28,50 +28,20 @@
 mod support;
 
 use iguard_core::rules::RuleSet;
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
-use iguard_flow::packet::{Packet, TcpFlags};
-use iguard_flow::table::FlowTableConfig;
+use iguard_flow::five_tuple::FiveTuple;
 use iguard_runtime::par::with_workers;
 use iguard_runtime::proptest_lite;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::{ChannelKind, FaultPlan};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
-use iguard_switch::pipeline::{PacketVerdict, Pipeline, PipelineConfig, ProcessOutcome};
+use iguard_switch::pipeline::{PacketVerdict, Pipeline, ProcessOutcome};
 use iguard_switch::replay::{replay_chaos_traced, ChaosConfig, ReplayConfig};
 use iguard_switch::ruleset::{canonical_entries, RulesetDiff, RulesetTxn};
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
 use iguard_switch::tcam::{RangeEntry, RangeTable};
 use iguard_synth::trace::Trace;
-use support::{accept_all, fl_mean_size_below};
-
-/// Interleaved trace of `flows` flows × `pkts_per_flow` packets with
-/// per-flow-constant wire length (flows with `f % 3 == 0` send 1400 B,
-/// the rest 120 B), so each flow classifies identically on every
-/// (re-)derivation.
-fn stable_trace(flows: u16, pkts_per_flow: u64) -> Trace {
-    let mut t = Trace::new();
-    for i in 0..(flows as u64 * pkts_per_flow) {
-        let f = (i % flows as u64) as u16;
-        let malicious = f % 3 == 0;
-        let len = if malicious { 1400 } else { 120 };
-        let pkt = Packet {
-            ts_ns: i * 1_000_000,
-            five: FiveTuple::new(0x0A000001, 0xC0A80101, 30_000 + f, 80, PROTO_TCP),
-            wire_len: len,
-            ttl: 64,
-            flags: TcpFlags::default(),
-        };
-        t.push(pkt, malicious);
-    }
-    t
-}
-
-fn flow_cfg(slots: usize) -> PipelineConfig {
-    PipelineConfig::default().with_flow_table(
-        FlowTableConfig::default().with_slots_per_table(slots).with_pkt_threshold(4),
-    )
-}
+use support::{accept_all, fl_mean_size_below, flow_cfg, stable_trace};
 
 fn rand_entry(rng: &mut Rng, fields: usize, bits: u8) -> RangeEntry {
     let max = (1u32 << bits) - 1;
@@ -341,6 +311,7 @@ fn scripted_swap_converges_exactly_through_action_outage() {
     let faulty = run_swap_chaos(&trace, fl.clone(), 4, 2, &swap_chaos(plan, &fl));
     assert!(faulty.retries > 0, "outage must force ruleset retries");
     assert_eq!(faulty.version, 2, "both transactions must land after the heal");
+    assert_eq!(faulty.swaps, 2, "each transaction must swap exactly once");
     assert_eq!(faulty.counters.stale, 0, "the queue must deliver v1 before offering v2");
     assert_eq!(faulty.blacklist, clean.blacklist);
     assert_eq!(faulty.table, clean.table);

@@ -295,6 +295,7 @@ fn finite_budget_is_one_sided_lossy() {
             "budget({slots}) blacklist must be a subset of the exact blacklist"
         );
         assert_eq!(lossy.fp, exact.fp, "budget({slots}) invented false positives");
+        assert_eq!(lossy.packets, exact.packets, "budget({slots}) lost packets");
         assert_eq!(
             lossy.tp + lossy.fn_,
             exact.tp + exact.fn_,

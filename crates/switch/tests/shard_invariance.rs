@@ -8,51 +8,16 @@
 
 mod support;
 
-use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_flow::five_tuple::FiveTuple;
-use iguard_flow::table::FlowTableConfig;
 use iguard_runtime::par::with_workers;
 use iguard_runtime::rng::Rng;
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
-use iguard_switch::pipeline::{Digest, Pipeline, PipelineConfig, ProcessOutcome};
+use iguard_switch::pipeline::{Digest, Pipeline, ProcessOutcome};
 use iguard_switch::replay::{replay, ReplayConfig};
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
-use iguard_synth::attacks::Attack;
-use iguard_synth::benign::benign_trace;
 use iguard_synth::trace::Trace;
-use support::accept_all;
-
-/// FL whitelist benign iff the std of inter-packet delay (feature 10) is
-/// above a floor — separates machine-regular flood tooling from benign
-/// jitter, so the trace exercises both digest labels.
-fn fl_ipd_jitter_above(floor: f32) -> RuleSet {
-    let mut lo = vec![f32::NEG_INFINITY; 13];
-    let hi = vec![f32::INFINITY; 13];
-    lo[10] = floor;
-    RuleSet {
-        bounds: vec![(0.0, 2000.0); 13],
-        whitelist: vec![Hypercube { lo, hi }],
-        total_regions: 2,
-    }
-}
-
-/// A mixed benign + flood + scan trace of at least 10k packets.
-fn mixed_trace() -> Trace {
-    let mut rng = Rng::seed_from_u64(42);
-    let benign = benign_trace(300, 8.0, &mut rng);
-    let flood = Attack::UdpDdos.trace(60, 8.0, &mut rng);
-    let scan = Attack::OsScan.trace(40, 8.0, &mut rng);
-    let trace = Trace::merge(vec![benign, flood, scan]);
-    assert!(trace.packets.len() >= 10_000, "trace too small: {}", trace.packets.len());
-    trace
-}
-
-fn flow_cfg(slots: usize) -> PipelineConfig {
-    PipelineConfig::default().with_flow_table(
-        FlowTableConfig::default().with_slots_per_table(slots).with_pkt_threshold(4),
-    )
-}
+use support::{accept_all, fl_ipd_jitter_above, flow_cfg, mixed_trace};
 
 /// Everything replay makes observable, for exact equality comparison.
 #[derive(Debug, PartialEq)]

@@ -12,7 +12,7 @@
 
 mod support;
 
-use iguard_flow::features::SWITCH_FL_DIM;
+use iguard_flow::features::{log_compress_vec, SWITCH_FL_DIM};
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::table::FlowTableConfig;
@@ -231,6 +231,21 @@ proptest_lite! {
         let mut scalar = ScalarPipeline::new(cfg, fl.clone(), pl.clone());
         scalar.classify_batch(&data, &mut want);
         let want_wl = scalar.whitelist_counters();
+        // The scalar walk probes the compiled index; it must agree with
+        // the linear first-match scan over the same (compressed) row.
+        let mut row = Vec::new();
+        let linear: Vec<bool> = data
+            .iter_rows()
+            .map(|r| {
+                row.clear();
+                row.extend_from_slice(r);
+                if cfg.log_compress {
+                    log_compress_vec(&mut row);
+                }
+                fl.lookup(&row).is_none()
+            })
+            .collect();
+        assert_eq!(want, linear, "indexed verdicts != linear scan at n={n}");
 
         let mut got = Vec::new();
         let mut soa = Pipeline::new(cfg, fl.clone(), pl.clone());

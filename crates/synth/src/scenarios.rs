@@ -75,16 +75,6 @@ impl Scenario {
         }
     }
 
-    /// One-line description for reports.
-    pub fn description(&self) -> &'static str {
-        match self {
-            Scenario::StateExhaustion => "flow-churn state-exhaustion flood (short SYN probes)",
-            Scenario::PulseWave => "pulse-wave DDoS straddling the flow-table idle timeout",
-            Scenario::Slowloris => "slowloris: long-held connections, slow small packets, no FIN",
-            Scenario::C2Beacon => "low-rate C2 beaconing below threshold, spaced past the timeout",
-        }
-    }
-
     /// Generates this scenario's malicious trace: `intensity` flows (the
     /// pulse wave splits them between its persistent bot set and its
     /// per-pulse churn) over roughly `window_secs`. Seeded and fully

@@ -35,8 +35,8 @@
 //!
 //! After construction, the streaming path performs **no allocation**: lane
 //! state is fixed-size, packets are generated incrementally (no per-flow
-//! `Vec`), and `fill_next` writes into caller-owned buffers. The bench
-//! smoke asserts this with a counting allocator.
+//! `Vec`), and `fill_next` writes into caller-owned buffers. The switch
+//! suite `alloc_free_stream` asserts this with a counting allocator.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

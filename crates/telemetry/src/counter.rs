@@ -32,9 +32,8 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the counter (bench-reporter runs start from a clean slate).
-    /// After a reset, monotonicity checks against pre-reset snapshots are
-    /// void — take a fresh baseline.
+    /// Zeroes the counter. After a reset, monotonicity checks against
+    /// pre-reset snapshots are void — take a fresh baseline.
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }

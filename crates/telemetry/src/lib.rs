@@ -22,9 +22,10 @@
 //! internal invariants (histogram bucket sums equal their counts, span
 //! min ≤ mean ≤ max, bucket boundaries cover the recorded range) and
 //! [`Snapshot::verify_monotonic_since`] checks that counters never move
-//! backwards between two snapshots of the same process. The bench reporter
-//! runs both before writing `BENCH_PR2.json`, so a broken counter shows up
-//! as a failed run, not a silently wrong baseline.
+//! backwards between two snapshots of the same process. The switch suite
+//! `crates/switch/tests/telemetry_snapshot.rs` runs both over snapshots
+//! taken after every instrumented switch path, so a broken counter fails
+//! `cargo test`.
 //!
 //! ## Determinism
 //!
@@ -81,7 +82,7 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Overrides the gate in-process (tests, the bench reporter). Global, not
+/// Overrides the gate in-process (tests, benches). Global, not
 /// scoped: callers comparing enabled/disabled runs should be serial.
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);

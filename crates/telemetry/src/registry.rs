@@ -128,8 +128,7 @@ pub fn snapshot() -> Option<Snapshot> {
     Some(snapshot_unchecked())
 }
 
-/// Snapshots regardless of the gate (the reporter uses it to embed the
-/// "disabled" state explicitly; normal callers want [`snapshot`]).
+/// Snapshots regardless of the gate (normal callers want [`snapshot`]).
 pub fn snapshot_unchecked() -> Snapshot {
     let reg = registry();
     let counters =
@@ -159,20 +158,6 @@ pub fn snapshot_unchecked() -> Snapshot {
         })
         .collect();
     Snapshot { counters, histograms, spans }
-}
-
-/// Zeroes every registered metric (bench runs start from a clean slate).
-pub fn reset() {
-    let reg = registry();
-    for c in reg.counters.lock().unwrap().values() {
-        c.reset();
-    }
-    for h in reg.histograms.lock().unwrap().values() {
-        h.reset();
-    }
-    for s in reg.spans.lock().unwrap().values() {
-        s.reset();
-    }
 }
 
 impl Snapshot {
@@ -225,9 +210,9 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serialises the snapshot as a pretty-printed JSON object at nesting
-    /// depth `indent` (0 for a standalone document).
-    pub fn to_json_at(&self, indent: usize) -> String {
+    /// Serialises the snapshot as a pretty-printed standalone JSON
+    /// document.
+    pub fn to_json(&self) -> String {
         let mut counters = json::Object::new();
         for (name, &v) in &self.counters {
             counters.u64(name, v);
@@ -240,7 +225,7 @@ impl Snapshot {
                 .opt_u64("min", h.min)
                 .opt_u64("max", h.max)
                 .raw("buckets", json::u64_array(&h.buckets));
-            histograms.raw(name, o.render(indent + 2));
+            histograms.raw(name, o.render(2));
         }
         let mut spans = json::Object::new();
         for (name, s) in &self.spans {
@@ -253,18 +238,13 @@ impl Snapshot {
                 Some(m) => o.f64("mean_ns", m),
                 None => o.raw("mean_ns", "null"),
             };
-            spans.raw(name, o.render(indent + 2));
+            spans.raw(name, o.render(2));
         }
         let mut root = json::Object::new();
-        root.raw("counters", counters.render(indent + 1))
-            .raw("histograms", histograms.render(indent + 1))
-            .raw("spans", spans.render(indent + 1));
-        root.render(indent)
-    }
-
-    /// Standalone JSON document.
-    pub fn to_json(&self) -> String {
-        self.to_json_at(0)
+        root.raw("counters", counters.render(1))
+            .raw("histograms", histograms.render(1))
+            .raw("spans", spans.render(1));
+        root.render(0)
     }
 }
 
