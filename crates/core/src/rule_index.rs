@@ -113,19 +113,28 @@ impl IndexBuilder {
                 self.rules.iter().flatten().flat_map(|r| [r[d].0, r[d].1]).collect();
             cuts.sort_unstable();
             cuts.dedup();
+            // Each rule toggles its bit on at its first covered interval
+            // and off one past its last; a prefix XOR down the rows then
+            // turns the marks into per-interval coverage bitmaps —
+            // O(rules + intervals × words) instead of one write per
+            // covered interval per rule.
             let mut rows = vec![0u64; (cuts.len() + 1) * words];
             for (bit, rule) in self.rules.iter().enumerate() {
                 let Some(rule) = rule else { continue };
                 let (lo, hi) = rule[d];
                 // `lo` and `hi` are both cuts: the rule covers the
                 // elementary intervals strictly after `lo`'s row up to and
-                // including `hi`'s row.
+                // including `hi`'s row — and `hi`'s row is never the last,
+                // so the off mark always lands inside `rows`.
                 let first = cuts.partition_point(|&c| c <= lo);
                 let last = cuts.partition_point(|&c| c < hi);
-                debug_assert!(first <= last);
-                for iv in first..=last {
-                    rows[iv * words + bit / 64] |= 1u64 << (bit % 64);
-                }
+                debug_assert!(first <= last && last < cuts.len());
+                let mask = 1u64 << (bit % 64);
+                rows[first * words + bit / 64] ^= mask;
+                rows[(last + 1) * words + bit / 64] ^= mask;
+            }
+            for i in words..rows.len() {
+                rows[i] ^= rows[i - words];
             }
             let cuts32 = if cuts.iter().all(|&c| c <= u32::MAX as u64) {
                 cuts.iter().map(|&c| c as u32).collect()
@@ -575,6 +584,65 @@ mod tests {
             assert_eq!(idx.lookup_with(&mut s, |_| r * 10 + 5), Some(r as u32));
         }
         assert_eq!(idx.lookup_with(&mut s, |_| 1300), None);
+    }
+
+    /// The per-bit construction the toggle-and-sweep build replaced:
+    /// one bit write per covered interval per rule. Returns each
+    /// dimension's `(cuts, rows)`.
+    fn per_bit_reference(b: &IndexBuilder) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let words = b.rules.len().div_ceil(64);
+        (0..b.n_dims)
+            .map(|d| {
+                let mut cuts: Vec<u64> =
+                    b.rules.iter().flatten().flat_map(|r| [r[d].0, r[d].1]).collect();
+                cuts.sort_unstable();
+                cuts.dedup();
+                let mut rows = vec![0u64; (cuts.len() + 1) * words];
+                for (bit, rule) in b.rules.iter().enumerate() {
+                    let Some(rule) = rule else { continue };
+                    let (lo, hi) = rule[d];
+                    let first = cuts.partition_point(|&c| c <= lo);
+                    let last = cuts.partition_point(|&c| c < hi);
+                    for iv in first..=last {
+                        rows[iv * words + bit / 64] |= 1u64 << (bit % 64);
+                    }
+                }
+                (cuts, rows)
+            })
+            .collect()
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// The toggle-and-sweep build compiles exactly the per-bit
+        /// reference's cuts and rows, across word boundaries (0, 1, 63,
+        /// 64, 65 and 130 rules) and with empty (`lo >= hi`) rules mixed in.
+        fn finish_matches_per_bit_reference(rng, cases = 48) {
+            for n_rules in [0usize, 1, 63, 64, 65, 130] {
+                let dims = rng.gen_range(1usize..4);
+                let mut b = IndexBuilder::new(dims);
+                for _ in 0..n_rules {
+                    let bounds: Vec<(u64, u64)> = (0..dims)
+                        .map(|_| {
+                            let lo = rng.gen_range(0u64..40);
+                            if rng.gen_bool(0.05) {
+                                (lo, lo - rng.gen_range(0..=lo.min(3)))
+                            } else {
+                                (lo, lo + rng.gen_range(1u64..30))
+                            }
+                        })
+                        .collect();
+                    b.push_rule(&bounds);
+                }
+                let want = per_bit_reference(&b);
+                let idx = b.finish();
+                assert_eq!(idx.n_rules, n_rules);
+                assert_eq!(idx.dims.len(), dims);
+                for (d, (dim, (cuts, rows))) in idx.dims.iter().zip(&want).enumerate() {
+                    assert_eq!(&dim.cuts, cuts, "{n_rules} rules, dim {d}: cuts");
+                    assert_eq!(&dim.rows, rows, "{n_rules} rules, dim {d}: rows");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //! parity-pinned byte for byte (verdicts, digests, counters) by the
 //! `soa_parity` suite on every layout.
 
+use std::sync::Arc;
+
 use iguard_core::error::SwitchError;
 use iguard_core::rule_index::{BatchScratch, RuleIndex};
 use iguard_core::rules::RuleSet;
@@ -57,7 +59,6 @@ use iguard_runtime::Dataset;
 use iguard_telemetry::{counter, histogram, span};
 
 use crate::data_plane::{DataPlane, OverloadStats, SketchStats};
-use crate::rule_index::RangeIndex;
 use crate::ruleset::{apply_delta, RulesetCounters, RulesetTxn};
 use crate::sharded::{logical_shard_of, ShardedPipelineConfig, LOGICAL_SHARDS};
 use crate::sketched::{SketchStage, SketchedPipelineConfig};
@@ -610,17 +611,22 @@ impl OverloadState {
 /// A whitelist with its compiled first-match index. All verdicts go
 /// through the index; debug builds cross-check every lookup against the
 /// linear scan, and the exhaustive parity suite pins the equivalence in
-/// release.
-#[derive(Clone)]
+/// release. Built once per generation and shared by [`Arc`] between the
+/// [`RulesetTxn`] that carries it and every epoch that installs it.
+#[derive(Debug)]
 pub(crate) struct IndexedWhitelist {
     rules: RuleSet,
     index: RuleIndex,
 }
 
 impl IndexedWhitelist {
-    fn new(rules: RuleSet) -> Self {
+    pub(crate) fn new(rules: RuleSet) -> Self {
         let index = rules.build_index();
         Self { rules, index }
+    }
+
+    pub(crate) fn rules(&self) -> &RuleSet {
+        &self.rules
     }
 
     /// Malicious iff no whitelist rule matches — identical to
@@ -674,22 +680,23 @@ impl IndexedWhitelist {
 }
 
 /// One complete, self-consistent generation of the installed FL
-/// whitelist: the float rules the hot path matches on, and the compiled
-/// TCAM image (entry table + first-match [`RangeIndex`]) the same
-/// generation was installed from. Both halves swap together, so the
-/// emulated float match and the modelled TCAM contents can never skew.
+/// whitelist: the float rules the hot path matches on, and the TCAM
+/// entry table the same generation was installed from. Both halves swap
+/// together, so the emulated float match and the modelled TCAM contents
+/// can never skew. Every piece is shared by [`Arc`], so staging a
+/// successor reuses whatever it does not replace.
+#[derive(Clone)]
 struct WhitelistEpoch {
-    /// Float-side whitelist with its compiled index.
-    fl: IndexedWhitelist,
+    /// Float-side whitelist with its compiled index, compiled once by
+    /// the [`RulesetTxn`] that installed it.
+    fl: Arc<IndexedWhitelist>,
     /// The installed TCAM image, canonical `(priority, fields)` order.
-    table: RangeTable,
-    /// Compiled first-match index of `table`.
-    index: RangeIndex,
+    table: Arc<RangeTable>,
     /// Per-phase whitelists, index-aligned with the flow table's
     /// [`iguard_flow::table::PhaseSchedule`] boundaries. Empty = phase
     /// evaluation disabled (every boundary look escalates). Part of the
     /// epoch so a swap flips all phases and the final ruleset together.
-    phases: Vec<IndexedWhitelist>,
+    phases: Arc<[IndexedWhitelist]>,
 }
 
 /// The per-packet match-action logic, factored out of [`Pipeline`] so
@@ -702,9 +709,10 @@ struct WhitelistEpoch {
 /// ## Hitless ruleset swap
 ///
 /// The FL whitelist is **double-buffered**: `epochs[active]` serves every
-/// lookup while [`MatchEngine::apply_ruleset`] builds the successor
-/// generation completely in the other slot — table, compiled index, and
-/// float rules — and only then flips `active`. The flip is a plain word
+/// lookup while [`MatchEngine::apply_ruleset`] stages the successor
+/// generation completely in the other slot — the table after one merge
+/// walk of the delta, and the float rules the transaction compiled, shared
+/// by [`Arc`] — and only then flips `active`. The flip is a plain word
 /// write under `&mut self`, which the [`DataPlane`] contract confines to
 /// the gap between batches: every packet is classified by exactly one
 /// complete ruleset and zero packets observe a partial table. (On real
@@ -730,17 +738,13 @@ impl MatchEngine {
     pub(crate) fn new(cfg: &PipelineConfig, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
         assert_eq!(fl_rules.bounds.len(), 13, "FL rules must cover the 13 switch features");
         assert_eq!(pl_rules.bounds.len(), 4, "PL rules must cover the 4 packet features");
-        let epoch = || {
-            let table = RangeTable::default();
-            WhitelistEpoch {
-                fl: IndexedWhitelist::new(fl_rules.clone()),
-                index: RangeIndex::build(&table),
-                table,
-                phases: Vec::new(),
-            }
+        let epoch = WhitelistEpoch {
+            fl: Arc::new(IndexedWhitelist::new(fl_rules)),
+            table: Arc::default(),
+            phases: Arc::from([]),
         };
         Self {
-            epochs: [epoch(), epoch()],
+            epochs: [epoch.clone(), epoch],
             active: 0,
             version: 0,
             pl_rules: IndexedWhitelist::new(pl_rules),
@@ -770,7 +774,7 @@ impl MatchEngine {
 
     /// Installs one whitelist ruleset per intermediate phase, replacing
     /// any previous phase array. Hitless: the phase array is staged in
-    /// the inactive epoch next to a copy of the live FL generation, and
+    /// the inactive epoch next to the live FL generation, and
     /// `active` flips only once the slot is complete — the same
     /// double-buffer discipline as [`MatchEngine::apply_ruleset`], so all
     /// phases (and the final ruleset) always swap together.
@@ -778,12 +782,9 @@ impl MatchEngine {
         for rs in rulesets {
             assert_eq!(rs.bounds.len(), 13, "phase rules must cover the 13 switch features");
         }
-        let live = &self.epochs[self.active];
         let staged = WhitelistEpoch {
-            fl: live.fl.clone(),
-            index: RangeIndex::build(&live.table),
-            table: live.table.clone(),
             phases: rulesets.iter().map(|r| IndexedWhitelist::new(r.clone())).collect(),
+            ..self.epochs[self.active].clone()
         };
         self.epochs[1 - self.active] = staged;
         self.active = 1 - self.active;
@@ -793,11 +794,14 @@ impl MatchEngine {
     /// Applies a versioned ruleset transaction (see [`crate::ruleset`]).
     ///
     /// * `txn.version == version + 1` — the successor epoch is staged in
-    ///   the inactive buffer (delta applied to the live table, index and
-    ///   float rules rebuilt) and `active` flips once it is complete.
+    ///   the inactive buffer (delta merged into the live table, the
+    ///   transaction's compiled float rules shared, the phase array
+    ///   carried over) and `active` flips once it is complete. Nothing is
+    ///   recompiled: the cost is one walk over the table.
     /// * `txn.version <= version` — idempotent replay: no-op, `Ok`.
-    /// * anything newer — [`SwitchError::StaleRuleset`]; the live epoch
-    ///   keeps serving.
+    /// * anything newer, or a delta or whitelist whose shape does not fit
+    ///   the live table and the 13 switch features —
+    ///   [`SwitchError::StaleRuleset`]; the live epoch keeps serving.
     pub(crate) fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
         if txn.version <= self.version {
             self.ruleset_stats.replayed += 1;
@@ -805,25 +809,20 @@ impl MatchEngine {
             return Ok(());
         }
         let expected = self.version + 1;
-        if txn.version != expected {
-            self.ruleset_stats.stale += 1;
-            counter!("switch.ruleset.stale").inc();
-            return Err(SwitchError::StaleRuleset { expected, got: txn.version });
-        }
-        assert_eq!(
-            txn.fl_rules.bounds.len(),
-            13,
-            "transaction FL rules must cover the 13 switch features"
-        );
         let live = &self.epochs[self.active];
-        let table = match apply_delta(
-            &live.table,
-            &txn.installs,
-            &txn.removes,
-            &txn.field_bits,
-            expected,
-            txn.version,
-        ) {
+        let table = if txn.version != expected || txn.fl_rules().bounds.len() != SWITCH_FL_DIM {
+            Err(SwitchError::StaleRuleset { expected, got: txn.version })
+        } else {
+            apply_delta(
+                &live.table,
+                txn.installs(),
+                txn.removes(),
+                txn.field_bits(),
+                expected,
+                txn.version,
+            )
+        };
+        let table = match table {
             Ok(t) => t,
             Err(e) => {
                 self.ruleset_stats.stale += 1;
@@ -833,22 +832,22 @@ impl MatchEngine {
         };
         // Stage the successor completely before the flip: after this
         // assignment the inactive slot holds a full, self-consistent
-        // ruleset, and only then does `active` move.
+        // ruleset, and only then does `active` move. Phase whitelists ride
+        // along unchanged: a final-ruleset swap must never silently drop
+        // the phase array.
         self.epochs[1 - self.active] = WhitelistEpoch {
-            fl: IndexedWhitelist::new(txn.fl_rules.clone()),
-            index: RangeIndex::build(&table),
-            table,
-            // Phase whitelists ride along unchanged: a final-ruleset swap
-            // must never silently drop the phase array.
-            phases: self.epochs[self.active].phases.clone(),
+            fl: Arc::clone(txn.fl()),
+            table: Arc::new(table),
+            phases: Arc::clone(&live.phases),
         };
         self.active = 1 - self.active;
         self.version = txn.version;
-        self.ruleset_stats.installed += txn.installs.len() as u64;
-        self.ruleset_stats.removed += txn.removes.len() as u64;
+        let (installed, removed) = (txn.installs().len() as u64, txn.removes().len() as u64);
+        self.ruleset_stats.installed += installed;
+        self.ruleset_stats.removed += removed;
         self.ruleset_stats.swaps += 1;
-        counter!("switch.ruleset.installed").add(txn.installs.len() as u64);
-        counter!("switch.ruleset.removed").add(txn.removes.len() as u64);
+        counter!("switch.ruleset.installed").add(installed);
+        counter!("switch.ruleset.removed").add(removed);
         counter!("switch.ruleset.swaps").inc();
         Ok(())
     }
@@ -868,13 +867,6 @@ impl MatchEngine {
     /// their table only once the lifecycle API takes over).
     pub(crate) fn ruleset_table(&self) -> &RangeTable {
         &self.epochs[self.active].table
-    }
-
-    /// Compiled first-match index of the live TCAM image; rebuilt in the
-    /// staging slot on every accepted transaction, so it always resolves
-    /// exactly like [`Self::ruleset_table`].
-    pub(crate) fn ruleset_index(&self) -> &RangeIndex {
-        &self.epochs[self.active].index
     }
 
     /// FL verdict for one raw 13-feature row: applies the configured
@@ -1333,12 +1325,6 @@ impl Pipeline {
     /// `(priority, fields)` order (empty until the first transaction).
     pub fn ruleset_table(&self) -> &RangeTable {
         self.engine.ruleset_table()
-    }
-
-    /// Compiled first-match index over [`Self::ruleset_table`], swapped in
-    /// the same epoch flip as the table itself.
-    pub fn ruleset_index(&self) -> &RangeIndex {
-        self.engine.ruleset_index()
     }
 
     /// Physical shard groups in use (≤ [`LOGICAL_SHARDS`]).
@@ -1800,6 +1786,23 @@ mod tests {
         assert_eq!(o3.verdict, PacketVerdict::Drop);
         let d = drained(&mut p);
         assert!(d[0].malicious);
+    }
+
+    #[test]
+    fn transaction_with_wrong_feature_count_is_rejected_as_stale() {
+        let mut p = Pipeline::new(cfg(2), fl_mean_size_below(200.0), accept_all(4));
+        let mut table = RangeTable::new(vec![4]);
+        table.push(crate::tcam::RangeEntry { fields: vec![(0, 15)], priority: 0 });
+        let txn = RulesetTxn::full_install(1, &table, accept_all(12));
+        assert_eq!(p.apply_ruleset(&txn), Err(SwitchError::StaleRuleset { expected: 1, got: 1 }));
+        let c = p.ruleset_counters();
+        assert_eq!((c.swaps, c.stale, c.installed), (0, 1, 0));
+        assert_eq!(p.ruleset_version(), 0);
+        assert!(p.ruleset_table().is_empty());
+        // The live 13-feature generation keeps serving: the large-packet
+        // flow still fails its whitelist.
+        let _ = p.process(&pkt(2, 0, 1000));
+        assert_eq!(p.process(&pkt(2, 1, 1000)).verdict, PacketVerdict::Drop);
     }
 
     #[test]

@@ -12,11 +12,17 @@
 //!   both tables is never churned, so the delta size is
 //!   `|old| + |new| − 2·|old ∩ new|`, the multiset-minimal edit.
 //! * [`RulesetTxn`] packages a delta with a monotonically increasing
-//!   version and the retrained float whitelist it was compiled from. The
-//!   data plane applies it atomically (see `MatchEngine::apply_ruleset`
-//!   in [`crate::pipeline`]): every packet is classified by exactly one
-//!   complete ruleset — the old one up to the swap, the new one after —
-//!   and zero packets ever see a partial table.
+//!   version and the retrained float whitelist it was compiled from,
+//!   compiled once — first-match index included — when the controller
+//!   builds the transaction. The payload sits behind an [`Arc`], so
+//!   cloning a transaction for retries or staging never allocates.
+//! * The data plane applies it atomically (see `MatchEngine::apply_ruleset`
+//!   in [`crate::pipeline`]) doing only what a switch does — a switch
+//!   writes O(churn) entries, the emulator makes one merge walk of the
+//!   delta over the live table — then flips a pointer to the
+//!   transaction's shared whitelist. Every packet is classified by
+//!   exactly one complete ruleset — the old one up to the swap, the new
+//!   one after — and zero packets ever see a partial table.
 //!
 //! ## Canonical order
 //!
@@ -35,13 +41,19 @@
 //! (counted in `switch.ruleset.replayed`) so retries over a duplicating
 //! channel are safe; a version `> v + 1` is rejected with
 //! [`SwitchError::StaleRuleset`] — the plane's base table is stale for
-//! that diff and applying it would corrupt the ruleset.
+//! that diff and applying it would corrupt the ruleset. A transaction
+//! whose shape does not fit (field widths, a remove the table does not
+//! hold, a whitelist not over the 13 switch features) is rejected the
+//! same way, never with a panic.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use iguard_core::error::SwitchError;
 use iguard_core::rules::RuleSet;
 
+use crate::pipeline::IndexedWhitelist;
 use crate::tcam::{RangeEntry, RangeTable};
 
 /// Total content order on entries: priority first (the match-relevant
@@ -54,9 +66,19 @@ fn entry_cmp(a: &RangeEntry, b: &RangeEntry) -> Ordering {
 /// The entries of `table` in canonical `(priority, fields)` order — the
 /// normal form diffing and application operate on.
 pub fn canonical_entries(table: &RangeTable) -> Vec<RangeEntry> {
-    let mut v = table.entries().to_vec();
-    v.sort_by(entry_cmp);
-    v
+    canonical(table.entries()).into_owned()
+}
+
+/// `entries` in canonical order: borrowed when already sorted (the live
+/// table and every delta [`RulesetTxn`] builds), a sorted copy otherwise.
+fn canonical(entries: &[RangeEntry]) -> Cow<'_, [RangeEntry]> {
+    if entries.is_sorted_by(|a, b| entry_cmp(a, b) != Ordering::Greater) {
+        Cow::Borrowed(entries)
+    } else {
+        let mut v = entries.to_vec();
+        v.sort_by(entry_cmp);
+        Cow::Owned(v)
+    }
 }
 
 /// The minimal install/remove delta between two compiled tables.
@@ -116,6 +138,11 @@ impl RulesetDiff {
 /// whitelist the delta was compiled from — the emulator's exact model of
 /// the post-transaction TCAM image, installed in the same atomic flip.
 ///
+/// The whitelist is compiled (first-match index included) once, here,
+/// and the data plane's epoch shares it by [`Arc`]; the delta and the
+/// whitelist sit behind one more [`Arc`], so [`Clone`] is two reference
+/// count bumps and never touches the allocator.
+///
 /// Per-flow actions (blacklist install/remove, flow clears) stay on the
 /// flat [`crate::pipeline::ControlAction`] path; this type owns the
 /// *ruleset lifecycle* only.
@@ -124,47 +151,71 @@ pub struct RulesetTxn {
     /// Monotonic transaction version; the data plane at version `v`
     /// applies exactly `v + 1`.
     pub version: u64,
-    /// Entries to add, canonical new-table order.
-    pub installs: Vec<RangeEntry>,
-    /// Entries to delete, canonical old-table order.
-    pub removes: Vec<RangeEntry>,
+    payload: Arc<TxnPayload>,
+}
+
+#[derive(Debug)]
+struct TxnPayload {
+    /// Installs in canonical new-table order, removes in canonical
+    /// old-table order.
+    delta: RulesetDiff,
     /// Bit width per TCAM field — lets a version-1 transaction bootstrap
     /// an empty table and every later one validate shape agreement.
-    pub field_bits: Vec<u8>,
-    /// The float FL whitelist matching the post-transaction table. The
-    /// PL whitelist is not part of the drift loop and keeps its installed
-    /// rules.
-    pub fl_rules: RuleSet,
+    field_bits: Vec<u8>,
+    /// The float FL whitelist matching the post-transaction table, with
+    /// its compiled index. The PL whitelist is not part of the drift loop
+    /// and keeps its installed rules.
+    fl: Arc<IndexedWhitelist>,
 }
 
 impl RulesetTxn {
     /// A transaction carrying the delta from `old` to `new`.
     pub fn diff(version: u64, old: &RangeTable, new: &RangeTable, fl_rules: RuleSet) -> Self {
-        let d = RulesetDiff::between(old, new);
-        Self {
-            version,
-            installs: d.installs,
-            removes: d.removes,
-            field_bits: new.field_bits.clone(),
-            fl_rules,
-        }
+        Self::new(version, RulesetDiff::between(old, new), &new.field_bits, fl_rules)
     }
 
     /// A transaction installing `table` wholesale (the version-1
     /// bootstrap against an empty data plane).
     pub fn full_install(version: u64, table: &RangeTable, fl_rules: RuleSet) -> Self {
+        let delta = RulesetDiff { installs: canonical_entries(table), removes: Vec::new() };
+        Self::new(version, delta, &table.field_bits, fl_rules)
+    }
+
+    fn new(version: u64, delta: RulesetDiff, field_bits: &[u8], fl_rules: RuleSet) -> Self {
+        let fl = Arc::new(IndexedWhitelist::new(fl_rules));
         Self {
             version,
-            installs: canonical_entries(table),
-            removes: Vec::new(),
-            field_bits: table.field_bits.clone(),
-            fl_rules,
+            payload: Arc::new(TxnPayload { delta, field_bits: field_bits.to_vec(), fl }),
         }
     }
 
     /// Number of TCAM entry writes this transaction costs.
     pub fn churn(&self) -> usize {
-        self.installs.len() + self.removes.len()
+        self.payload.delta.churn()
+    }
+
+    /// The float FL whitelist matching the post-transaction table.
+    pub fn fl_rules(&self) -> &RuleSet {
+        self.payload.fl.rules()
+    }
+
+    /// Entries to add, canonical new-table order.
+    pub(crate) fn installs(&self) -> &[RangeEntry] {
+        &self.payload.delta.installs
+    }
+
+    /// Entries to delete, canonical old-table order.
+    pub(crate) fn removes(&self) -> &[RangeEntry] {
+        &self.payload.delta.removes
+    }
+
+    pub(crate) fn field_bits(&self) -> &[u8] {
+        &self.payload.field_bits
+    }
+
+    /// The compiled FL whitelist, shared with every epoch it is installed in.
+    pub(crate) fn fl(&self) -> &Arc<IndexedWhitelist> {
+        &self.payload.fl
     }
 }
 
@@ -192,6 +243,13 @@ pub struct RulesetCounters {
 /// the field shape disagrees — which means the transaction was diffed
 /// against a different table than the one installed.
 ///
+/// One merge walk over the canonical base, removes and installs: each
+/// remove consumes one equal base entry, and installs land at their
+/// canonical position. Canonical inputs — the live table and every delta
+/// [`RulesetTxn`] builds — are walked in place; anything else is sorted
+/// into a scratch copy first, so the result is the same multiset edit for
+/// any input order.
+///
 /// `expected`/`got` in the error carry the version bookkeeping of the
 /// caller (`expected` = the version the plane would accept next).
 pub(crate) fn apply_delta(
@@ -206,37 +264,38 @@ pub(crate) fn apply_delta(
     if !base.field_bits.is_empty() && base.field_bits != field_bits {
         return Err(stale);
     }
-    let mut entries = canonical_entries(base);
-    for r in removes {
-        if r.fields.len() != field_bits.len() {
-            return Err(stale);
-        }
-        match entries.binary_search_by(|e| entry_cmp(e, r)) {
-            Ok(pos) => {
-                entries.remove(pos);
-            }
-            Err(_) => return Err(stale),
-        }
+    if removes.iter().chain(installs).any(|e| e.fields.len() != field_bits.len()) {
+        return Err(stale);
     }
-    for ins in installs {
-        if ins.fields.len() != field_bits.len() {
-            return Err(stale);
+    let (base, installs, removes) =
+        (canonical(base.entries()), canonical(installs), canonical(removes));
+    let mut entries =
+        Vec::with_capacity((base.len() + installs.len()).saturating_sub(removes.len()));
+    let mut removes = removes.iter().peekable();
+    let mut installs = installs.iter().peekable();
+    for e in base.iter() {
+        // A remove the walk passes without a match stays at the head and
+        // fails the check after the loop.
+        if removes.next_if(|&r| r == e).is_some() {
+            continue;
         }
-        // Insert at the canonical position (after any equal entries, so
-        // duplicate installs keep a stable order).
-        let pos = entries.partition_point(|e| entry_cmp(e, ins) != Ordering::Greater);
-        entries.insert(pos, ins.clone());
+        while let Some(ins) = installs.next_if(|i| entry_cmp(i, e) == Ordering::Less) {
+            entries.push(ins.clone());
+        }
+        entries.push(e.clone());
     }
-    let mut table = RangeTable::new(field_bits.to_vec());
-    for e in entries {
-        table.push(e);
+    if removes.next().is_some() {
+        return Err(stale);
     }
-    Ok(table)
+    entries.extend(installs.cloned());
+    Ok(RangeTable::from_entries(field_bits.to_vec(), entries))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iguard_runtime::proptest_lite;
+    use iguard_runtime::rng::Rng;
 
     fn entry(lo: u32, hi: u32, priority: u32) -> RangeEntry {
         RangeEntry { fields: vec![(lo, hi)], priority }
@@ -323,6 +382,129 @@ mod tests {
             let a = t.lookup(&[k]).map(|e| e.priority);
             let b = canon.lookup(&[k]).map(|e| e.priority);
             assert_eq!(a, b, "key {k}");
+        }
+    }
+
+    /// The element-wise remove/insert algorithm the merge walk replaced:
+    /// binary-search and `Vec::remove` each remove, then insert each
+    /// install at its canonical position. The oracle of the property below.
+    fn apply_delta_by_element(
+        base: &RangeTable,
+        installs: &[RangeEntry],
+        removes: &[RangeEntry],
+        field_bits: &[u8],
+        expected: u64,
+        got: u64,
+    ) -> Result<RangeTable, SwitchError> {
+        let stale = SwitchError::StaleRuleset { expected, got };
+        if !base.field_bits.is_empty() && base.field_bits != field_bits {
+            return Err(stale);
+        }
+        let mut entries = canonical_entries(base);
+        for r in removes {
+            if r.fields.len() != field_bits.len() {
+                return Err(stale);
+            }
+            match entries.binary_search_by(|e| entry_cmp(e, r)) {
+                Ok(pos) => {
+                    entries.remove(pos);
+                }
+                Err(_) => return Err(stale),
+            }
+        }
+        for ins in installs {
+            if ins.fields.len() != field_bits.len() {
+                return Err(stale);
+            }
+            let pos = entries.partition_point(|e| entry_cmp(e, ins) != Ordering::Greater);
+            entries.insert(pos, ins.clone());
+        }
+        let mut table = RangeTable::new(field_bits.to_vec());
+        for e in entries {
+            table.push(e);
+        }
+        Ok(table)
+    }
+
+    /// An entry over `dims` fields from a tiny value space, so equal
+    /// entries (duplicates, removes that hit) are common.
+    fn small_entry(rng: &mut Rng, dims: usize) -> RangeEntry {
+        let fields = (0..dims)
+            .map(|_| {
+                let lo = rng.gen_range(0u32..3);
+                (lo, lo + rng.gen_range(0u32..2))
+            })
+            .collect();
+        RangeEntry { fields, priority: rng.gen_range(0u32..3) }
+    }
+
+    fn shuffle<T>(rng: &mut Rng, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    proptest_lite! {
+        /// The merge walk returns the element-wise algorithm's table or
+        /// its error on arbitrary deltas: bases in any order (or empty
+        /// bootstrap tables), unsorted and duplicated installs and
+        /// removes, removes of absent entries, and wrong field counts.
+        fn merge_walk_apply_matches_element_wise_oracle(rng, cases = 512) {
+            let dims = rng.gen_range(1usize..3);
+            let field_bits = vec![4u8; dims];
+            let base = if rng.gen_bool(0.15) {
+                RangeTable::default()
+            } else {
+                let mut t = RangeTable::new(field_bits.clone());
+                for _ in 0..rng.gen_range(0usize..10) {
+                    t.push(small_entry(rng, dims));
+                }
+                t
+            };
+            // Removes: mostly entries the base holds (some twice), some
+            // absent, in canonical order or shuffled.
+            let mut removes: Vec<RangeEntry> =
+                base.entries().iter().filter(|_| rng.gen_bool(0.4)).cloned().collect();
+            for _ in 0..rng.gen_range(0usize..3) {
+                if rng.gen_bool(0.3) {
+                    removes.push(small_entry(rng, dims));
+                } else if let Some(r) = removes.first().cloned() {
+                    removes.push(r);
+                }
+            }
+            let mut installs: Vec<RangeEntry> =
+                (0..rng.gen_range(0usize..8)).map(|_| small_entry(rng, dims)).collect();
+            if let Some(dup) = installs.first().cloned().filter(|_| rng.gen_bool(0.3)) {
+                installs.push(dup);
+            }
+            for list in [&mut removes, &mut installs] {
+                if rng.gen_bool(0.5) {
+                    list.sort_by(entry_cmp);
+                } else {
+                    shuffle(rng, list);
+                }
+                if rng.gen_bool(0.05) {
+                    list.push(small_entry(rng, dims + 1));
+                }
+            }
+            let txn_bits = if rng.gen_bool(0.05) { vec![4u8; dims + 1] } else { field_bits };
+            let got = apply_delta(&base, &installs, &removes, &txn_bits, 3, 3);
+            let want = apply_delta_by_element(&base, &installs, &removes, &txn_bits, 3, 3);
+            match (got, want) {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(g.entries(), w.entries());
+                    assert_eq!(g.field_bits, w.field_bits);
+                    assert_eq!(g.skipped_empty, w.skipped_empty);
+                }
+                (Err(g), Err(w)) => assert_eq!(g, w),
+                (g, w) => panic!(
+                    "merge walk ok={} but oracle ok={}: base {:?}, installs {installs:?}, \
+                     removes {removes:?}",
+                    g.is_ok(),
+                    w.is_ok(),
+                    base.entries()
+                ),
+            }
         }
     }
 }

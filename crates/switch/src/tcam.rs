@@ -260,6 +260,12 @@ impl RangeTable {
         Self { entries: Vec::new(), field_bits, skipped_empty: 0 }
     }
 
+    /// A table holding `entries` in the given order.
+    pub(crate) fn from_entries(field_bits: Vec<u8>, entries: Vec<RangeEntry>) -> Self {
+        debug_assert!(entries.iter().all(|e| e.fields.len() == field_bits.len()));
+        Self { entries, field_bits, skipped_empty: 0 }
+    }
+
     pub fn push(&mut self, entry: RangeEntry) {
         debug_assert_eq!(entry.fields.len(), self.field_bits.len());
         self.entries.push(entry);
