@@ -153,13 +153,15 @@ fn pipeline() {
         let mut c2 = Controller::new(ControllerConfig::default());
         let mut idx = 0usize;
         let mut digests = Vec::new();
+        let mut actions = Vec::new();
         bench("per_packet_process", || {
             let pkt = &trace.packets[idx % trace.len()];
             idx += 1;
             let out = p.process(pkt);
             digests.clear();
             p.drain_seq_digests_into(&mut digests);
-            for a in c2.process_seq_digests(&digests) {
+            c2.process_seq_digests_into(&digests, &mut actions);
+            for &a in &actions {
                 p.apply(a);
             }
             out

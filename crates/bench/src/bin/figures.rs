@@ -462,10 +462,11 @@ fn digest_overhead() {
     println!("== App. B.2: control-plane digest overhead (50k digests / 30 s) ==");
     let run = |bytes: f64| -> f64 {
         let mut c = Controller::new(ControllerConfig { digest_bytes: bytes, ..Default::default() });
+        let mut actions = Vec::new();
         for i in 0..50_000u32 {
             let five = iguard_flow::five_tuple::FiveTuple::new(i, 1, 1, 80, 6);
             let sd = SeqDigest { seq: i as u64, digest: Digest::new(five, false) };
-            let _ = c.process_seq_digests(&[sd]);
+            c.process_seq_digests_into(&[sd], &mut actions);
         }
         c.overhead_kbps(30.0)
     };

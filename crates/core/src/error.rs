@@ -15,7 +15,7 @@ use iguard_flow::wire::WireError;
 
 /// TCAM compilation failures.
 ///
-/// The ternary compiler lives in `iguard-switch`, which depends on this
+/// The range compiler lives in `iguard-switch`, which depends on this
 /// crate — so the error type is defined here, where the unified
 /// [`IguardError`] can name it without a dependency cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,10 +24,6 @@ pub enum TcamError {
     BadFieldWidth { bits: u8 },
     /// A quantisation scale that is zero, negative, or non-finite.
     BadScale,
-    /// A range entry with `lo > hi`.
-    EmptyRange { lo: u32, hi: u32 },
-    /// A range bound that does not fit the field width.
-    RangeExceedsField { hi: u32, field_max: u32 },
     /// Rule dimensionality disagrees with the field-spec list.
     DimensionMismatch { rules: usize, specs: usize },
 }
@@ -39,10 +35,6 @@ impl fmt::Display for TcamError {
                 write!(f, "field width {bits} outside supported 1..=32 bits")
             }
             TcamError::BadScale => write!(f, "quantisation scale must be positive and finite"),
-            TcamError::EmptyRange { lo, hi } => write!(f, "empty range [{lo}, {hi}]"),
-            TcamError::RangeExceedsField { hi, field_max } => {
-                write!(f, "range bound {hi} exceeds field maximum {field_max}")
-            }
             TcamError::DimensionMismatch { rules, specs } => {
                 write!(f, "rule set has {rules} fields but {specs} field specs were given")
             }
@@ -65,8 +57,6 @@ pub enum SwitchError {
     /// The control channel is down (scripted outage or transient fault);
     /// the command was not delivered.
     ChannelDown,
-    /// A command was abandoned after exhausting its retry budget.
-    RetriesExhausted { attempts: u32 },
     /// A ruleset transaction arrived out of order: its diff was computed
     /// against a base version the data plane does not hold, so applying
     /// it would install a partial table. `expected` is the next version
@@ -82,9 +72,6 @@ impl fmt::Display for SwitchError {
                 write!(f, "blacklist TCAM full at {capacity} entries")
             }
             SwitchError::ChannelDown => write!(f, "control channel down"),
-            SwitchError::RetriesExhausted { attempts } => {
-                write!(f, "command abandoned after {attempts} attempts")
-            }
             SwitchError::StaleRuleset { expected, got } => {
                 write!(f, "stale ruleset transaction: expected version {expected}, got {got}")
             }
@@ -102,7 +89,7 @@ impl std::error::Error for SwitchError {}
 pub enum IguardError {
     /// Whitelist-rule generation failed (region budget exceeded, …).
     RuleGen(RuleGenError),
-    /// TCAM range→ternary compilation failed.
+    /// TCAM range compilation failed.
     Tcam(TcamError),
     /// A wire-format parse failed (truncated, bad checksum, …).
     Wire(WireError),
@@ -177,19 +164,16 @@ mod tests {
         assert!(IguardError::Switch(SwitchError::TcamFull { capacity: 64 })
             .to_string()
             .contains("64 entries"));
-        assert!(IguardError::Switch(SwitchError::RetriesExhausted { attempts: 6 })
-            .to_string()
-            .contains("6 attempts"));
         let s = IguardError::Switch(SwitchError::StaleRuleset { expected: 3, got: 7 }).to_string();
         assert!(s.contains("version 3") && s.contains("got 7"), "{s}");
     }
 
     #[test]
     fn display_prefixes_layer_and_keeps_detail() {
-        let e = IguardError::Tcam(TcamError::EmptyRange { lo: 9, hi: 3 });
+        let e = IguardError::Tcam(TcamError::DimensionMismatch { rules: 9, specs: 3 });
         let s = e.to_string();
         assert!(s.contains("tcam"), "{s}");
-        assert!(s.contains("[9, 3]"), "{s}");
+        assert!(s.contains("9 fields") && s.contains("3 field specs"), "{s}");
         let e = IguardError::RuleGen(RuleGenError::TooManyRegions { budget: 2, reached: 5 });
         assert!(e.to_string().contains("budget of 2"), "{e}");
     }

@@ -251,10 +251,6 @@ impl GuidedTree {
     pub fn n_leaves(&self) -> usize {
         self.leaves.len()
     }
-
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Binary entropy of `mal` positives among `total` (paper Eq. 2).

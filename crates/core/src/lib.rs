@@ -54,7 +54,7 @@ pub mod tuner;
 pub use drift::{DriftConfig, DriftDetector};
 pub use error::{IguardError, SwitchError, TcamError};
 pub use forest::{IGuardConfig, IGuardForest};
-pub use phase::{PhaseModels, PhaseTrainConfig, DEFAULT_PHASE_BOUNDARIES};
+pub use phase::{PhaseModels, PhaseTrainConfig};
 pub use rule_index::{IndexBuilder, IntervalIndex, RuleIndex};
 pub use rules::{Hypercube, RuleSet};
 pub use teacher::Teacher;

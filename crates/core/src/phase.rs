@@ -30,11 +30,6 @@ use crate::forest::{IGuardConfig, IGuardForest};
 use crate::rules::{RuleGenError, RuleSet};
 use crate::teacher::Teacher;
 
-/// The paper-default phase boundaries (packets seen before each early
-/// look). Deployments with a smaller packet threshold pass their own
-/// boundaries — they must stay strictly below the threshold.
-pub const DEFAULT_PHASE_BOUNDARIES: [u64; 3] = [4, 16, 64];
-
 /// Training configuration shared by every phase.
 #[derive(Clone, Debug)]
 pub struct PhaseTrainConfig {

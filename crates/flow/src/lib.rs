@@ -42,5 +42,5 @@ pub use packet::{Packet, TcpFlags};
 pub use sketch::{BloomFilter, CountMinSketch};
 pub use stats::FlowStats;
 pub use table::{
-    FlowShard, FlowTable, FlowTableConfig, FlowTableStats, InsertOutcome, PhaseSchedule, SlotClaim,
+    FlowShard, FlowTableConfig, FlowTableStats, InsertOutcome, PhaseSchedule, SlotClaim,
 };

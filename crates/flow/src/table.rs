@@ -13,11 +13,11 @@
 //! * an explicit **collision** outcome when both candidate slots hold other
 //!   live flows — the paper's orange execution path.
 //!
-//! The probe/install logic lives in [`FlowShard`], a self-contained pair of
-//! hash tables. [`FlowTable`] — the type the single-threaded pipeline uses —
-//! is one full-size shard; the sharded data plane instead owns many small
-//! `FlowShard`s, one per 5-tuple partition, and the behaviour of each shard
-//! is identical to a `FlowTable` of the same slot count.
+//! [`FlowShard`], a self-contained pair of hash tables, is the only flow
+//! store. The serial and sketched pipeline layouts own one full-size
+//! shard; the sharded layout owns many small ones, one per 5-tuple
+//! partition, each behaving exactly as a full-size shard of the same slot
+//! count.
 
 use crate::five_tuple::FiveTuple;
 use crate::packet::Packet;
@@ -82,11 +82,6 @@ impl PhaseSchedule {
         self.len == 0
     }
 
-    /// Whether any intermediate boundary is configured.
-    pub fn is_enabled(&self) -> bool {
-        self.len > 0
-    }
-
     /// The configured boundaries, in ascending packet-count order.
     pub fn boundaries(&self) -> &[u64] {
         &self.boundaries[..self.len as usize]
@@ -139,13 +134,6 @@ impl FlowTableConfig {
     /// Builder: idle timeout `δ` in nanoseconds.
     pub fn with_timeout_ns(mut self, timeout_ns: u64) -> Self {
         self.timeout_ns = timeout_ns;
-        self
-    }
-
-    /// Builder: the two table hash seeds.
-    pub fn with_seeds(mut self, seed1: u64, seed2: u64) -> Self {
-        self.seed1 = seed1;
-        self.seed2 = seed2;
         self
     }
 
@@ -289,12 +277,12 @@ pub enum InsertOutcome {
     ReplacedClassified { pkt_count: u64 },
 }
 
-/// Deferred telemetry of [`FlowShard::observe_prehashed`] and
-/// [`FlowShard::evict_at`]: per-event counts accumulated in plain fields
-/// and flushed to the global registry in one atomic add per event kind.
-/// A batched caller flushes once per chunk; [`FlowShard::observe_keyed`]
-/// flushes per call — either way the registry totals are identical to
-/// per-packet `counter!(..).inc()` calls.
+/// Deferred telemetry of [`FlowShard::observe_resident_prehashed`],
+/// [`FlowShard::admit_prehashed`] and [`FlowShard::evict_at`]: per-event
+/// counts accumulated in plain fields and flushed to the global registry
+/// in one atomic add per event kind. A batched caller flushes once per
+/// chunk; [`FlowShard::observe`] flushes per call — either way the
+/// registry totals are identical to per-packet `counter!(..).inc()` calls.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ObserveTallies {
     pub classified: u64,
@@ -554,44 +542,25 @@ impl FlowShard {
 
     /// Observes one packet, advancing flow state and reporting which
     /// execution path it takes. `now_ns` is the packet's arrival time.
+    /// Canonicalizes and hashes the key itself and flushes its telemetry
+    /// per call; the pipeline's batched walks instead call the two halves
+    /// below with the key and slot pair precomputed and the tallies
+    /// flushed once per chunk (registry totals are identical).
     pub fn observe(&mut self, p: &Packet, now_ns: u64) -> InsertOutcome {
-        self.observe_keyed(p.five.canonical(), p, now_ns)
-    }
-
-    /// [`FlowShard::observe`] with the canonical flow key precomputed —
-    /// the batched ingest path canonicalizes once per packet up front and
-    /// passes the key through here and the blacklist probe.
-    pub fn observe_keyed(&mut self, key: FiveTuple, p: &Packet, now_ns: u64) -> InsertOutcome {
+        let key = p.five.canonical();
         let (i1, i2) = self.slot_index_pair(&key);
         let mut t = ObserveTallies::default();
-        let out = self.observe_prehashed(key, i1, i2, p, now_ns, &mut t);
+        let out = match self.observe_resident_prehashed(key, i1, i2, p, now_ns, &mut t) {
+            Some((out, _)) => out,
+            None => self.admit_prehashed(key, i1, i2, p, now_ns, &mut t).0,
+        };
         t.flush();
         out
     }
 
-    /// The core probe/install walk with the slot pair precomputed and
-    /// telemetry deferred: event counts land in `tallies` instead of the
-    /// global registry, so a batched caller pays the atomic adds once per
-    /// chunk rather than per packet (totals are identical — see
-    /// [`ObserveTallies::flush`]).
-    pub fn observe_prehashed(
-        &mut self,
-        key: FiveTuple,
-        i1: u32,
-        i2: u32,
-        p: &Packet,
-        now_ns: u64,
-        tallies: &mut ObserveTallies,
-    ) -> InsertOutcome {
-        match self.observe_resident_prehashed(key, i1, i2, p, now_ns, tallies) {
-            Some((out, _)) => out,
-            None => self.admit_prehashed(key, i1, i2, p, now_ns, tallies).0,
-        }
-    }
-
     /// The resident half of the probe/install walk: if `key` is tracked
     /// in either table, advance its state (classified / early / ready /
-    /// timeout-restart, exactly as [`FlowShard::observe_prehashed`]) and
+    /// timeout-restart, exactly as [`FlowShard::observe`]) and
     /// return the outcome with the slot's [`SlotClaim`] position; if
     /// untracked, return `None` **without claiming a slot**. The seam the
     /// sketch-assisted data plane interposes on: untracked flows go to
@@ -807,85 +776,6 @@ impl FlowShard {
     }
 }
 
-/// Double-hash-table flow storage: the single-partition table the serial
-/// pipeline uses. A thin wrapper over one full-size [`FlowShard`] — the
-/// probe/install/evict behaviour is exactly the shard's.
-pub struct FlowTable {
-    shard: FlowShard,
-}
-
-impl FlowTable {
-    pub fn new(cfg: FlowTableConfig) -> Self {
-        Self { shard: FlowShard::new(cfg) }
-    }
-
-    pub fn config(&self) -> &FlowTableConfig {
-        self.shard.config()
-    }
-
-    /// The underlying shard (shared state view).
-    pub fn shard(&self) -> &FlowShard {
-        &self.shard
-    }
-
-    /// The underlying shard, mutably — the pipeline engine drives this.
-    pub fn shard_mut(&mut self) -> &mut FlowShard {
-        &mut self.shard
-    }
-
-    /// See [`FlowShard::observe`].
-    pub fn observe(&mut self, p: &Packet, now_ns: u64) -> InsertOutcome {
-        self.shard.observe(p, now_ns)
-    }
-
-    /// See [`FlowShard::set_label`].
-    pub fn set_label(&mut self, key: &FiveTuple, label: bool) -> bool {
-        self.shard.set_label(key, label)
-    }
-
-    /// See [`FlowShard::label_of`].
-    pub fn label_of(&self, key: &FiveTuple) -> Option<Option<bool>> {
-        self.shard.label_of(key)
-    }
-
-    /// See [`FlowShard::clear`].
-    pub fn clear(&mut self, key: &FiveTuple) -> Option<u32> {
-        self.shard.clear(key)
-    }
-
-    /// See [`FlowShard::labeled_flows_into`].
-    pub fn labeled_flows_into(&self, out: &mut Vec<(FiveTuple, bool)>) {
-        self.shard.labeled_flows_into(out)
-    }
-
-    pub fn occupancy(&self) -> usize {
-        self.shard.occupancy()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.shard.capacity()
-    }
-
-    /// Packets that hit the collision (orange) path.
-    pub fn collision_packets(&self) -> u64 {
-        self.shard.collision_packets
-    }
-
-    pub fn stats(&self) -> FlowTableStats {
-        self.shard.stats()
-    }
-
-    /// See [`FlowShard::pressure_milli`].
-    pub fn pressure_milli(&self) -> u32 {
-        self.shard.pressure_milli()
-    }
-
-    /// See [`FlowShard::pressure_stats`].
-    pub fn pressure_stats(&self) -> PressureStats {
-        self.shard.pressure_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,7 +805,7 @@ mod tests {
 
     #[test]
     fn flow_progresses_to_threshold() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         assert_eq!(t.observe(&pkt(1, 0), 0), InsertOutcome::Early { pkt_count: 1 });
         assert_eq!(t.observe(&pkt(1, 1), 1_000_000), InsertOutcome::Early { pkt_count: 2 });
         match t.observe(&pkt(1, 2), 2_000_000) {
@@ -929,7 +819,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_hits_same_slot() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         let fwd = pkt(1, 0);
         let mut rev = pkt(1, 1);
         rev.five = fwd.five.reversed();
@@ -941,7 +831,7 @@ mod tests {
 
     #[test]
     fn classified_flow_takes_purple_path() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         let _ = t.observe(&pkt(1, 0), 0);
         assert!(t.set_label(&pkt(1, 0).five, true));
         assert_eq!(t.observe(&pkt(1, 1), 1_000_000), InsertOutcome::Classified { label: true });
@@ -949,7 +839,7 @@ mod tests {
 
     #[test]
     fn timeout_freezes_state_and_restarts() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         let _ = t.observe(&pkt(1, 0), 0);
         // 2 s later: > 1 s timeout.
         match t.observe(&pkt(1, 2000), 2_000_000_000) {
@@ -966,7 +856,7 @@ mod tests {
     #[test]
     fn phase_boundaries_surface_state_and_keep_tracking() {
         let c = FlowTableConfig { pkt_threshold: 6, phases: PhaseSchedule::new(&[2, 4]), ..cfg() };
-        let mut t = FlowTable::new(c);
+        let mut t = FlowShard::new(c);
         assert_eq!(t.observe(&pkt(1, 0), 0), InsertOutcome::Early { pkt_count: 1 });
         match t.observe(&pkt(1, 1), 1_000_000) {
             InsertOutcome::PhaseReady { stats, phase } => {
@@ -993,7 +883,7 @@ mod tests {
     #[test]
     fn reborn_flow_restarts_at_phase_zero() {
         let c = FlowTableConfig { pkt_threshold: 6, phases: PhaseSchedule::new(&[2]), ..cfg() };
-        let mut t = FlowTable::new(c);
+        let mut t = FlowShard::new(c);
         let _ = t.observe(&pkt(1, 0), 0);
         // Cross the boundary: phase ladder advances past boundary 0.
         assert!(matches!(
@@ -1016,33 +906,33 @@ mod tests {
     #[should_panic(expected = "below the packet threshold")]
     fn phase_boundary_at_threshold_is_rejected() {
         let c = FlowTableConfig { pkt_threshold: 4, phases: PhaseSchedule::new(&[2, 4]), ..cfg() };
-        let _ = FlowTable::new(c);
+        let _ = FlowShard::new(c);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn phase_boundaries_must_increase() {
         let c = FlowTableConfig { pkt_threshold: 10, phases: PhaseSchedule::new(&[4, 4]), ..cfg() };
-        let _ = FlowTable::new(c);
+        let _ = FlowShard::new(c);
     }
 
     #[test]
     fn collision_reported_when_both_tables_full() {
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 100;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         assert_eq!(t.observe(&pkt(1, 0), 0), InsertOutcome::Early { pkt_count: 1 });
         assert_eq!(t.observe(&pkt(2, 0), 0), InsertOutcome::Early { pkt_count: 1 });
         // Third distinct flow: both single-slot tables occupied, unclassified.
         assert_eq!(t.observe(&pkt(3, 0), 0), InsertOutcome::Collision);
-        assert_eq!(t.collision_packets(), 1);
+        assert_eq!(t.collision_packets, 1);
     }
 
     #[test]
     fn classified_resident_evicted_on_collision() {
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 100;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         let _ = t.observe(&pkt(1, 0), 0);
         let _ = t.observe(&pkt(2, 0), 0);
         assert!(t.set_label(&pkt(1, 0).five, false));
@@ -1053,7 +943,7 @@ mod tests {
 
     #[test]
     fn labeled_flows_lists_only_classified_residents() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         let _ = t.observe(&pkt(1, 0), 0);
         let _ = t.observe(&pkt(2, 0), 0);
         let _ = t.observe(&pkt(3, 0), 0);
@@ -1075,7 +965,7 @@ mod tests {
 
     #[test]
     fn clear_releases_slot() {
-        let mut t = FlowTable::new(cfg());
+        let mut t = FlowShard::new(cfg());
         let _ = t.observe(&pkt(1, 0), 0);
         assert_eq!(t.occupancy(), 1);
         assert!(t.clear(&pkt(1, 0).five).is_some());
@@ -1132,7 +1022,7 @@ mod tests {
     fn threshold_one_classifies_first_packet() {
         let mut c = cfg();
         c.pkt_threshold = 1;
-        let mut t = FlowTable::new(c);
+        let mut t = FlowShard::new(c);
         match t.observe(&pkt(1, 0), 0) {
             InsertOutcome::Ready { stats, .. } => assert_eq!(stats.pkt_count, 1),
             other => panic!("expected Ready, got {other:?}"),
@@ -1146,7 +1036,7 @@ mod tests {
         // full churn windows so churn_milli reflects a completed window.
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 1_000;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         for f in 0..(2 * PRESSURE_WINDOW as u16) {
             let _ = t.observe(&pkt(f, 0), 0);
         }
@@ -1165,7 +1055,7 @@ mod tests {
         // full table that nobody is fighting over is not overload.
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 1_000;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         let _ = t.observe(&pkt(1, 0), 0);
         let _ = t.observe(&pkt(2, 0), 0);
         assert_eq!(t.occupancy(), 2);
@@ -1176,7 +1066,7 @@ mod tests {
     fn timed_out_displacement_counts_as_eviction_churn() {
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 1_000;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         let _ = t.observe(&pkt(1, 0), 0);
         let _ = t.observe(&pkt(2, 0), 0);
         // 5 s later a new flow displaces the stale resident in table 1.
@@ -1220,7 +1110,7 @@ mod tests {
     fn timed_out_foreign_resident_is_evicted() {
         let mut small = FlowTableConfig { slots_per_table: 1, ..cfg() };
         small.pkt_threshold = 100;
-        let mut t = FlowTable::new(small);
+        let mut t = FlowShard::new(small);
         let _ = t.observe(&pkt(1, 0), 0);
         let _ = t.observe(&pkt(2, 0), 0);
         // 5 s later both residents are stale; a new flow takes a slot.

@@ -72,25 +72,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
-    pub fn set_dst_mac(&mut self, mac: [u8; 6]) {
-        self.buffer.as_mut()[0..6].copy_from_slice(&mac);
-    }
-
-    pub fn set_src_mac(&mut self, mac: [u8; 6]) {
-        self.buffer.as_mut()[6..12].copy_from_slice(&mac);
-    }
-
-    pub fn set_ethertype(&mut self, et: EtherType) {
-        let v: u16 = et.into();
-        self.buffer.as_mut()[12..14].copy_from_slice(&v.to_be_bytes());
-    }
-
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[ETHERNET_HEADER_LEN..]
-    }
-}
-
 /// Emits an Ethernet II header into the front of `buf`.
 pub fn emit(buf: &mut [u8], src: [u8; 6], dst: [u8; 6], ethertype: EtherType) {
     assert!(buf.len() >= ETHERNET_HEADER_LEN, "buffer too small for Ethernet header");

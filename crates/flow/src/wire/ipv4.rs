@@ -55,11 +55,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[9]
     }
 
-    pub fn header_checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
-    }
-
     pub fn src_ip(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[12], b[13], b[14], b[15]])

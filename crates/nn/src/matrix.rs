@@ -220,13 +220,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|v| v * s)
@@ -268,11 +261,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Copies the rows selected by `indices` into a new matrix.

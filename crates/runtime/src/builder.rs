@@ -9,12 +9,12 @@
 //! let cfg = ReplayConfig::default().with_batch_size(64).with_exercise_wire(true);
 //! ```
 //!
-//! Before PR 8 each family hand-wrote those setters; [`builder_setters!`]
-//! generates the plain `self.field = value` ones so every family stays
-//! mechanically identical. Setters with real bodies — clamping, asserts,
-//! `Option` wrapping, list pushes — remain hand-written next to the
-//! macro invocation, where the divergence from the plain shape is
-//! visible. See DESIGN.md ("Config builder conventions") for the full
+//! Before PR 8 each family hand-wrote those setters;
+//! [`builder_setters!`](crate::builder_setters) generates the plain
+//! `self.field = value` ones so every family stays mechanically identical.
+//! Setters with real bodies — clamping, asserts, `Option` wrapping, list
+//! pushes — remain hand-written next to the macro invocation, where the
+//! divergence from the plain shape is visible. See DESIGN.md ("Config builder conventions") for the full
 //! rules.
 
 /// Generates chained consuming `with_*` setters on a config struct.

@@ -32,7 +32,7 @@
 //! * [`builder`] — the [`builder_setters!`] macro generating the chained
 //!   `with_*` config setters every config family in the workspace shares,
 //!   so builder conventions are enforced in one place.
-//! * [`proptest_lite`] — a seeded randomized-input test loop (macro
+//! * [`mod@proptest_lite`] — a seeded randomized-input test loop (macro
 //!   [`proptest_lite!`]) with shrinking-free failure reporting.
 //! * [`timing`] — a tiny benchmark harness (warmup + calibrated iteration
 //!   count, min/mean/max in ns) for `benches/` targets with

@@ -2,10 +2,10 @@
 //!
 //! Each test body runs [`DEFAULT_CASES`] times (override per test with
 //! `cases = N`, or globally with the `IGUARD_PROPTEST_CASES` env var), with a
-//! fresh [`Rng`](crate::rng::Rng) per case seeded from a hash of the test
-//! name and the case index. A failing case panics with the case number and
-//! seed so it can be replayed; there is no shrinking — rerun with the
-//! reported seed and bisect by hand.
+//! fresh [`Rng`] per case seeded from a hash of the test name and the case
+//! index. A failing case panics with the case number and seed so it can be
+//! replayed; there is no shrinking — rerun with the reported seed and bisect
+//! by hand.
 //!
 //! ```
 //! use iguard_runtime::proptest_lite;

@@ -115,11 +115,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal with given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Uniform u64 in `[0, bound)` via 128-bit multiply-shift.
     #[inline]
     fn bounded_u64(&mut self, bound: u64) -> u64 {

@@ -14,7 +14,7 @@ pub const TARGET_RUN: Duration = Duration::from_millis(200);
 /// Hard cap on iterations per run (cheap bodies would otherwise spin long).
 pub const MAX_ITERS: usize = 100_000;
 
-/// Result of one [`bench`] measurement.
+/// Result of one [`bench()`] measurement.
 #[derive(Clone, Debug)]
 pub struct Timing {
     pub label: String,
@@ -22,13 +22,6 @@ pub struct Timing {
     pub mean_ns: f64,
     pub min_ns: f64,
     pub max_ns: f64,
-}
-
-impl Timing {
-    /// Mean seconds per iteration.
-    pub fn mean_secs(&self) -> f64 {
-        self.mean_ns / 1e9
-    }
 }
 
 impl std::fmt::Display for Timing {

@@ -202,17 +202,7 @@ impl ActionChannel {
         action: ControlAction,
         tick: u64,
     ) -> Result<(), IguardError> {
-        self.sends += 1;
-        if self.plan.is_down(ChannelKind::Action, tick) {
-            self.failures += 1;
-            counter!("switch.chan.send_failed").inc();
-            return Err(SwitchError::ChannelDown.into());
-        }
-        if !self.plan.is_none() && self.stream.fires(self.plan.send_fail_p) {
-            self.failures += 1;
-            counter!("switch.chan.send_failed").inc();
-            return Err(SwitchError::ChannelDown.into());
-        }
+        self.transmit(tick)?;
         if matches!(action, ControlAction::InstallBlacklist(_))
             && dp.blacklist_len() >= self.tcam_capacity
         {
@@ -231,25 +221,33 @@ impl ActionChannel {
     /// check: a ruleset swap replaces the whitelist image wholesale rather
     /// than growing the blacklist, so the per-entry budget does not apply.
     /// Version errors ([`SwitchError::StaleRuleset`]) surface from the
-    /// data plane itself; in-order replays are an idempotent `Ok`.
+    /// data plane itself and are final — resending cannot fix them; in-order
+    /// replays are an idempotent `Ok`.
     pub fn send_ruleset<D: DataPlane + ?Sized>(
         &mut self,
         dp: &mut D,
         txn: &crate::ruleset::RulesetTxn,
         tick: u64,
     ) -> Result<(), IguardError> {
-        self.sends += 1;
-        if self.plan.is_down(ChannelKind::Action, tick) {
-            self.failures += 1;
-            counter!("switch.chan.send_failed").inc();
-            return Err(SwitchError::ChannelDown.into());
-        }
-        if !self.plan.is_none() && self.stream.fires(self.plan.send_fail_p) {
-            self.failures += 1;
-            counter!("switch.chan.send_failed").inc();
-            return Err(SwitchError::ChannelDown.into());
-        }
+        self.transmit(tick)?;
         dp.apply_ruleset(txn).map_err(IguardError::from)
+    }
+
+    /// The transport half of every send: counts the attempt, then fails
+    /// it with [`SwitchError::ChannelDown`] while an outage window covers
+    /// `tick` or when a sampled send failure fires. An outage draws
+    /// nothing, and a [`FaultPlan::none`] plan never draws, so the fault
+    /// stream stays aligned across runs that differ only in outages.
+    fn transmit(&mut self, tick: u64) -> Result<(), IguardError> {
+        self.sends += 1;
+        if self.plan.is_down(ChannelKind::Action, tick)
+            || (!self.plan.is_none() && self.stream.fires(self.plan.send_fail_p))
+        {
+            self.failures += 1;
+            counter!("switch.chan.send_failed").inc();
+            return Err(SwitchError::ChannelDown.into());
+        }
+        Ok(())
     }
 
     pub fn sends(&self) -> u64 {
@@ -452,6 +450,35 @@ mod tests {
         ch.send_ruleset(&mut dp, &txn, 6).expect("replay is idempotent");
         assert_eq!(dp.ruleset_counters().replayed, 1);
         assert_eq!((ch.sends(), ch.failures()), (3, 1));
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// Per-flow actions and ruleset transactions share one transport:
+        /// under the same fault plan they fail on exactly the same ticks.
+        fn action_and_ruleset_sends_fail_on_the_same_ticks(rng, cases = 64) {
+            use crate::ruleset::RulesetTxn;
+            use crate::tcam::{RangeEntry, RangeTable};
+            let start = rng.gen_range(0u64..40);
+            let plan = FaultPlan::none()
+                .with_send_fail_p(rng.gen_range(0.0f64..1.0))
+                .with_outage(ChannelKind::Action, start, start + rng.gen_range(1u64..20))
+                .with_seed(rng.next_u64());
+            let mut table = RangeTable::new(vec![4, 4]);
+            table.push(RangeEntry { fields: vec![(0, 7), (0, 15)], priority: 0 });
+            let txn = RulesetTxn::full_install(1, &table, accept_all(13));
+            let (mut dp_a, mut dp_r) = (test_dp(), test_dp());
+            let mut actions = ActionChannel::new(plan.clone(), usize::MAX);
+            let mut rulesets = ActionChannel::new(plan, usize::MAX);
+            for tick in 0..64u64 {
+                let five = sd(tick).digest.five;
+                let a = actions.send(&mut dp_a, ControlAction::ClearFlow(five), tick).is_ok();
+                // After the first delivery every resend is an idempotent
+                // replay, so only the transport can fail it.
+                let r = rulesets.send_ruleset(&mut dp_r, &txn, tick).is_ok();
+                assert_eq!(a, r, "tick {tick}");
+            }
+            assert_eq!(actions.failures(), rulesets.failures());
+        }
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! under those faults:
 //!
 //! * **Idempotent digest processing.** [`Controller::process_seq_digests_into`]
-//!   dedups on the global packet sequence tag carried by
-//!   [`SeqDigest`](crate::pipeline::SeqDigest), over a bounded sliding
-//!   window, so a duplicated digest cannot double-count bandwidth, churn
-//!   eviction state, or re-issue installs.
+//!   dedups on the global packet sequence tag carried by [`SeqDigest`],
+//!   over a bounded sliding window, so a duplicated digest cannot
+//!   double-count bandwidth, churn eviction state, or re-issue installs.
 //! * **Bounded retries with backoff.** Failed action sends are re-queued
 //!   by [`Controller::note_send_failure`] with deterministic exponential
 //!   backoff plus seeded jitter, capped at
@@ -68,6 +67,21 @@ pub struct RetryPolicy {
     pub queue_cap: usize,
     /// Seed of the jitter RNG stream.
     pub seed: u64,
+}
+
+impl RetryPolicy {
+    /// Tick at which a re-send falls due when the `attempts`-th failed
+    /// send happened at `tick`: `min(base << (attempts - 1), max)` ticks
+    /// of backoff plus one uniform jitter draw from `rng` (no draw when
+    /// jitter is off). Per-flow retries and ruleset re-sends both go
+    /// through here, so they back off alike.
+    fn due_after(&self, attempts: u32, tick: u64, rng: &mut Rng) -> u64 {
+        let shift = attempts.saturating_sub(1).min(62);
+        let backoff =
+            self.base_backoff_ticks.saturating_shl(shift).min(self.max_backoff_ticks).max(1);
+        let jitter = if self.jitter_ticks > 0 { rng.gen_range(0..=self.jitter_ticks) } else { 0 };
+        tick + backoff + jitter
+    }
 }
 
 impl Default for RetryPolicy {
@@ -128,11 +142,12 @@ struct PendingRetry {
 /// A staged ruleset transaction awaiting delivery to the data plane.
 ///
 /// Unlike per-flow [`PendingRetry`] work, a staged ruleset is never
-/// abandoned: it is the only path off a drifted model, and replays are
-/// idempotent (the plane no-ops versions it already holds), so the
-/// controller re-sends it with capped backoff until the channel heals —
-/// which is what lets retraining converge after an arbitrarily long
-/// outage.
+/// abandoned to transport failures: it is the only path off a drifted
+/// model, and replays are idempotent (the plane no-ops versions it already
+/// holds), so the controller re-sends it with capped backoff until the
+/// channel heals — which is what lets retraining converge after an
+/// arbitrarily long outage. Only a rejection by the data plane itself
+/// drops it ([`Controller::ruleset_rejected`]).
 struct PendingRuleset {
     txn: RulesetTxn,
     /// Send attempts made so far.
@@ -217,6 +232,7 @@ pub struct Controller {
     pending_rulesets: VecDeque<PendingRuleset>,
     rulesets_staged: u64,
     rulesets_delivered: u64,
+    rulesets_rejected: u64,
     ruleset_send_failures: u64,
 }
 
@@ -245,16 +261,10 @@ impl Controller {
             pending_rulesets: VecDeque::new(),
             rulesets_staged: 0,
             rulesets_delivered: 0,
+            rulesets_rejected: 0,
             ruleset_send_failures: 0,
             cfg,
         }
-    }
-
-    /// Allocating convenience over [`Self::process_seq_digests_into`].
-    pub fn process_seq_digests(&mut self, digests: &[SeqDigest]) -> Vec<ControlAction> {
-        let mut actions = Vec::new();
-        self.process_seq_digests_into(digests, &mut actions);
-        actions
     }
 
     /// Consumes a batch of sequence-tagged digests, producing data-plane
@@ -375,13 +385,9 @@ impl Controller {
             self.enter_degraded();
             return;
         }
-        let r = self.cfg.retry;
-        let shift = (attempt - 1).min(62);
-        let backoff = r.base_backoff_ticks.saturating_shl(shift).min(r.max_backoff_ticks).max(1);
-        let jitter =
-            if r.jitter_ticks > 0 { self.retry_rng.gen_range(0..=r.jitter_ticks) } else { 0 };
-        let pending = PendingRetry { action, attempt: attempt + 1, due: tick + backoff + jitter };
-        if self.retry_queue.len() >= r.queue_cap {
+        let due = self.cfg.retry.due_after(attempt, tick, &mut self.retry_rng);
+        let pending = PendingRetry { action, attempt: attempt + 1, due };
+        if self.retry_queue.len() >= self.cfg.retry.queue_cap {
             self.shed_for(&pending);
         } else {
             self.retry_queue.push_back(pending);
@@ -483,19 +489,27 @@ impl Controller {
 
     /// Records a failed ruleset send and schedules the next attempt with
     /// the same capped exponential backoff (+ seeded jitter) as per-flow
-    /// retries. Unlike those, the transaction is never abandoned — see
-    /// [`PendingRuleset`] for why that is safe and necessary.
+    /// retries. Unlike those, a transport failure never abandons the
+    /// transaction — see [`PendingRuleset`] for why that is safe and
+    /// necessary.
     pub fn note_ruleset_failure(&mut self, tick: u64) {
         let Some(p) = self.pending_rulesets.front_mut() else { return };
         self.ruleset_send_failures += 1;
         counter!("switch.controller.ruleset_retry").inc();
         p.attempts = p.attempts.saturating_add(1);
-        let r = self.cfg.retry;
-        let shift = p.attempts.saturating_sub(1).min(62);
-        let backoff = r.base_backoff_ticks.saturating_shl(shift).min(r.max_backoff_ticks).max(1);
-        let jitter =
-            if r.jitter_ticks > 0 { self.retry_rng.gen_range(0..=r.jitter_ticks) } else { 0 };
-        p.due = tick + backoff + jitter;
+        p.due = self.cfg.retry.due_after(p.attempts, tick, &mut self.retry_rng);
+    }
+
+    /// Drops the oldest staged transaction because the data plane
+    /// rejected it ([`iguard_core::SwitchError::StaleRuleset`]: a version
+    /// gap or a whitelist of the wrong shape). Resending cannot change
+    /// that verdict, and delivery is strictly in order, so retrying would
+    /// hold every later transaction behind it forever.
+    pub fn ruleset_rejected(&mut self) {
+        if self.pending_rulesets.pop_front().is_some() {
+            self.rulesets_rejected += 1;
+            counter!("switch.controller.ruleset_rejected").inc();
+        }
     }
 
     /// Marks the oldest staged transaction delivered (the data plane
@@ -522,12 +536,13 @@ impl Controller {
         self.ruleset_send_failures
     }
 
-    pub fn has_pending_retries(&self) -> bool {
-        !self.retry_queue.is_empty()
+    /// Staged transactions dropped by [`Self::ruleset_rejected`].
+    pub fn rulesets_rejected(&self) -> u64 {
+        self.rulesets_rejected
     }
 
-    pub fn pending_retries(&self) -> usize {
-        self.retry_queue.len()
+    pub fn has_pending_retries(&self) -> bool {
+        !self.retry_queue.is_empty()
     }
 
     /// Currently degraded (shedding or exhausted retries, not yet healed).
@@ -705,7 +720,9 @@ mod tests {
             .enumerate()
             .map(|(i, &d)| SeqDigest { seq: base + i as u64, digest: d })
             .collect();
-        c.process_seq_digests(&sds)
+        let mut actions = Vec::new();
+        c.process_seq_digests_into(&sds, &mut actions);
+        actions
     }
 
     #[test]
@@ -945,10 +962,12 @@ mod tests {
     /// more for designs shipping flow features.
     #[test]
     fn digest_overhead_matches_paper_appendix() {
+        let mut actions = Vec::new();
         let mut iguard = Controller::new(ControllerConfig::default());
         for i in 0..50_000u32 {
             let d = Digest::new(FiveTuple::new(i, 2, 1, 80, PROTO_TCP), false);
-            let _ = iguard.process_seq_digests(&[SeqDigest { seq: i as u64, digest: d }]);
+            iguard
+                .process_seq_digests_into(&[SeqDigest { seq: i as u64, digest: d }], &mut actions);
         }
         let kbps = iguard.overhead_kbps(30.0);
         assert!((kbps - 21.4).abs() < 1.0, "iGuard overhead {kbps} KBps");
@@ -959,7 +978,8 @@ mod tests {
         });
         for i in 0..50_000u32 {
             let d = Digest::new(FiveTuple::new(i, 2, 1, 80, PROTO_TCP), false);
-            let _ = horuseye.process_seq_digests(&[SeqDigest { seq: i as u64, digest: d }]);
+            horuseye
+                .process_seq_digests_into(&[SeqDigest { seq: i as u64, digest: d }], &mut actions);
         }
         let ratio = horuseye.overhead_kbps(30.0) / kbps;
         assert!((ratio - 5.0).abs() < 0.5, "overhead ratio {ratio} (paper: 5.2x)");
@@ -988,6 +1008,40 @@ mod tests {
         assert!(c.take_drift_trigger(), "regime change must trigger");
         assert!(!c.take_drift_trigger(), "reading clears the flag");
         assert_eq!(c.drift_detector().expect("configured").fires(), 1);
+    }
+
+    /// Ruleset re-sends and per-flow retries share one backoff rule and
+    /// one jitter stream: for the same history of failed attempts, two
+    /// fresh controllers schedule both at the same due ticks.
+    #[test]
+    fn ruleset_resends_and_flow_retries_fall_due_alike() {
+        use crate::tcam::RangeTable;
+        let cfg = ControllerConfig {
+            retry: RetryPolicy { jitter_ticks: 3, max_attempts: 16, ..RetryPolicy::default() },
+            ..ControllerConfig::default()
+        };
+        let (mut flows, mut rulesets) = (Controller::new(cfg), Controller::new(cfg));
+        let act = ControlAction::InstallBlacklist(digest(1, true).five);
+        let txn = RulesetTxn::full_install(
+            1,
+            &RangeTable::new(vec![4]),
+            crate::pipeline::testutil::accept_all(13),
+        );
+        rulesets.stage_ruleset(txn);
+        let mut due = Vec::new();
+        let mut tick = 10;
+        for attempt in 1..=9u32 {
+            flows.note_send_failure(act, attempt, tick);
+            rulesets.note_ruleset_failure(tick);
+            let flow_due = (tick..).find(|&t| {
+                flows.take_due_retries(t, &mut due);
+                !due.is_empty()
+            });
+            let ruleset_due = (tick..).find(|&t| rulesets.due_ruleset(t).is_some());
+            assert_eq!(flow_due, ruleset_due, "attempt {attempt}");
+            assert_eq!(due, vec![(act, attempt + 1)]);
+            tick = flow_due.expect("due within the backoff cap");
+        }
     }
 
     #[test]

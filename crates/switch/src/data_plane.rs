@@ -141,7 +141,7 @@ pub trait DataPlane {
     /// half of the control-plane API; per-flow actions stay on
     /// [`Self::apply`]). Like `apply`, the transaction takes effect before
     /// the next `process_batch` call, and the swap is **hitless**: the
-    /// successor ruleset is staged completely off to the side and flipped
+    /// successor ruleset is built completely off to the side and swapped
     /// in whole, so every packet is classified by exactly one complete
     /// ruleset. Versions are monotonic — a replayed transaction
     /// (`txn.version <= ruleset_version()`) is an idempotent no-op counted

@@ -3,13 +3,13 @@
 //! The paper deploys iGuard on an Edgecore 32X (Tofino 1). This crate
 //! emulates the parts of that deployment the evaluation measures:
 //!
-//! * [`tcam`] — ternary match tables: range→ternary prefix expansion per
-//!   field, entry counting, and longest-priority matching — the mechanism
-//!   whitelist rules are installed with and the source of Table 1's TCAM
-//!   numbers. Range→TCAM compilation is **grid-exact**: an installed entry
-//!   matches key `k` iff the float rule contains `dequantize(k)`, so the
-//!   TCAM model, the float rules, and the compiled indexes agree on every
-//!   representable key.
+//! * [`tcam`] — the native-range TCAM table ([`RangeTable`], one entry
+//!   per rule, first match by priority) whitelist rules are installed
+//!   with and the source of Table 1's TCAM numbers. Range→TCAM
+//!   compilation is **grid-exact**: an installed entry matches key `k`
+//!   iff the float rule contains `dequantize(k)`, so the TCAM model, the
+//!   float rules, and the compiled indexes agree on every representable
+//!   key.
 //! * [`rule_index`] — [`rule_index::RangeIndex`]: the compiled first-match
 //!   index of a [`RangeTable`] (binary-searchable per-field cut points +
 //!   priority-ordered rule bitmaps), returning the identical entry as the
@@ -17,7 +17,8 @@
 //! * [`ruleset`] — the transactional whitelist lifecycle: canonical
 //!   entry ordering, the minimal install/remove diff between two compiled
 //!   [`RangeTable`]s, and the versioned [`ruleset::RulesetTxn`] the
-//!   backends apply hitlessly (double-buffered epochs, see [`pipeline`]).
+//!   backends apply hitlessly (one epoch replaced under `&mut self`, see
+//!   [`pipeline`]).
 //! * [`resources`] — a Tofino-1-like resource model (TCAM/SRAM blocks,
 //!   stateful ALUs, VLIW actions, pipeline stages) that converts an
 //!   installed iGuard configuration into the utilisation percentages of
@@ -79,8 +80,8 @@ pub use replay::{
     PacketSource, TraceSource,
 };
 pub use resources::{ResourceModel, ResourceUsage};
-pub use rule_index::{RangeIndex, RangeScratch};
+pub use rule_index::RangeIndex;
 pub use ruleset::{canonical_entries, RulesetCounters, RulesetDiff, RulesetTxn};
 pub use sharded::{ShardedPipeline, ShardedPipelineConfig, LOGICAL_SHARDS};
 pub use sketched::{SketchEviction, SketchedPipeline, SketchedPipelineConfig};
-pub use tcam::{RangeEntry, RangeTable, TcamTable, TernaryEntry};
+pub use tcam::{RangeEntry, RangeTable};

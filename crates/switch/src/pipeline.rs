@@ -683,9 +683,8 @@ impl IndexedWhitelist {
 /// whitelist: the float rules the hot path matches on, and the TCAM
 /// entry table the same generation was installed from. Both halves swap
 /// together, so the emulated float match and the modelled TCAM contents
-/// can never skew. Every piece is shared by [`Arc`], so staging a
+/// can never skew. Every piece is shared by [`Arc`], so building a
 /// successor reuses whatever it does not replace.
-#[derive(Clone)]
 struct WhitelistEpoch {
     /// Float-side whitelist with its compiled index, compiled once by
     /// the [`RulesetTxn`] that installed it.
@@ -695,7 +694,7 @@ struct WhitelistEpoch {
     /// Per-phase whitelists, index-aligned with the flow table's
     /// [`iguard_flow::table::PhaseSchedule`] boundaries. Empty = phase
     /// evaluation disabled (every boundary look escalates). Part of the
-    /// epoch so a swap flips all phases and the final ruleset together.
+    /// epoch so a swap replaces all phases and the final ruleset together.
     phases: Arc<[IndexedWhitelist]>,
 }
 
@@ -708,21 +707,18 @@ struct WhitelistEpoch {
 ///
 /// ## Hitless ruleset swap
 ///
-/// The FL whitelist is **double-buffered**: `epochs[active]` serves every
-/// lookup while [`MatchEngine::apply_ruleset`] stages the successor
-/// generation completely in the other slot — the table after one merge
-/// walk of the delta, and the float rules the transaction compiled, shared
-/// by [`Arc`] — and only then flips `active`. The flip is a plain word
-/// write under `&mut self`, which the [`DataPlane`] contract confines to
-/// the gap between batches: every packet is classified by exactly one
-/// complete ruleset and zero packets observe a partial table. (On real
-/// hardware the same discipline is a release-store of the active-buffer
-/// pointer after the staging writes; see DESIGN.md §13.)
+/// [`MatchEngine::apply_ruleset`] builds the successor generation
+/// completely — the table after one merge walk of the delta, and the float
+/// rules the transaction compiled, shared by [`Arc`] — and only then
+/// assigns it over the live `epoch`. The assignment happens under
+/// `&mut self`, which the [`DataPlane`] contract confines to the gap
+/// between batches: every packet is classified by exactly one complete
+/// ruleset and zero packets observe a partial table. (On real hardware the
+/// same discipline is a release-store of the active-buffer pointer after
+/// the staging writes; see DESIGN.md §13.)
 pub(crate) struct MatchEngine {
-    /// Double-buffered whitelist generations over the 13 switch FL
-    /// features; `epochs[active]` is live, the other slot is staging.
-    epochs: [WhitelistEpoch; 2],
-    active: usize,
+    /// The live whitelist generation over the 13 switch FL features.
+    epoch: WhitelistEpoch,
     /// Version of the live epoch (0 until the first transaction).
     version: u64,
     /// Whitelist over the 4 PL features (not part of the drift loop).
@@ -738,14 +734,12 @@ impl MatchEngine {
     pub(crate) fn new(cfg: &PipelineConfig, fl_rules: RuleSet, pl_rules: RuleSet) -> Self {
         assert_eq!(fl_rules.bounds.len(), 13, "FL rules must cover the 13 switch features");
         assert_eq!(pl_rules.bounds.len(), 4, "PL rules must cover the 4 packet features");
-        let epoch = WhitelistEpoch {
-            fl: Arc::new(IndexedWhitelist::new(fl_rules)),
-            table: Arc::default(),
-            phases: Arc::from([]),
-        };
         Self {
-            epochs: [epoch.clone(), epoch],
-            active: 0,
+            epoch: WhitelistEpoch {
+                fl: Arc::new(IndexedWhitelist::new(fl_rules)),
+                table: Arc::default(),
+                phases: Arc::from([]),
+            },
             version: 0,
             pl_rules: IndexedWhitelist::new(pl_rules),
             drop_malicious: cfg.drop_malicious,
@@ -757,47 +751,46 @@ impl MatchEngine {
 
     /// The live FL whitelist generation.
     fn fl_rules(&self) -> &IndexedWhitelist {
-        &self.epochs[self.active].fl
+        &self.epoch.fl
     }
 
     /// The live whitelist of intermediate phase `phase`, if one is
     /// installed. `None` means the boundary look has no model — the
     /// packet escalates exactly like a brown early packet.
     fn phase_rules(&self, phase: u8) -> Option<&IndexedWhitelist> {
-        self.epochs[self.active].phases.get(phase as usize)
+        self.epoch.phases.get(phase as usize)
     }
 
     /// Number of per-phase whitelists in the live epoch.
     pub(crate) fn phase_count(&self) -> usize {
-        self.epochs[self.active].phases.len()
+        self.epoch.phases.len()
     }
 
     /// Installs one whitelist ruleset per intermediate phase, replacing
-    /// any previous phase array. Hitless: the phase array is staged in
-    /// the inactive epoch next to the live FL generation, and
-    /// `active` flips only once the slot is complete — the same
-    /// double-buffer discipline as [`MatchEngine::apply_ruleset`], so all
-    /// phases (and the final ruleset) always swap together.
+    /// any previous phase array. Hitless: the successor epoch (the new
+    /// phase array next to the live FL generation) is complete before it
+    /// replaces the live one — the same discipline as
+    /// [`MatchEngine::apply_ruleset`], so all phases (and the final
+    /// ruleset) always swap together.
     pub(crate) fn set_phase_rulesets(&mut self, rulesets: &[RuleSet]) {
         for rs in rulesets {
             assert_eq!(rs.bounds.len(), 13, "phase rules must cover the 13 switch features");
         }
-        let staged = WhitelistEpoch {
+        self.epoch = WhitelistEpoch {
+            fl: Arc::clone(&self.epoch.fl),
+            table: Arc::clone(&self.epoch.table),
             phases: rulesets.iter().map(|r| IndexedWhitelist::new(r.clone())).collect(),
-            ..self.epochs[self.active].clone()
         };
-        self.epochs[1 - self.active] = staged;
-        self.active = 1 - self.active;
         counter!("switch.phase.rulesets_installed").add(rulesets.len() as u64);
     }
 
     /// Applies a versioned ruleset transaction (see [`crate::ruleset`]).
     ///
-    /// * `txn.version == version + 1` — the successor epoch is staged in
-    ///   the inactive buffer (delta merged into the live table, the
-    ///   transaction's compiled float rules shared, the phase array
-    ///   carried over) and `active` flips once it is complete. Nothing is
-    ///   recompiled: the cost is one walk over the table.
+    /// * `txn.version == version + 1` — the successor epoch is built
+    ///   (delta merged into the live table, the transaction's compiled
+    ///   float rules shared, the phase array carried over) and replaces the
+    ///   live one once it is complete. Nothing is recompiled: the cost is
+    ///   one walk over the table.
     /// * `txn.version <= version` — idempotent replay: no-op, `Ok`.
     /// * anything newer, or a delta or whitelist whose shape does not fit
     ///   the live table and the 13 switch features —
@@ -809,7 +802,7 @@ impl MatchEngine {
             return Ok(());
         }
         let expected = self.version + 1;
-        let live = &self.epochs[self.active];
+        let live = &self.epoch;
         let table = if txn.version != expected || txn.fl_rules().bounds.len() != SWITCH_FL_DIM {
             Err(SwitchError::StaleRuleset { expected, got: txn.version })
         } else {
@@ -830,17 +823,14 @@ impl MatchEngine {
                 return Err(e);
             }
         };
-        // Stage the successor completely before the flip: after this
-        // assignment the inactive slot holds a full, self-consistent
-        // ruleset, and only then does `active` move. Phase whitelists ride
-        // along unchanged: a final-ruleset swap must never silently drop
-        // the phase array.
-        self.epochs[1 - self.active] = WhitelistEpoch {
+        // The successor is complete before it replaces the live epoch.
+        // Phase whitelists ride along unchanged: a final-ruleset swap must
+        // never silently drop the phase array.
+        self.epoch = WhitelistEpoch {
             fl: Arc::clone(txn.fl()),
             table: Arc::new(table),
             phases: Arc::clone(&live.phases),
         };
-        self.active = 1 - self.active;
         self.version = txn.version;
         let (installed, removed) = (txn.installs().len() as u64, txn.removes().len() as u64);
         self.ruleset_stats.installed += installed;
@@ -866,7 +856,7 @@ impl MatchEngine {
     /// installs one — backends constructed directly from float rules model
     /// their table only once the lifecycle API takes over).
     pub(crate) fn ruleset_table(&self) -> &RangeTable {
-        &self.epochs[self.active].table
+        &self.epoch.table
     }
 
     /// FL verdict for one raw 13-feature row: applies the configured

@@ -29,7 +29,7 @@
 
 use std::num::NonZeroU64;
 
-use iguard_core::error::IguardError;
+use iguard_core::error::{IguardError, SwitchError};
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_metrics::ConfusionMatrix;
@@ -167,6 +167,9 @@ pub struct ReplayReport {
     /// Ruleset delivery attempts that failed in transit and were backed
     /// off for re-send.
     pub ruleset_retries: u64,
+    /// Ruleset transactions the data plane rejected (a version gap or a
+    /// whitelist of the wrong shape); each was dropped, not retried.
+    pub ruleset_rejected: u64,
 }
 
 impl ReplayReport {
@@ -373,8 +376,11 @@ pub struct ChaosConfig {
     /// transaction is staged on the controller — as if a drift-triggered
     /// retrain had just completed — and delivery then rides the fallible
     /// action channel with capped backoff until the data plane accepts
-    /// it. Lets chaos tests exercise swap-under-fault convergence without
-    /// running a retrain in the loop.
+    /// it. A transaction the data plane rejects (a version gap or a
+    /// whitelist of the wrong shape) is dropped and counted in
+    /// [`ReplayReport::ruleset_rejected`], not retried. Lets chaos tests
+    /// exercise swap-under-fault convergence without running a retrain in
+    /// the loop.
     pub ruleset_swaps: Vec<(u64, RulesetTxn)>,
     /// Hardware blacklist budget enforced by the action channel; installs
     /// beyond it fail with `TcamFull`.
@@ -519,20 +525,31 @@ impl ControlLoop {
         }
         // Ruleset lifecycle: a staged (drift-retrained or scripted)
         // transaction rides the same fallible channel as per-flow
-        // actions. Failures back off with the controller's retry policy;
-        // the transaction is never abandoned, so a healed channel always
-        // converges to the retrained generation.
-        let mut swapped = false;
+        // actions. Transport failures back off with the controller's retry
+        // policy and never abandon the transaction, so a healed channel
+        // always converges to the retrained generation. A rejection by the
+        // data plane itself is final: resending cannot fix it, and it
+        // would hold every later transaction behind it.
+        let mut ruleset_moved = false;
         if let Some(txn) = controller.due_ruleset(tick).cloned() {
             match self.action_chan.send_ruleset(dp, &txn, tick) {
                 Ok(()) => {
                     controller.ruleset_delivered();
-                    swapped = true;
+                    ruleset_moved = true;
                 }
-                Err(_) => controller.note_ruleset_failure(tick),
+                Err(IguardError::Switch(SwitchError::ChannelDown)) => {
+                    controller.note_ruleset_failure(tick)
+                }
+                Err(_) => {
+                    controller.ruleset_rejected();
+                    ruleset_moved = true;
+                }
             }
         }
-        !self.seq_buf.is_empty() || !self.delivered.is_empty() || !self.due.is_empty() || swapped
+        !self.seq_buf.is_empty()
+            || !self.delivered.is_empty()
+            || !self.due.is_empty()
+            || ruleset_moved
     }
 
     fn send<D: DataPlane + ?Sized>(
@@ -567,6 +584,20 @@ impl ControlLoop {
         self.digest_chan.has_in_flight()
             || controller.has_pending_retries()
             || controller.has_pending_ruleset()
+    }
+}
+
+/// Stages on `controller` every scripted swap due by `tick`, advancing
+/// `next` through `swaps` (sorted by tick).
+fn stage_due_swaps(
+    swaps: &[&(u64, RulesetTxn)],
+    next: &mut usize,
+    tick: u64,
+    controller: &mut Controller,
+) {
+    while let Some((_, txn)) = swaps.get(*next).filter(|(at, _)| *at <= tick) {
+        controller.stage_ruleset(txn.clone());
+        *next += 1;
     }
 }
 
@@ -736,10 +767,7 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
                 crash_pending = None;
             }
         }
-        while next_swap < swaps.len() && swaps[next_swap].0 <= tick {
-            controller.stage_ruleset(swaps[next_swap].1.clone());
-            next_swap += 1;
-        }
+        stage_due_swaps(&swaps, &mut next_swap, tick, controller);
         // Wire exercise re-encodes into the scratch buffer; otherwise the
         // source's batch is fed as is.
         let batch: &[Packet] = if cfg.exercise_wire {
@@ -805,10 +833,7 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
     while flush_ticks < chaos.max_flush_ticks {
         // Swaps scripted past the end of the trace still stage (and then
         // hold the flush loop open until delivered).
-        while next_swap < swaps.len() && swaps[next_swap].0 <= tick {
-            controller.stage_ruleset(swaps[next_swap].1.clone());
-            next_swap += 1;
-        }
+        stage_due_swaps(&swaps, &mut next_swap, tick, controller);
         if !ctl.has_outstanding(controller) && !resync_enabled && next_swap >= swaps.len() {
             break;
         }
@@ -841,6 +866,7 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
     report.degraded = controller.ever_degraded();
     report.ruleset_swaps = controller.rulesets_delivered();
     report.ruleset_retries = controller.ruleset_send_failures();
+    report.ruleset_rejected = controller.rulesets_rejected();
     let heal = [ChannelKind::Digest, ChannelKind::Action]
         .into_iter()
         .filter_map(|ch| chaos.plan.heal_tick(ch))

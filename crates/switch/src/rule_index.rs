@@ -16,15 +16,6 @@ use iguard_telemetry::counter;
 
 use crate::tcam::RangeTable;
 
-/// Reusable per-lookup scratch: the quantized key and the bitmap AND
-/// accumulator. One per worker/shard; lets batch classification quantize
-/// and intersect without touching the allocator.
-#[derive(Clone, Debug, Default)]
-pub struct RangeScratch {
-    pub key: Vec<u32>,
-    pub words: Vec<u64>,
-}
-
 /// The compiled first-match index of a [`RangeTable`].
 #[derive(Clone, Debug)]
 pub struct RangeIndex {

@@ -1,5 +1,5 @@
-//! Ternary match tables, native range matching, and range→ternary
-//! expansion.
+//! The whitelist TCAM: native range matching, and the range→ternary
+//! expansion that argues for it.
 //!
 //! Whitelist rules are conjunctions of per-field ranges. Two cost models
 //! exist on real hardware:
@@ -7,7 +7,8 @@
 //! * **Prefix expansion** ([`range_to_prefixes`]): a range becomes up to
 //!   `2w − 2` ternary prefixes, and a multi-field rule would need the
 //!   *product* of its fields' prefix counts — prohibitive beyond a couple
-//!   of range fields.
+//!   of range fields. Kept only as that argument's evidence; nothing
+//!   installs ternary entries.
 //! * **Native range match** ([`RangeTable`]): Tofino's TCAM implements
 //!   range matching directly with 4-bit DirtCAM slices at roughly twice
 //!   the bit cost of an exact field, keeping **one entry per rule**. This
@@ -77,37 +78,6 @@ impl FieldSpec {
         }
     }
 
-    /// Quantises a whole feature column into `out` (one batched field of a
-    /// structure-of-arrays key block). Semantically `out[i] =
-    /// self.quantize(vals[i])`; the tight loop over one field's values
-    /// keeps the scale and saturation bound in registers instead of
-    /// re-reading a `FieldSpec` per packet.
-    pub fn quantize_column(&self, vals: &[f32], out: &mut [u32]) {
-        assert_eq!(vals.len(), out.len());
-        let scale = self.scale as f64;
-        let max = self.max_value();
-        let max_f = max as f64;
-        for (o, &v) in out.iter_mut().zip(vals) {
-            *o = if !v.is_finite() {
-                if v > 0.0 {
-                    max
-                } else {
-                    0
-                }
-            } else {
-                let scaled = (v as f64 * scale).round();
-                if scaled <= 0.0 {
-                    0
-                } else if scaled >= max_f {
-                    max
-                } else {
-                    scaled as u32
-                }
-            };
-            debug_assert_eq!(*o, self.quantize(v));
-        }
-    }
-
     /// The canonical feature value of grid key `k` — the representative
     /// point the compiled table's semantics are defined on: an installed
     /// entry covers `k` iff the float rule contains `dequantize(k)`.
@@ -143,22 +113,6 @@ impl FieldSpec {
     }
 }
 
-/// One ternary entry: per-field (value, mask) pairs. A key matches when
-/// `key & mask == value & mask` for every field.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TernaryEntry {
-    pub fields: Vec<(u32, u32)>,
-    /// Lower number = higher priority.
-    pub priority: u32,
-}
-
-impl TernaryEntry {
-    pub fn matches(&self, key: &[u32]) -> bool {
-        debug_assert_eq!(key.len(), self.fields.len());
-        self.fields.iter().zip(key).all(|(&(v, m), &k)| k & m == v & m)
-    }
-}
-
 /// Expands the inclusive integer range `[lo, hi]` within a `width`-bit
 /// field into minimal covering prefixes `(value, mask)`.
 pub fn range_to_prefixes(lo: u32, hi: u32, width: u8) -> Vec<(u32, u32)> {
@@ -182,48 +136,6 @@ pub fn range_to_prefixes(lo: u32, hi: u32, width: u8) -> Vec<(u32, u32)> {
         lo += 1u64 << block_bits;
     }
     out
-}
-
-/// A ternary table with first-match-by-priority semantics.
-#[derive(Clone, Debug, Default)]
-pub struct TcamTable {
-    entries: Vec<TernaryEntry>,
-    /// Bit width per field (for documentation / slice accounting).
-    pub field_bits: Vec<u8>,
-}
-
-impl TcamTable {
-    pub fn new(field_bits: Vec<u8>) -> Self {
-        Self { entries: Vec::new(), field_bits }
-    }
-
-    pub fn push(&mut self, entry: TernaryEntry) {
-        debug_assert_eq!(entry.fields.len(), self.field_bits.len());
-        self.entries.push(entry);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Highest-priority (lowest number) matching entry, if any.
-    pub fn lookup(&self, key: &[u32]) -> Option<&TernaryEntry> {
-        counter!("switch.tcam.lookup").inc();
-        let hit = self.entries.iter().filter(|e| e.matches(key)).min_by_key(|e| e.priority);
-        if hit.is_some() {
-            counter!("switch.tcam.hit").inc();
-        }
-        hit
-    }
-
-    /// Sum of field widths — the key width a physical TCAM must slice.
-    pub fn key_bits(&self) -> u32 {
-        self.field_bits.iter().map(|&b| b as u32).sum()
-    }
 }
 
 /// One native-range entry: inclusive `[lo, hi]` per field.
@@ -379,8 +291,7 @@ pub fn compile_ruleset_checked(
 /// Quantises a feature vector into a TCAM lookup key.
 ///
 /// Allocates a fresh `Vec` per call — fine for setup and tests; hot paths
-/// reuse a scratch buffer via [`quantize_key_into`] or quantize whole
-/// columns with [`FieldSpec::quantize_column`].
+/// reuse a scratch buffer via [`quantize_key_into`].
 pub fn quantize_key(x: &[f32], specs: &[FieldSpec]) -> Vec<u32> {
     let mut out = Vec::with_capacity(specs.len());
     quantize_key_into(x, specs, &mut out);
@@ -557,9 +468,9 @@ mod tests {
 
     #[test]
     fn table_priority_order() {
-        let mut t = TcamTable::new(vec![8]);
-        t.push(TernaryEntry { fields: vec![(0, 0)], priority: 5 }); // catch-all
-        t.push(TernaryEntry { fields: vec![(7, 0xFF)], priority: 1 });
+        let mut t = RangeTable::new(vec![8]);
+        t.push(RangeEntry { fields: vec![(0, 255)], priority: 5 }); // catch-all
+        t.push(RangeEntry { fields: vec![(7, 7)], priority: 1 });
         let hit = t.lookup(&[7]).unwrap();
         assert_eq!(hit.priority, 1);
         let other = t.lookup(&[9]).unwrap();
@@ -585,35 +496,6 @@ mod tests {
             assert_eq!(key, quantize_key(&probe, &specs));
             let tcam_benign = table.lookup(&key).is_some();
             assert_eq!(tcam_benign, rules.matches(&probe), "disagreement at {probe:?}");
-        }
-    }
-
-    /// The per-column quantizer agrees with the scalar one on every edge
-    /// shape: ±inf, NaN-free negatives, saturation at the field top, and
-    /// exact rounding boundaries under a fractional scale.
-    #[test]
-    fn quantize_column_matches_scalar() {
-        for spec in [FieldSpec::new(8, 1.0), FieldSpec::new(8, 3.7), FieldSpec::new(32, 1000.0)] {
-            let vals = [
-                -1.0e30f32,
-                f32::NEG_INFINITY,
-                -0.0,
-                0.0,
-                0.1,
-                0.5,
-                1.0,
-                68.9,
-                255.0,
-                256.0,
-                1.0e30,
-                f32::INFINITY,
-                4.29e9,
-            ];
-            let mut out = vec![0u32; vals.len()];
-            spec.quantize_column(&vals, &mut out);
-            for (&v, &k) in vals.iter().zip(&out) {
-                assert_eq!(k, spec.quantize(v), "spec {spec:?}, v = {v}");
-            }
         }
     }
 

@@ -356,3 +356,34 @@ fn replayed_and_stale_transactions_account_correctly() {
     assert_eq!((c.swaps, c.replayed, c.stale), (1, 1, 1));
     assert_eq!(dp.ruleset_version(), 1, "rejected transaction must not advance the version");
 }
+
+/// Regression: a transaction the data plane rejects is dropped and
+/// counted, not resent. Delivery is strictly in order, so resending a
+/// v2 that arrived before v1 used to hold the valid v1 behind it for the
+/// whole flush budget, and v1 never landed.
+#[test]
+fn rejected_transaction_is_dropped_not_retried() {
+    let trace = stable_trace(60, 12);
+    let fl = accept_all(13);
+    let mut table = RangeTable::new(vec![4]);
+    table.push(RangeEntry { fields: vec![(0, 15)], priority: 0 });
+    let chaos = ChaosConfig::default()
+        .with_ruleset_swap(0, RulesetTxn::full_install(2, &table, fl.clone()))
+        .with_ruleset_swap(1, RulesetTxn::full_install(1, &table, fl.clone()));
+    let mut dp = Pipeline::new(flow_cfg(4096), fl, accept_all(4));
+    let mut controller = Controller::new(ControllerConfig::default());
+    let r = replay_chaos_traced(
+        &trace,
+        &mut dp,
+        &mut controller,
+        &ReplayConfig::default().with_batch_size(64),
+        &chaos,
+        None,
+    );
+    assert_eq!(dp.ruleset_version(), 1, "v1 must land behind the rejected v2");
+    assert_eq!((r.ruleset_swaps, r.ruleset_rejected), (1, 1));
+    assert_eq!(r.ruleset_retries, 0, "a rejection is not a transport failure");
+    assert_eq!(dp.ruleset_counters().stale, 1, "v2 is offered exactly once");
+    assert!(!controller.has_pending_ruleset());
+    assert!(r.flush_ticks < 16, "flush ran {} ticks", r.flush_ticks);
+}

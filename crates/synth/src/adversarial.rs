@@ -17,7 +17,7 @@ use iguard_runtime::Dataset;
 use iguard_flow::packet::{Packet, TcpFlags};
 
 use crate::profile::gauss;
-use crate::trace::{LabeledFlows, Trace};
+use crate::trace::Trace;
 
 /// Stretches a trace's inter-packet delays by `factor` (the paper's
 /// "1/100 rate" uses `factor = 100`), preserving per-flow packet order.
@@ -111,21 +111,6 @@ pub fn evasion_blend(trace: &Trace, ratio: u32, rng: &mut Rng) -> Trace {
         sorted.push(p, l);
     }
     sorted
-}
-
-/// Convenience: applies poisoning at the *flow feature* level to a
-/// labelled dataset, returning the training matrix a poisoned pipeline
-/// would fit on.
-pub fn poisoned_training_features(
-    benign: &LabeledFlows,
-    attack: &LabeledFlows,
-    fraction: f64,
-    rng: &mut Rng,
-) -> Dataset {
-    let benign_feats = benign.benign_features();
-    let mal_idx: Vec<usize> = (0..attack.len()).filter(|&i| attack.labels[i]).collect();
-    let attack_feats = attack.features.select_rows(&mal_idx);
-    poison_training_set(&benign_feats, &attack_feats, fraction, rng)
 }
 
 #[cfg(test)]

@@ -161,23 +161,8 @@ impl StreamingConfig {
         self
     }
 
-    pub fn with_users(mut self, users: u64) -> Self {
-        self.users = users;
-        self
-    }
-
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
     pub fn with_total_flows(mut self, flows: u64) -> Self {
         self.total_flows = flows;
-        self
-    }
-
-    pub fn with_attack_fraction(mut self, frac: f64) -> Self {
-        self.attack_fraction = frac;
         self
     }
 }

@@ -175,7 +175,8 @@ impl Snapshot {
 
     /// Checks that this snapshot could follow `prev` in the same process:
     /// every counter/histogram/span total is monotonically non-decreasing
-    /// and no metric disappeared. (A [`reset`] in between voids this.)
+    /// and no metric disappeared. (A [`Counter::reset`] or
+    /// [`Histogram::reset`] in between voids this.)
     pub fn verify_monotonic_since(&self, prev: &Snapshot) -> Result<(), String> {
         for (name, &old) in &prev.counters {
             match self.counters.get(name) {

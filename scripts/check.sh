@@ -14,6 +14,13 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release --offline (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
+echo "== cargo doc --offline (rustdoc warnings are errors) =="
+# Catches intra-doc links left dangling when an item is deleted or
+# renamed. Private items are documented too, so links to them resolve and
+# the private-link lint stays allowed.
+RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --document-private-items --offline
+
 # The two workspace passes run every integration suite at both worker
 # extremes, the fingerprint gates among them: chaos (fixed fault seeds
 # 11 and 47), controller_idempotence, tcam_parity, soa_parity,

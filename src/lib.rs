@@ -86,7 +86,7 @@ pub mod prelude {
     pub use iguard_switch::replay::{replay, ReplayConfig};
     pub use iguard_switch::resources::{ResourceModel, ResourceUsage};
     pub use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
-    pub use iguard_switch::tcam::{compile_ruleset, compile_ruleset_checked, FieldSpec, TcamTable};
+    pub use iguard_switch::tcam::{compile_ruleset, compile_ruleset_checked, FieldSpec};
     pub use iguard_synth::attacks::{Attack, ALL_ATTACKS};
     pub use iguard_synth::benign::benign_trace;
     pub use iguard_synth::trace::{extract_flows, ExtractConfig, LabeledFlows, Trace};
