@@ -4,8 +4,6 @@
 //! allocation instead of `n`, contiguous rows for cache-friendly scoring,
 //! and cheap strided column iteration for covariance/feature-bound passes.
 
-use crate::par;
-
 /// A dense batch of `rows()` samples with `cols()` features each.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Dataset {
@@ -129,36 +127,6 @@ impl Dataset {
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
-
-    /// Convert back to the row-of-vecs shape (boundary/debug use only).
-    pub fn to_rows(&self) -> Vec<Vec<f32>> {
-        self.iter_rows().map(|r| r.to_vec()).collect()
-    }
-
-    /// Per-column `(min, max)` over all rows. Empty datasets yield an empty
-    /// vec; a single pass over the flat buffer.
-    pub fn column_bounds(&self) -> Vec<(f32, f32)> {
-        if self.rows == 0 {
-            return Vec::new();
-        }
-        let mut bounds: Vec<(f32, f32)> = self.row(0).iter().map(|&v| (v, v)).collect();
-        for r in self.iter_rows().skip(1) {
-            for (b, &v) in bounds.iter_mut().zip(r) {
-                b.0 = b.0.min(v);
-                b.1 = b.1.max(v);
-            }
-        }
-        bounds
-    }
-
-    /// Map every row to a value, in parallel, preserving row order.
-    pub fn par_map_rows<U, F>(&self, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(&[f32]) -> U + Sync,
-    {
-        par::par_map_range(self.rows, |i| f(self.row(i)))
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Dataset {
@@ -180,7 +148,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows);
         assert_eq!((ds.rows(), ds.cols()), (3, 2));
         assert_eq!(ds.row(1), &[3.0, 4.0]);
-        assert_eq!(ds.to_rows(), rows);
+        assert_eq!(ds.as_slice(), rows.concat());
         assert_eq!(ds[(2, 1)], 6.0);
     }
 
@@ -207,21 +175,7 @@ mod tests {
     fn select_rows_copies() {
         let ds = Dataset::from_rows(&[vec![0.0f32], vec![1.0], vec![2.0]]);
         let sel = ds.select_rows(&[2, 0, 2]);
-        assert_eq!(sel.to_rows(), vec![vec![2.0], vec![0.0], vec![2.0]]);
-    }
-
-    #[test]
-    fn column_bounds_match_naive() {
-        let ds = Dataset::from_rows(&[vec![1.0f32, -5.0], vec![3.0, 2.0], vec![-2.0, 0.5]]);
-        assert_eq!(ds.column_bounds(), vec![(-2.0, 3.0), (-5.0, 2.0)]);
-        assert!(Dataset::new(4).column_bounds().is_empty());
-    }
-
-    #[test]
-    fn par_map_rows_ordered() {
-        let ds = Dataset::from_rows(&(0..40).map(|i| vec![i as f32]).collect::<Vec<_>>());
-        let sums = ds.par_map_rows(|r| r[0] as i64);
-        assert_eq!(sums, (0..40).collect::<Vec<i64>>());
+        assert_eq!((sel.rows(), sel.as_slice()), (3, &[2.0, 0.0, 2.0][..]));
     }
 
     #[test]

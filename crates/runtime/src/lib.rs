@@ -22,9 +22,8 @@
 //! * [`dataset`] — a columnar (row-major, flat-buffer) [`dataset::Dataset`]
 //!   replacing `Vec<Vec<f32>>` on the batch paths, cache-friendly for
 //!   batched scoring and matrix construction.
-//! * [`scratch`] — reusable scratch buffers ([`scratch::VecPool`],
-//!   [`scratch::ShardBins`]) so per-batch hot loops allocate only at
-//!   warm-up, not per iteration.
+//! * [`scratch`] — reusable scratch buffers ([`scratch::ShardBins`]) so
+//!   per-batch hot loops allocate only at warm-up, not per iteration.
 //! * [`hash`] — [`hash::FlowSet`] / [`hash::FlowMap`], std hash containers
 //!   under a per-instance keyed multiply-mix hasher, for the exact-match
 //!   sets keyed by flow identity on the switch's per-packet and

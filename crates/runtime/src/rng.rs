@@ -23,7 +23,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// xoshiro256++ generator (Blackman & Vigna), seeded via SplitMix64.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rng {
     s: [u64; 4],
 }

@@ -6,45 +6,6 @@
 //! alive across iterations: a `clear()` on a `Vec` keeps its capacity, so
 //! steady state allocates nothing.
 
-/// A pool of reusable `Vec<T>` buffers.
-///
-/// `take` hands out an empty vector (recycled when available), `put`
-/// returns it with its capacity intact. Intended for single-threaded
-/// owners that fan buffers out to scoped workers and collect them back.
-#[derive(Debug)]
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> VecPool<T> {
-    pub const fn new() -> Self {
-        Self { free: Vec::new() }
-    }
-
-    /// An empty buffer, reusing a returned one when possible.
-    pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool; its contents are dropped, its
-    /// capacity is kept.
-    pub fn put(&mut self, mut buf: Vec<T>) {
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Buffers currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// Reusable per-group index bins: the batch dispatcher's scratch.
 ///
 /// `reset(groups)` clears every bin without freeing storage; `push`
@@ -98,20 +59,6 @@ impl ShardBins {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_capacity() {
-        let mut pool: VecPool<u64> = VecPool::new();
-        let mut v = pool.take();
-        v.extend(0..100);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.idle(), 1);
-        let v2 = pool.take();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap);
-        assert_eq!(pool.idle(), 0);
-    }
 
     #[test]
     fn bins_reset_and_preserve_push_order() {

@@ -28,10 +28,12 @@
 //!   telemetry-visible `degraded` flag with hysteresis, instead of growing
 //!   without bound.
 //! * **Checkpoint / rebuild.** [`Controller::snapshot`] /
-//!   [`Controller::restore_from`] round-trip the complete mutable state
-//!   (including the retry RNG, so the jitter stream resumes exactly);
-//!   [`Controller::rebuild_from_blacklist`] cold-starts a crashed
-//!   controller from the data plane's installed rules.
+//!   [`Controller::restore_from`] round-trip the crash-losable state,
+//!   declared once as one struct (including the retry RNG, so the jitter
+//!   stream resumes exactly); [`Controller::rebuild_from_blacklist`]
+//!   cold-starts a crashed controller from the data plane's installed
+//!   rules. Neither touches the ruleset staging queue, so a staged swap
+//!   is still delivered after a crash.
 
 use std::collections::VecDeque;
 
@@ -171,38 +173,17 @@ fn action_priority(a: &ControlAction) -> u8 {
 /// retry queue, nothing due) required before the degraded flag clears.
 const DEGRADED_CLEAR_TICKS: u64 = 4;
 
-/// A point-in-time copy of the controller's complete mutable state.
+/// The controller's crash-losable state: everything a checkpoint saves
+/// and a crash destroys, declared once so no field can escape
+/// checkpointing. A snapshot is a clone of it, a restore an assignment,
+/// and a cold rebuild starts a fresh one.
 ///
-/// Collections are stored in deterministic order (`installed` sorted by
-/// key) so two snapshots of equal logical state compare equal.
-///
-/// The drift-detector window and any staged ruleset transaction are
-/// deliberately **not** part of the snapshot: both are reconstructible —
-/// the detector re-arms on the live digest stream, and ruleset replays
-/// are idempotent, so the adaptation loop simply re-stages after a
-/// restore instead of resuming a possibly-superseded delivery.
+/// Kept outside: the configuration, the drift detector (it re-arms on the
+/// live digest stream) and the ruleset staging queue with its counters,
+/// which a crash leaves alone so that a transaction staged but not yet
+/// delivered still lands after recovery.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ControllerSnapshot {
-    queue: Vec<FiveTuple>,
-    installed: Vec<(FiveTuple, u64)>,
-    clock: u64,
-    digests_seen: u64,
-    digest_bytes_total: f64,
-    dedup_order: Vec<u64>,
-    retry_queue: Vec<PendingRetry>,
-    retry_rng_state: [u64; 4],
-    degraded: bool,
-    ever_degraded: bool,
-    quiescent_ticks: u64,
-    dup_digests: u64,
-    retries: u64,
-    retries_exhausted: u64,
-    shed: u64,
-}
-
-/// The control-plane process.
-pub struct Controller {
-    cfg: ControllerConfig,
+struct State {
     /// FIFO install-order queue (front = oldest). Only maintained under
     /// [`EvictionPolicy::Fifo`]; LRU picks victims by recency stamp and
     /// would otherwise grow this without bound.
@@ -217,6 +198,8 @@ pub struct Controller {
     /// Window eviction order (front = oldest tag).
     dedup_order: VecDeque<u64>,
     retry_queue: VecDeque<PendingRetry>,
+    /// Jitter stream; checkpointed so draws after a restore match a run
+    /// that never crashed.
     retry_rng: Rng,
     degraded: bool,
     ever_degraded: bool,
@@ -225,6 +208,47 @@ pub struct Controller {
     retries: u64,
     retries_exhausted: u64,
     shed: u64,
+}
+
+impl State {
+    fn new(retry_seed: u64) -> Self {
+        Self {
+            queue: VecDeque::new(),
+            installed: FlowMap::default(),
+            clock: 0,
+            digests_seen: 0,
+            digest_bytes_total: 0.0,
+            dedup_seen: FlowSet::default(),
+            dedup_order: VecDeque::new(),
+            retry_queue: VecDeque::new(),
+            retry_rng: Rng::seed_from_u64(retry_seed),
+            degraded: false,
+            ever_degraded: false,
+            quiescent_ticks: 0,
+            dup_digests: 0,
+            retries: 0,
+            retries_exhausted: 0,
+            shed: 0,
+        }
+    }
+}
+
+/// A point-in-time copy of the controller's crash-losable state, for
+/// [`Controller::restore_from`]. Two snapshots of equal logical state
+/// compare equal (map and set equality ignore iteration order).
+///
+/// The drift-detector window and the ruleset staging queue are not part
+/// of it: the detector re-arms on the live digest stream, and the staging
+/// queue survives a crash untouched, so a staged transaction is still
+/// delivered after recovery.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ControllerSnapshot(State);
+
+/// The control-plane process.
+pub struct Controller {
+    cfg: ControllerConfig,
+    /// Everything a crash loses.
+    state: State,
     /// Drift detector over admitted digests (None = adaptation off).
     drift: Option<DriftDetector>,
     /// Set by a drift fire, cleared by [`Self::take_drift_trigger`].
@@ -240,22 +264,7 @@ impl Controller {
     pub fn new(cfg: ControllerConfig) -> Self {
         assert!(cfg.blacklist_capacity > 0, "blacklist capacity must be positive");
         Self {
-            queue: VecDeque::new(),
-            installed: FlowMap::default(),
-            clock: 0,
-            digests_seen: 0,
-            digest_bytes_total: 0.0,
-            dedup_seen: FlowSet::default(),
-            dedup_order: VecDeque::new(),
-            retry_queue: VecDeque::new(),
-            retry_rng: Rng::seed_from_u64(cfg.retry.seed),
-            degraded: false,
-            ever_degraded: false,
-            quiescent_ticks: 0,
-            dup_digests: 0,
-            retries: 0,
-            retries_exhausted: 0,
-            shed: 0,
+            state: State::new(cfg.retry.seed),
             drift: cfg.drift.map(DriftDetector::new),
             drift_pending: false,
             pending_rulesets: VecDeque::new(),
@@ -286,7 +295,7 @@ impl Controller {
         actions.clear();
         for &sd in digests {
             if !self.dedup_admit(sd.seq) {
-                self.dup_digests += 1;
+                self.state.dup_digests += 1;
                 counter!("switch.controller.dup_digest").inc();
                 continue;
             }
@@ -299,22 +308,22 @@ impl Controller {
         if self.cfg.dedup_window == 0 {
             return true;
         }
-        if !self.dedup_seen.insert(seq) {
+        if !self.state.dedup_seen.insert(seq) {
             return false;
         }
-        self.dedup_order.push_back(seq);
-        if self.dedup_order.len() > self.cfg.dedup_window {
-            if let Some(old) = self.dedup_order.pop_front() {
-                self.dedup_seen.remove(&old);
+        self.state.dedup_order.push_back(seq);
+        if self.state.dedup_order.len() > self.cfg.dedup_window {
+            if let Some(old) = self.state.dedup_order.pop_front() {
+                self.state.dedup_seen.remove(&old);
             }
         }
         true
     }
 
     fn process_one(&mut self, d: Digest, actions: &mut Vec<ControlAction>) {
-        self.digests_seen += 1;
-        self.digest_bytes_total += self.cfg.digest_bytes;
-        self.clock += 1;
+        self.state.digests_seen += 1;
+        self.state.digest_bytes_total += self.cfg.digest_bytes;
+        self.state.clock += 1;
         counter!("switch.controller.digest").inc();
         // Drift watch runs on *admitted* digests only: duplicates were
         // already dropped, so a retransmission storm cannot fake a shift.
@@ -331,25 +340,25 @@ impl Controller {
         if !d.malicious {
             return;
         }
-        if let Some(stamp) = self.installed.get_mut(&key) {
+        if let Some(stamp) = self.state.installed.get_mut(&key) {
             // Already blacklisted: refresh recency for LRU.
-            *stamp = self.clock;
+            *stamp = self.state.clock;
             return;
         }
         // Evict if full.
-        if self.installed.len() >= self.cfg.blacklist_capacity {
+        if self.state.installed.len() >= self.cfg.blacklist_capacity {
             if let Some(victim) = self.pick_victim() {
-                self.installed.remove(&victim);
+                self.state.installed.remove(&victim);
                 counter!("switch.controller.blacklist_evict").inc();
                 actions.push(ControlAction::RemoveBlacklist(victim));
             }
         }
-        self.installed.insert(key, self.clock);
+        self.state.installed.insert(key, self.state.clock);
         if self.cfg.policy == EvictionPolicy::Fifo {
             // LRU never consumes this queue (victims come from recency
             // stamps), so pushing under LRU would leak one entry per
             // install forever.
-            self.queue.push_back(key);
+            self.state.queue.push_back(key);
         }
         counter!("switch.controller.blacklist_install").inc();
         actions.push(ControlAction::InstallBlacklist(key));
@@ -359,15 +368,15 @@ impl Controller {
         match self.cfg.policy {
             EvictionPolicy::Fifo => {
                 // Pop queue entries until one is still installed.
-                while let Some(cand) = self.queue.pop_front() {
-                    if self.installed.contains_key(&cand) {
+                while let Some(cand) = self.state.queue.pop_front() {
+                    if self.state.installed.contains_key(&cand) {
                         return Some(cand);
                     }
                 }
                 None
             }
             EvictionPolicy::Lru => {
-                self.installed.iter().min_by_key(|(_, &stamp)| stamp).map(|(k, _)| *k)
+                self.state.installed.iter().min_by_key(|(_, &stamp)| stamp).map(|(k, _)| *k)
             }
         }
     }
@@ -377,22 +386,22 @@ impl Controller {
     /// [`RetryPolicy::max_attempts`]. `attempt` is how many sends have
     /// been made so far (1 for the first failure).
     pub fn note_send_failure(&mut self, action: ControlAction, attempt: u32, tick: u64) {
-        self.retries += 1;
+        self.state.retries += 1;
         counter!("switch.controller.retry").inc();
         if attempt >= self.cfg.retry.max_attempts {
-            self.retries_exhausted += 1;
+            self.state.retries_exhausted += 1;
             counter!("switch.controller.retry_exhausted").inc();
             self.enter_degraded();
             return;
         }
-        let due = self.cfg.retry.due_after(attempt, tick, &mut self.retry_rng);
+        let due = self.cfg.retry.due_after(attempt, tick, &mut self.state.retry_rng);
         let pending = PendingRetry { action, attempt: attempt + 1, due };
-        if self.retry_queue.len() >= self.cfg.retry.queue_cap {
+        if self.state.retry_queue.len() >= self.cfg.retry.queue_cap {
             self.shed_for(&pending);
         } else {
-            self.retry_queue.push_back(pending);
+            self.state.retry_queue.push_back(pending);
         }
-        self.quiescent_ticks = 0;
+        self.state.quiescent_ticks = 0;
     }
 
     /// Queue is full: drop the lowest-priority entry if the newcomer
@@ -401,6 +410,7 @@ impl Controller {
     fn shed_for(&mut self, pending: &PendingRetry) {
         self.enter_degraded();
         let victim = self
+            .state
             .retry_queue
             .iter()
             .enumerate()
@@ -408,22 +418,22 @@ impl Controller {
             .map(|(i, p)| (i, action_priority(&p.action)));
         match victim {
             Some((i, prio)) if prio < action_priority(&pending.action) => {
-                self.retry_queue.remove(i);
-                self.retry_queue.push_back(*pending);
+                self.state.retry_queue.remove(i);
+                self.state.retry_queue.push_back(*pending);
             }
             _ => {}
         }
-        self.shed += 1;
+        self.state.shed += 1;
         counter!("switch.controller.shed").inc();
     }
 
     fn enter_degraded(&mut self) {
-        if !self.degraded {
-            self.degraded = true;
-            self.ever_degraded = true;
+        if !self.state.degraded {
+            self.state.degraded = true;
+            self.state.ever_degraded = true;
             counter!("switch.controller.degraded").inc();
         }
-        self.quiescent_ticks = 0;
+        self.state.quiescent_ticks = 0;
     }
 
     /// Drains retries due at `tick` into `out` as `(action, attempt)`
@@ -432,26 +442,26 @@ impl Controller {
     /// quiescent calls the flag clears.
     pub fn take_due_retries(&mut self, tick: u64, out: &mut Vec<(ControlAction, u32)>) {
         out.clear();
-        let n = self.retry_queue.len();
+        let n = self.state.retry_queue.len();
         for _ in 0..n {
-            if let Some(p) = self.retry_queue.pop_front() {
+            if let Some(p) = self.state.retry_queue.pop_front() {
                 if p.due <= tick {
                     out.push((p.action, p.attempt));
                 } else {
-                    self.retry_queue.push_back(p);
+                    self.state.retry_queue.push_back(p);
                 }
             }
         }
-        if self.retry_queue.is_empty() && out.is_empty() {
-            if self.degraded {
-                self.quiescent_ticks += 1;
-                if self.quiescent_ticks >= DEGRADED_CLEAR_TICKS {
-                    self.degraded = false;
-                    self.quiescent_ticks = 0;
+        if self.state.retry_queue.is_empty() && out.is_empty() {
+            if self.state.degraded {
+                self.state.quiescent_ticks += 1;
+                if self.state.quiescent_ticks >= DEGRADED_CLEAR_TICKS {
+                    self.state.degraded = false;
+                    self.state.quiescent_ticks = 0;
                 }
             }
         } else {
-            self.quiescent_ticks = 0;
+            self.state.quiescent_ticks = 0;
         }
     }
 
@@ -497,7 +507,7 @@ impl Controller {
         self.ruleset_send_failures += 1;
         counter!("switch.controller.ruleset_retry").inc();
         p.attempts = p.attempts.saturating_add(1);
-        p.due = self.cfg.retry.due_after(p.attempts, tick, &mut self.retry_rng);
+        p.due = self.cfg.retry.due_after(p.attempts, tick, &mut self.state.retry_rng);
     }
 
     /// Drops the oldest staged transaction because the data plane
@@ -542,138 +552,108 @@ impl Controller {
     }
 
     pub fn has_pending_retries(&self) -> bool {
-        !self.retry_queue.is_empty()
+        !self.state.retry_queue.is_empty()
     }
 
     /// Currently degraded (shedding or exhausted retries, not yet healed).
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.state.degraded
     }
 
     /// Ever entered the degraded state during this controller's life.
     pub fn ever_degraded(&self) -> bool {
-        self.ever_degraded
+        self.state.ever_degraded
     }
 
-    /// Captures the complete mutable state for later [`Self::restore_from`].
+    /// Captures the crash-losable state for later [`Self::restore_from`].
     pub fn snapshot(&self) -> ControllerSnapshot {
-        let mut installed: Vec<(FiveTuple, u64)> =
-            self.installed.iter().map(|(k, &v)| (*k, v)).collect();
-        installed.sort_unstable_by_key(|(k, _)| *k);
-        ControllerSnapshot {
-            queue: self.queue.iter().copied().collect(),
-            installed,
-            clock: self.clock,
-            digests_seen: self.digests_seen,
-            digest_bytes_total: self.digest_bytes_total,
-            dedup_order: self.dedup_order.iter().copied().collect(),
-            retry_queue: self.retry_queue.iter().copied().collect(),
-            retry_rng_state: self.retry_rng.state(),
-            degraded: self.degraded,
-            ever_degraded: self.ever_degraded,
-            quiescent_ticks: self.quiescent_ticks,
-            dup_digests: self.dup_digests,
-            retries: self.retries,
-            retries_exhausted: self.retries_exhausted,
-            shed: self.shed,
-        }
+        ControllerSnapshot(self.state.clone())
     }
 
-    /// Resets all mutable state to `snap` (configuration is kept). The
+    /// Resets the crash-losable state to `snap` (configuration and the
+    /// ruleset staging queue are kept; the drift detector re-arms). The
     /// retry RNG resumes mid-stream, so jitter draws after a restore match
     /// a run that never crashed.
     pub fn restore_from(&mut self, snap: &ControllerSnapshot) {
-        self.drift = self.cfg.drift.map(DriftDetector::new);
-        self.drift_pending = false;
-        self.pending_rulesets.clear();
-        self.queue = snap.queue.iter().copied().collect();
-        self.installed = snap.installed.iter().copied().collect();
-        self.clock = snap.clock;
-        self.digests_seen = snap.digests_seen;
-        self.digest_bytes_total = snap.digest_bytes_total;
-        self.dedup_order = snap.dedup_order.iter().copied().collect();
-        self.dedup_seen = snap.dedup_order.iter().copied().collect();
-        self.retry_queue = snap.retry_queue.iter().copied().collect();
-        self.retry_rng = Rng::from_state(snap.retry_rng_state);
-        self.degraded = snap.degraded;
-        self.ever_degraded = snap.ever_degraded;
-        self.quiescent_ticks = snap.quiescent_ticks;
-        self.dup_digests = snap.dup_digests;
-        self.retries = snap.retries;
-        self.retries_exhausted = snap.retries_exhausted;
-        self.shed = snap.shed;
+        self.reset_drift();
+        self.state = snap.0.clone();
     }
 
     /// Cold-starts a crashed controller from the data plane's installed
     /// blacklist (the authoritative survivor): membership and eviction
     /// order are rebuilt from `contents` (canonical sorted order, as
     /// returned by `DataPlane::blacklist_contents`); bandwidth counters,
-    /// the dedup window, and pending retries are lost with the crash.
+    /// the dedup window, pending retries and the jitter stream are lost
+    /// with the crash. The lifetime fault counters carry over, and the
+    /// ruleset staging queue is kept.
     pub fn rebuild_from_blacklist(&mut self, contents: &[FiveTuple]) {
-        self.drift = self.cfg.drift.map(DriftDetector::new);
-        self.drift_pending = false;
-        self.pending_rulesets.clear();
-        self.queue.clear();
-        self.installed.clear();
-        self.clock = 0;
-        self.digests_seen = 0;
-        self.digest_bytes_total = 0.0;
-        self.dedup_seen.clear();
-        self.dedup_order.clear();
-        self.retry_queue.clear();
-        self.retry_rng = Rng::seed_from_u64(self.cfg.retry.seed);
-        self.degraded = false;
-        self.quiescent_ticks = 0;
+        self.reset_drift();
+        let old = &self.state;
+        let mut state = State {
+            ever_degraded: old.ever_degraded,
+            dup_digests: old.dup_digests,
+            retries: old.retries,
+            retries_exhausted: old.retries_exhausted,
+            shed: old.shed,
+            ..State::new(self.cfg.retry.seed)
+        };
         for &five in contents {
-            self.clock += 1;
-            self.installed.insert(five, self.clock);
+            state.clock += 1;
+            state.installed.insert(five, state.clock);
             if self.cfg.policy == EvictionPolicy::Fifo {
-                self.queue.push_back(five);
+                state.queue.push_back(five);
             }
         }
+        self.state = state;
+    }
+
+    /// A crashed controller's drift detector re-arms empty.
+    fn reset_drift(&mut self) {
+        self.drift = self.cfg.drift.map(DriftDetector::new);
+        self.drift_pending = false;
     }
 
     /// Number of blacklist entries currently installed.
     pub fn installed_len(&self) -> usize {
-        self.installed.len()
+        self.state.installed.len()
     }
 
     /// FIFO bookkeeping queue length (0 under LRU; under FIFO it can
     /// briefly exceed `installed_len` by tombstones awaiting compaction).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.state.queue.len()
     }
 
     pub fn digests_seen(&self) -> u64 {
-        self.digests_seen
+        self.state.digests_seen
     }
 
     /// Digests discarded by the sequence dedup window.
     pub fn dup_digests(&self) -> u64 {
-        self.dup_digests
+        self.state.dup_digests
     }
 
     /// Failed sends recorded (each failure counts once, including final
     /// ones that exhausted the attempt budget).
     pub fn retries(&self) -> u64 {
-        self.retries
+        self.state.retries
     }
 
     /// Actions abandoned after [`RetryPolicy::max_attempts`] sends.
     pub fn retries_exhausted(&self) -> u64 {
-        self.retries_exhausted
+        self.state.retries_exhausted
     }
 
     /// Shedding events (retry queue at capacity).
     pub fn shed(&self) -> u64 {
-        self.shed
+        self.state.shed
     }
 
     /// Control-plane bandwidth over an observation window (App. B.2
     /// reports KBps over 30 s).
     pub fn overhead_kbps(&self, window_secs: f64) -> f64 {
         assert!(window_secs > 0.0);
-        self.digest_bytes_total / 1024.0 / window_secs
+        self.state.digest_bytes_total / 1024.0 / window_secs
     }
 }
 

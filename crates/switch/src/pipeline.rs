@@ -241,18 +241,6 @@ impl OverloadConfig {
         self.degrade_enter_milli = milli;
         self
     }
-
-    /// Builder: calm threshold (per-mille pressure).
-    pub fn with_degrade_exit_milli(mut self, milli: u32) -> Self {
-        self.degrade_exit_milli = milli;
-        self
-    }
-
-    /// Builder: consecutive calm batches required to exit degraded mode.
-    pub fn with_degrade_calm_batches(mut self, batches: u32) -> Self {
-        self.degrade_calm_batches = batches;
-        self
-    }
 }
 
 /// Pipeline configuration.

@@ -288,18 +288,8 @@ pub fn compile_ruleset_checked(
     }))
 }
 
-/// Quantises a feature vector into a TCAM lookup key.
-///
-/// Allocates a fresh `Vec` per call — fine for setup and tests; hot paths
-/// reuse a scratch buffer via [`quantize_key_into`].
-pub fn quantize_key(x: &[f32], specs: &[FieldSpec]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(specs.len());
-    quantize_key_into(x, specs, &mut out);
-    out
-}
-
-/// Allocation-free [`quantize_key`]: clears `out` and fills it with the
-/// quantized key, reusing its capacity.
+/// Quantises a feature vector into a TCAM lookup key: clears `out` and
+/// fills it with one quantised value per field, reusing its capacity.
 pub fn quantize_key_into(x: &[f32], specs: &[FieldSpec], out: &mut Vec<u32>) {
     assert_eq!(x.len(), specs.len());
     out.clear();
@@ -493,7 +483,6 @@ mod tests {
         for probe in [[50.0f32, 100.0], [99.0, 50.0], [100.0, 100.0], [50.0, 200.0], [255.0, 255.0]]
         {
             quantize_key_into(&probe, &specs, &mut key);
-            assert_eq!(key, quantize_key(&probe, &specs));
             let tcam_benign = table.lookup(&key).is_some();
             assert_eq!(tcam_benign, rules.matches(&probe), "disagreement at {probe:?}");
         }

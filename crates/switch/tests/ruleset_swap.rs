@@ -36,7 +36,7 @@ use iguard_runtime::{ChannelKind, FaultPlan};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::pipeline::{PacketVerdict, Pipeline, ProcessOutcome};
-use iguard_switch::replay::{replay_chaos_traced, ChaosConfig, ReplayConfig};
+use iguard_switch::replay::{replay_chaos_traced, ChaosConfig, CrashRecovery, ReplayConfig};
 use iguard_switch::ruleset::{canonical_entries, RulesetDiff, RulesetTxn};
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
 use iguard_switch::tcam::{RangeEntry, RangeTable};
@@ -386,4 +386,41 @@ fn rejected_transaction_is_dropped_not_retried() {
     assert_eq!(dp.ruleset_counters().stale, 1, "v2 is offered exactly once");
     assert!(!controller.has_pending_ruleset());
     assert!(r.flush_ticks < 16, "flush ran {} ticks", r.flush_ticks);
+}
+
+/// A controller crash loses its in-memory state, not the transactions
+/// staged for delivery: v1 is staged while the action channel is dark,
+/// the controller crashes before it lands, and under either recovery v1
+/// still lands after the heal and v2 swaps on top of it. Before the
+/// staging queue was kept out of the crash-losable state, recovery
+/// dropped v1, the plane stayed at version 0 and v2 was rejected as a
+/// version gap.
+#[test]
+fn crash_keeps_a_staged_undelivered_swap() {
+    let trace = iguard_synth::benign::benign_trace(120, 10.0, &mut Rng::seed_from_u64(5));
+    let fl = accept_all(13);
+    let mut table = RangeTable::new(vec![4]);
+    table.push(RangeEntry { fields: vec![(0, 15)], priority: 0 });
+    for recovery in [CrashRecovery::RestoreCheckpoint, CrashRecovery::RebuildFromDataPlane] {
+        let chaos = ChaosConfig::default()
+            .with_plan(FaultPlan::none().with_outage(ChannelKind::Action, 0, 10))
+            .with_checkpoint_interval(4)
+            .with_crash(5, recovery)
+            .with_ruleset_swap(2, RulesetTxn::full_install(1, &table, fl.clone()))
+            .with_ruleset_swap(20, RulesetTxn::full_install(2, &table, fl.clone()));
+        let mut dp = Pipeline::new(flow_cfg(4096), fl.clone(), accept_all(4));
+        let mut controller = Controller::new(ControllerConfig::default());
+        let r = replay_chaos_traced(
+            &trace,
+            &mut dp,
+            &mut controller,
+            &ReplayConfig::default().with_batch_size(8),
+            &chaos,
+            None,
+        );
+        assert_eq!(dp.ruleset_version(), 2, "{recovery:?}: both swaps must land");
+        assert_eq!((r.ruleset_swaps, r.ruleset_rejected), (2, 0), "{recovery:?}");
+        assert!(r.ruleset_retries > 0, "{recovery:?}: the outage must delay v1 past the crash");
+        assert!(!controller.has_pending_ruleset());
+    }
 }

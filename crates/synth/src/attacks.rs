@@ -104,8 +104,12 @@ impl Attack {
     }
 
     /// The behavioural profile of this attack.
+    ///
+    /// A router variant is its direct attack seen through the NAT: the
+    /// router hop decrements TTL and its queueing widens IPD jitter,
+    /// blending the flows further into benign aggregate traffic.
     pub fn profile(&self) -> FlowProfile {
-        match self {
+        let mut profile = match self {
             // Mirai: telnet credential scanning — tiny SYN probes to
             // 23/2323, metronome-regular retry cadence.
             Attack::Mirai | Attack::MiraiRouterFilter => FlowProfile {
@@ -245,20 +249,21 @@ impl Attack {
                 ttl_jitter: 0,
                 flags: FlagsModel::conversation(),
             },
+        };
+        if self.is_router_variant() {
+            profile.ttl = profile.ttl.saturating_sub(1).max(1);
+            profile.ipd.std_ms *= 2.5;
         }
+        profile
     }
 
     /// Generates an attack trace of `flows` flows over `window_secs`.
     ///
     /// Router variants source all traffic from [`ROUTER_IP`] (the NAT
-    /// collapses devices into one address), decrement TTL by the router
-    /// hop, and widen IPD jitter (queueing) — blending them further into
-    /// benign aggregate traffic.
+    /// collapses devices into one address); their TTL and IPD adjustment
+    /// lives in [`Self::profile`].
     pub fn trace(&self, flows: usize, window_secs: f64, rng: &mut Rng) -> Trace {
-        let mut profile = self.profile();
         let scenario = if self.is_router_variant() {
-            profile.ttl = profile.ttl.saturating_sub(1).max(1);
-            profile.ipd.std_ms *= 2.5; // router queueing jitter
             ScenarioConfig {
                 flows,
                 window_secs,
@@ -277,7 +282,7 @@ impl Attack {
                 dst_count: 64,
             }
         };
-        gen_trace(&[(profile, 1.0)], &scenario, true, rng)
+        gen_trace(&[(self.profile(), 1.0)], &scenario, true, rng)
     }
 }
 

@@ -94,7 +94,7 @@ impl FlagsModel {
         Self { syn_first: false, syn_all: false, ack_rest: false, fin_last: false }
     }
 
-    pub(crate) fn flags_for(&self, idx: u32, last_idx: u32) -> TcpFlags {
+    fn flags_for(&self, idx: u32, last_idx: u32) -> TcpFlags {
         let mut f = TcpFlags::default();
         if self.syn_all || (self.syn_first && idx == 0) {
             f.syn = true;
@@ -126,49 +126,126 @@ pub struct FlowProfile {
 }
 
 impl FlowProfile {
-    /// Generates one flow's packets starting at `start_ns`.
-    ///
-    /// Each flow draws its own size/IPD parameters from a hyper-prior
-    /// around the profile (devices of the same kind differ in firmware,
-    /// link quality and workload), which makes the benign manifold
-    /// heavy-tailed — the regime in which density-based detectors like
-    /// iForest produce benign false positives while reconstruction models
-    /// still fit the structure (paper §3.1's premise).
+    /// Generates one flow's packets starting at `start_ns`: a
+    /// [`FlowCursor`] collected.
     pub fn gen_flow(&self, rng: &mut Rng, src_ip: u32, dst_ip: u32, start_ns: u64) -> Vec<Packet> {
-        let size = SizeModel {
-            mean: self.size.mean * rng.gen_range(0.8..1.25),
-            std: self.size.std * rng.gen_range(0.7..1.4),
-            ..self.size
-        };
-        let ipd = IpdModel {
-            mean_ms: self.ipd.mean_ms * rng.gen_range(0.7..1.45),
-            std_ms: self.ipd.std_ms * rng.gen_range(0.7..1.4),
-        };
-        let n = rng.gen_range(self.pkts.0..=self.pkts.1).max(1);
-        let src_port: u16 = rng.gen_range(32768..61000);
-        let dst_port = self.dst_port.sample(rng);
-        let ttl = if self.ttl_jitter == 0 {
-            self.ttl
-        } else {
-            let j = rng.gen_range(0..=2 * self.ttl_jitter as i32) - self.ttl_jitter as i32;
-            (self.ttl as i32 + j).clamp(1, 255) as u8
-        };
-        let five = FiveTuple::new(src_ip, dst_ip, src_port, dst_port, self.proto);
-        let mut ts = start_ns;
-        let mut out = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            if i > 0 {
-                ts += ipd.sample_ns(rng);
-            }
-            let flags = if self.proto == PROTO_TCP {
-                self.flags.flags_for(i, n - 1)
-            } else {
-                TcpFlags::default()
-            };
-            out.push(Packet { ts_ns: ts, five, wire_len: size.sample(rng), ttl, flags });
+        let mut cursor = FlowCursor::start(self, rng, src_ip, dst_ip, start_ns);
+        let mut out = Vec::with_capacity(cursor.len as usize);
+        while let Some(p) = cursor.next_packet(rng) {
+            out.push(p);
         }
         out
     }
+}
+
+/// One flow being sampled from a [`FlowProfile`], a packet at a time.
+///
+/// This is the single definition of the per-flow model: [`Self::start`]
+/// draws the flow's hyper-prior size/IPD jitter, length, ports and TTL,
+/// and [`Self::next_packet`] walks its packets (IPD, then size). Both
+/// [`FlowProfile::gen_flow`] and the streaming lanes
+/// ([`crate::streaming`]) drive it, so they draw in the same order from
+/// the same RNG. Fixed-size and allocation-free.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FlowCursor {
+    five: FiveTuple,
+    size: SizeModel,
+    ipd: IpdModel,
+    ttl: u8,
+    /// TCP flag sequencing; `None` for flag-less protocols.
+    flags: Option<FlagsModel>,
+    /// Timestamp of the last packet emitted (the flow start before any).
+    ts_ns: u64,
+    /// Packets emitted so far.
+    idx: u32,
+    /// Packets in the flow (≥ 1).
+    len: u32,
+}
+
+impl FlowCursor {
+    /// Draws one flow of `profile` from `src_ip` to `dst_ip` whose first
+    /// packet lands at `start_ns`. Each flow draws its own size/IPD
+    /// parameters from a hyper-prior around the profile (devices of the
+    /// same kind differ in firmware, link quality and workload), which
+    /// makes the benign manifold heavy-tailed — the regime in which
+    /// density-based detectors like iForest produce benign false positives
+    /// while reconstruction models still fit the structure (paper §3.1's
+    /// premise).
+    pub(crate) fn start(
+        profile: &FlowProfile,
+        rng: &mut Rng,
+        src_ip: u32,
+        dst_ip: u32,
+        start_ns: u64,
+    ) -> Self {
+        let size = SizeModel {
+            mean: profile.size.mean * rng.gen_range(0.8..1.25),
+            std: profile.size.std * rng.gen_range(0.7..1.4),
+            ..profile.size
+        };
+        let ipd = IpdModel {
+            mean_ms: profile.ipd.mean_ms * rng.gen_range(0.7..1.45),
+            std_ms: profile.ipd.std_ms * rng.gen_range(0.7..1.4),
+        };
+        let len = rng.gen_range(profile.pkts.0..=profile.pkts.1).max(1);
+        let src_port: u16 = rng.gen_range(32768..61000);
+        let dst_port = profile.dst_port.sample(rng);
+        let ttl = if profile.ttl_jitter == 0 {
+            profile.ttl
+        } else {
+            let j = rng.gen_range(0..=2 * profile.ttl_jitter as i32) - profile.ttl_jitter as i32;
+            (profile.ttl as i32 + j).clamp(1, 255) as u8
+        };
+        Self {
+            five: FiveTuple::new(src_ip, dst_ip, src_port, dst_port, profile.proto),
+            size,
+            ipd,
+            ttl,
+            flags: (profile.proto == PROTO_TCP).then_some(profile.flags),
+            ts_ns: start_ns,
+            idx: 0,
+            len,
+        }
+    }
+
+    /// The flow's next packet, or `None` once all of it has been emitted
+    /// (no RNG draw then).
+    #[inline]
+    pub(crate) fn next_packet(&mut self, rng: &mut Rng) -> Option<Packet> {
+        if self.idx == self.len {
+            return None;
+        }
+        if self.idx > 0 {
+            self.ts_ns += self.ipd.sample_ns(rng);
+        }
+        let flags =
+            self.flags.map_or_else(TcpFlags::default, |f| f.flags_for(self.idx, self.len - 1));
+        self.idx += 1;
+        Some(Packet {
+            ts_ns: self.ts_ns,
+            five: self.five,
+            wire_len: self.size.sample(rng),
+            ttl: self.ttl,
+            flags,
+        })
+    }
+}
+
+/// Draws one profile from a weighted mixture whose weights sum to
+/// `total_weight` — one uniform draw, walked against the weights in order.
+pub(crate) fn pick_weighted<'a>(
+    profiles: &'a [(FlowProfile, f64)],
+    total_weight: f64,
+    rng: &mut Rng,
+) -> &'a FlowProfile {
+    let mut pick = rng.gen_range(0.0..total_weight);
+    for (p, w) in profiles {
+        if pick < *w {
+            return p;
+        }
+        pick -= w;
+    }
+    &profiles[0].0
 }
 
 /// IP address pools and flow scheduling for a scenario.
@@ -200,16 +277,7 @@ pub fn gen_trace(
     let window_ns = (scenario.window_secs * 1e9) as u64;
     let mut flows: Vec<Vec<Packet>> = Vec::with_capacity(scenario.flows);
     for _ in 0..scenario.flows {
-        // Weighted profile choice.
-        let mut pick = rng.gen_range(0.0..total_w);
-        let mut chosen = &profiles[0].0;
-        for (p, w) in profiles {
-            if pick < *w {
-                chosen = p;
-                break;
-            }
-            pick -= w;
-        }
+        let chosen = pick_weighted(profiles, total_w, rng);
         let src = scenario.src_base + rng.gen_range(0..scenario.src_count.max(1));
         let dst = scenario.dst_base + rng.gen_range(0..scenario.dst_count.max(1));
         let start = if window_ns > 0 { rng.gen_range(0..window_ns) } else { 0 };

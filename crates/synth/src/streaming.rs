@@ -20,8 +20,12 @@
 //!   tie-breaks.
 //! * **Benign/attack interleave**: each new flow is an attack with
 //!   probability `attack_fraction`, drawn from `cfg.attacks`; benign flows
-//!   sample the [`crate::benign::device_mixture`] with the same hyper-prior
-//!   parameter jitter as [`crate::profile::FlowProfile::gen_flow`].
+//!   sample the [`crate::benign::device_mixture`] through the same
+//!   weighted-mixture walk as [`crate::profile::gen_trace`].
+//! * **One per-flow sampler**: a lane walks its current flow with a
+//!   [`FlowCursor`], the cursor that [`FlowProfile::gen_flow`] collects,
+//!   so hyper-prior jitter, length, ports, TTL and the packet walk are
+//!   defined once for materialised and streaming traces alike.
 //!
 //! ## Batch-size invariance
 //!
@@ -34,32 +38,21 @@
 //! ## Allocation discipline
 //!
 //! After construction, the streaming path performs **no allocation**: lane
-//! state is fixed-size, packets are generated incrementally (no per-flow
-//! `Vec`), and `fill_next` writes into caller-owned buffers. The switch
-//! suite `alloc_free_stream` asserts this with a counting allocator.
+//! state is fixed-size (an RNG, a cursor and one pending packet), packets
+//! are generated incrementally (no per-flow `Vec`), and `fill_next` writes
+//! into caller-owned buffers. The switch suite `alloc_gates` asserts this
+//! with a counting allocator.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
-use iguard_flow::packet::{Packet, TcpFlags};
+use iguard_flow::packet::Packet;
 use iguard_runtime::rng::Rng;
 
 use crate::attacks::{Attack, BOT_IP_BASE, VICTIM_IP_BASE};
 use crate::benign::{device_mixture, CLOUD_IP_BASE, DEVICE_IP_BASE};
-use crate::profile::{FlagsModel, FlowProfile, IpdModel, SizeModel};
+use crate::profile::{pick_weighted, FlowCursor, FlowProfile};
 use crate::trace::Trace;
-
-/// Placeholder packet for a lane slot that hasn't produced one yet.
-fn zero_packet() -> Packet {
-    Packet {
-        ts_ns: 0,
-        five: FiveTuple::new(0, 0, 0, 0, 0),
-        wire_len: 0,
-        ttl: 0,
-        flags: TcpFlags::default(),
-    }
-}
 
 /// Zipf(n, s) rank sampler: `P(k) ∝ k^−s` over ranks `1..=n`, via
 /// Hörmann–Derflinger rejection-inversion. O(1) per sample with no
@@ -167,33 +160,79 @@ impl StreamingConfig {
     }
 }
 
-/// One in-flight flow generator: fixed-size state, produces its flow's
-/// packets one at a time with the exact per-packet model of
-/// [`FlowProfile::gen_flow`] (hyper-prior jitter, IPD walk, TCP flag
-/// sequencing), then rolls over to the lane's next flow.
-struct Lane {
-    rng: Rng,
-    /// Timestamp of `pending` (the lane's next packet to emit).
-    pending: Packet,
-    malicious: bool,
-    size: SizeModel,
-    ipd: IpdModel,
-    ttl: u8,
-    flags: FlagsModel,
-    is_tcp: bool,
-    /// Index of `pending` within the current flow.
-    idx: u32,
-    last_idx: u32,
-}
-
-/// A seeded, non-materialised packet stream: see the module docs.
-pub struct StreamingTrace {
+/// What every lane draws its flows from: the benign device mixture, the
+/// attack profiles, the Zipf user population and the inter-flow gap.
+struct FlowMix {
     attack_fraction: f64,
     mean_flow_gap_ns: f64,
     profiles: Vec<(FlowProfile, f64)>,
     total_weight: f64,
     attack_profiles: Vec<FlowProfile>,
     zipf: Zipf,
+}
+
+impl FlowMix {
+    /// Draws a fresh flow whose first packet lands one exponential gap
+    /// after `after_ns`: its label, profile and endpoints, then the
+    /// per-flow model through [`FlowCursor`]. Returns the cursor, the
+    /// flow's first packet and its label.
+    fn next_flow(&self, rng: &mut Rng, after_ns: u64) -> (FlowCursor, Packet, bool) {
+        let u = rng.next_f64().clamp(f64::EPSILON, 1.0 - f64::EPSILON);
+        let start_ns = after_ns + (-(1.0 - u).ln() * self.mean_flow_gap_ns) as u64;
+        let malicious = self.attack_fraction > 0.0 && rng.gen_bool(self.attack_fraction);
+        let profile = if malicious {
+            &self.attack_profiles[rng.gen_range(0..self.attack_profiles.len())]
+        } else {
+            pick_weighted(&self.profiles, self.total_weight, rng)
+        };
+        let (src_ip, dst_ip) = if malicious {
+            (
+                BOT_IP_BASE + (self.zipf.sample(rng) as u32 & 0x0FFF),
+                VICTIM_IP_BASE + rng.gen_range(0u32..64),
+            )
+        } else {
+            (
+                DEVICE_IP_BASE + (self.zipf.sample(rng) - 1) as u32,
+                CLOUD_IP_BASE + rng.gen_range(0u32..256),
+            )
+        };
+        let mut cursor = FlowCursor::start(profile, rng, src_ip, dst_ip, start_ns);
+        let first = cursor.next_packet(rng).expect("every flow has a packet");
+        (cursor, first, malicious)
+    }
+}
+
+/// One in-flight flow generator: its own RNG stream and a [`FlowCursor`]
+/// over the current flow — the same per-flow sampler as
+/// [`FlowProfile::gen_flow`], so a lane carries no copy of the flow's
+/// parameters. When the flow ends, the lane rolls over to its next flow.
+struct Lane {
+    rng: Rng,
+    cursor: FlowCursor,
+    /// The lane's next packet to emit (its timestamp keys the merge).
+    pending: Packet,
+    malicious: bool,
+}
+
+impl Lane {
+    /// A lane whose first flow starts one gap after time zero, which
+    /// staggers lane starts so the merge front does not begin with every
+    /// lane's flow at once.
+    fn new(mut rng: Rng, mix: &FlowMix) -> Self {
+        let (cursor, pending, malicious) = mix.next_flow(&mut rng, 0);
+        Self { rng, cursor, pending, malicious }
+    }
+
+    /// Rolls onto the lane's next flow, one gap after its last packet.
+    fn next_flow(&mut self, mix: &FlowMix) {
+        (self.cursor, self.pending, self.malicious) =
+            mix.next_flow(&mut self.rng, self.pending.ts_ns);
+    }
+}
+
+/// A seeded, non-materialised packet stream: see the module docs.
+pub struct StreamingTrace {
+    mix: FlowMix,
     lanes: Vec<Lane>,
     /// Min-heap of `(pending timestamp, lane)` — the K-way merge front.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -207,165 +246,45 @@ impl StreamingTrace {
         assert!(cfg.lanes >= 1, "need at least one lane");
         assert!(!cfg.attacks.is_empty() || cfg.attack_fraction == 0.0);
         let users = cfg.users.clamp(1, 1 << 24);
-        let base = Rng::seed_from_u64(cfg.seed);
-        let mut s = Self {
+        let profiles = device_mixture();
+        let mix = FlowMix {
             attack_fraction: cfg.attack_fraction,
             mean_flow_gap_ns: cfg.mean_flow_gap_ms * 1e6,
-            profiles: device_mixture(),
-            total_weight: 0.0,
+            total_weight: profiles.iter().map(|(_, w)| w).sum(),
+            profiles,
             attack_profiles: cfg.attacks.iter().map(|a| a.profile()).collect(),
             zipf: Zipf::new(users, cfg.zipf_exponent),
-            lanes: Vec::with_capacity(cfg.lanes),
-            heap: BinaryHeap::with_capacity(cfg.lanes),
-            flows_left: cfg.total_flows,
-            flows_started: 0,
+        };
+        let base = Rng::seed_from_u64(cfg.seed);
+        let n_lanes = (cfg.lanes as u64).min(cfg.total_flows);
+        let lanes: Vec<Lane> = (0..n_lanes).map(|li| Lane::new(base.derive(li), &mix)).collect();
+        let heap =
+            lanes.iter().enumerate().map(|(li, l)| Reverse((l.pending.ts_ns, li as u32))).collect();
+        Self {
+            mix,
+            flows_left: cfg.total_flows - n_lanes,
+            flows_started: n_lanes,
+            lanes,
+            heap,
             packets_emitted: 0,
-        };
-        s.total_weight = s.profiles.iter().map(|(_, w)| w).sum();
-        for li in 0..cfg.lanes {
-            if s.flows_left == 0 {
-                break;
-            }
-            let mut lane = Lane {
-                rng: base.derive(li as u64),
-                pending: zero_packet(),
-                malicious: false,
-                size: SizeModel { mean: 0.0, std: 0.0, min: 0, max: 0 },
-                ipd: IpdModel { mean_ms: 0.0, std_ms: 0.0 },
-                ttl: 64,
-                flags: FlagsModel::none(),
-                is_tcp: false,
-                idx: 0,
-                last_idx: 0,
-            };
-            // Stagger lane start times across one mean gap so the merge
-            // front doesn't begin with `lanes` simultaneous flows.
-            let start = Self::sample_gap(&mut lane.rng, s.mean_flow_gap_ns);
-            s.start_flow(&mut lane, start);
-            s.flows_left -= 1;
-            s.flows_started += 1;
-            s.heap.push(Reverse((lane.pending.ts_ns, li as u32)));
-            s.lanes.push(lane);
         }
-        s
     }
 
-    /// Exponential inter-flow gap with the configured mean.
-    fn sample_gap(rng: &mut Rng, mean_ns: f64) -> u64 {
-        let u = rng.next_f64().clamp(f64::EPSILON, 1.0 - f64::EPSILON);
-        (-(1.0 - u).ln() * mean_ns) as u64
-    }
-
-    /// Rolls `lane` onto a fresh flow whose first packet lands at
-    /// `start_ns`, drawing profile, endpoints, and hyper-prior parameters
-    /// from the lane's RNG — the incremental twin of
-    /// [`FlowProfile::gen_flow`].
-    fn start_flow(&self, lane: &mut Lane, start_ns: u64) {
-        let rng = &mut lane.rng;
-        let malicious = self.attack_fraction > 0.0 && rng.gen_bool(self.attack_fraction);
-        let profile = if malicious {
-            &self.attack_profiles[rng.gen_range(0..self.attack_profiles.len())]
-        } else {
-            // Weighted benign mixture choice (same walk as `gen_trace`).
-            let mut pick = rng.gen_range(0.0..self.total_weight);
-            let mut chosen = &self.profiles[0].0;
-            for (p, w) in &self.profiles {
-                if pick < *w {
-                    chosen = p;
-                    break;
-                }
-                pick -= w;
-            }
-            chosen
-        };
-        let (src_ip, dst_ip) = if malicious {
-            (
-                BOT_IP_BASE + (self.zipf.sample(rng) as u32 & 0x0FFF),
-                VICTIM_IP_BASE + rng.gen_range(0u32..64),
-            )
-        } else {
-            (
-                DEVICE_IP_BASE + (self.zipf.sample(rng) - 1) as u32,
-                CLOUD_IP_BASE + rng.gen_range(0u32..256),
-            )
-        };
-        // Per-flow hyper-prior jitter, identical to `gen_flow`.
-        lane.size = SizeModel {
-            mean: profile.size.mean * rng.gen_range(0.8..1.25),
-            std: profile.size.std * rng.gen_range(0.7..1.4),
-            ..profile.size
-        };
-        lane.ipd = IpdModel {
-            mean_ms: profile.ipd.mean_ms * rng.gen_range(0.7..1.45),
-            std_ms: profile.ipd.std_ms * rng.gen_range(0.7..1.4),
-        };
-        let n = rng.gen_range(profile.pkts.0..=profile.pkts.1).max(1);
-        let src_port: u16 = rng.gen_range(32768..61000);
-        let dst_port = profile.dst_port.sample(rng);
-        lane.ttl = if profile.ttl_jitter == 0 {
-            profile.ttl
-        } else {
-            let j = rng.gen_range(0..=2 * profile.ttl_jitter as i32) - profile.ttl_jitter as i32;
-            (profile.ttl as i32 + j).clamp(1, 255) as u8
-        };
-        lane.flags = profile.flags;
-        lane.is_tcp = profile.proto == PROTO_TCP;
-        lane.malicious = malicious;
-        lane.idx = 0;
-        lane.last_idx = n - 1;
-        let five = FiveTuple::new(src_ip, dst_ip, src_port, dst_port, profile.proto);
-        lane.pending = Self::make_packet(lane, five, start_ns);
-    }
-
-    fn make_packet(lane: &mut Lane, five: FiveTuple, ts_ns: u64) -> Packet {
-        let flags = if lane.is_tcp {
-            lane.flags.flags_for(lane.idx, lane.last_idx)
-        } else {
-            TcpFlags::default()
-        };
-        Packet { ts_ns, five, wire_len: lane.size.sample(&mut lane.rng), ttl: lane.ttl, flags }
-    }
-
-    /// Emits lane `li`'s pending packet and advances it to the next one
-    /// (next packet of the flow, or the lane's next flow). Returns false
-    /// when the lane is exhausted (global flow budget spent).
+    /// Advances lane `li` past its pending packet: to the next packet of
+    /// its flow, or to its next flow. Returns false when the lane is
+    /// exhausted (global flow budget spent).
     fn advance_lane(&mut self, li: usize) -> bool {
-        // Split borrows: take the lane out of self mutably via index.
-        if self.lanes[li].idx < self.lanes[li].last_idx {
-            let lane = &mut self.lanes[li];
-            lane.idx += 1;
-            let ts = lane.pending.ts_ns + lane.ipd.sample_ns(&mut lane.rng);
-            let five = lane.pending.five;
-            lane.pending = Self::make_packet(lane, five, ts);
-            true
+        let lane = &mut self.lanes[li];
+        if let Some(p) = lane.cursor.next_packet(&mut lane.rng) {
+            lane.pending = p;
         } else if self.flows_left > 0 {
             self.flows_left -= 1;
             self.flows_started += 1;
-            let gap = {
-                let lane = &mut self.lanes[li];
-                lane.pending.ts_ns + Self::sample_gap(&mut lane.rng, self.mean_flow_gap_ns)
-            };
-            let mut lane = std::mem::replace(
-                &mut self.lanes[li],
-                Lane {
-                    rng: Rng::seed_from_u64(0),
-                    pending: zero_packet(),
-                    malicious: false,
-                    size: SizeModel { mean: 0.0, std: 0.0, min: 0, max: 0 },
-                    ipd: IpdModel { mean_ms: 0.0, std_ms: 0.0 },
-                    ttl: 64,
-                    flags: FlagsModel::none(),
-                    is_tcp: false,
-                    idx: 0,
-                    last_idx: 0,
-                },
-            );
-            self.start_flow(&mut lane, gap);
-            self.lanes[li] = lane;
-            true
+            lane.next_flow(&self.mix);
         } else {
-            false
+            return false;
         }
+        true
     }
 
     /// The next `(packet, ground-truth label)` of the merged stream, or

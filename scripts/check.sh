@@ -51,11 +51,11 @@ echo "== shard invariance suite (explicit, IGUARD_WORKERS unset) =="
 # sizes the sharded backend's worker crew through the environment.
 cargo test -q --offline -p iguard-switch --test shard_invariance
 
-echo "== release-only gates (speed ratios, allocation-free stream loop, swap allocations) =="
-# Debug builds skip these three suites: a timing ratio and an allocation
+echo "== release-only gates (speed ratios; allocation gates: stream loop, ruleset swap) =="
+# Debug builds skip these two suites: a timing ratio and an allocation
 # count only mean something optimised. Same RUSTFLAGS as the release
 # build above, so its artifacts are reused.
 RUSTFLAGS="-D warnings" cargo test -q --release --offline -p iguard-switch \
-    --test speed_gates --test alloc_free_stream --test swap_alloc
+    --test speed_gates --test alloc_gates
 
 echo "All checks passed."
