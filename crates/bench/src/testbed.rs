@@ -72,7 +72,7 @@ pub fn iforest_rules_with_backoff(
         match RuleSet::from_iforest(&forest, bounds, MAX_REGIONS) {
             Ok(rules) => return (forest, rules),
             Err(RuleGenError::TooManyRegions { .. }) => continue,
-            Err(e @ RuleGenError::EmptyTrainingSet) => {
+            Err(e @ (RuleGenError::EmptyTrainingSet | RuleGenError::NotDistilled)) => {
                 panic!("baseline compile failed: {e}")
             }
         }
@@ -135,7 +135,7 @@ pub fn train_deployment(s: &Scenario, effort: Effort, seed: u64) -> Deployment {
                 break;
             }
             Err(RuleGenError::TooManyRegions { .. }) => continue,
-            Err(e @ RuleGenError::EmptyTrainingSet) => {
+            Err(e @ (RuleGenError::EmptyTrainingSet | RuleGenError::NotDistilled)) => {
                 panic!("iGuard compile failed: {e}")
             }
         }

@@ -163,9 +163,7 @@ impl IGuardForest {
                     // 7's bounds distribution): a sparse leaf whose box is
                     // mostly off the benign manifold should read as malicious
                     // even though a handful of benign samples routed into it.
-                    for x in augment(&tree.leaves[leaf_id].bounds, top_up, &mut tree_rng) {
-                        set.push_row(&x);
-                    }
+                    augment(&tree.leaves[leaf_id].bounds, top_up, &mut tree_rng, &mut set);
                     tree.leaves[leaf_id].label = Some(teacher.vote_on_set(&set));
                 }
                 tree

@@ -2,9 +2,10 @@
 //!
 //! Unlike a conventional iTree (random feature, random split), a guided
 //! tree asks the teacher to label the node's samples — augmented with `k`
-//! synthetic points drawn from the node's feature ranges (footnote 7:
-//! normal with mean = midpoint of the bounds and std = half the range,
-//! clipped) — and picks the split maximising information gain (Eq. 2–4).
+//! synthetic points jittered around those samples ([`augment_around`];
+//! the paper's footnote-7 bounds cloud, [`augment`], would be all
+//! off-manifold here) — and picks the split maximising information gain
+//! (Eq. 2–4) with [`best_split`].
 //! Growth stops when `|X_node| ≤ 1`, depth reaches `⌈log₂ Ψ⌉`, or the
 //! teacher-labelled class ratio at the node drops below `τ_split`
 //! (the extra criterion that later shrinks the rule table, §4.2.2).
@@ -109,9 +110,7 @@ impl GuidedTree {
         // X_decision = X_node ∪ X_aug (manifold-aware blending; see
         // `augment_around` for why pure bounds sampling fails here).
         let mut decision = data.select_rows(&indices);
-        for x in augment_around(&decision, &bounds, cfg.k_augment, rng) {
-            decision.push_row(&x);
-        }
+        augment_around(&mut decision, &bounds, cfg.k_augment, rng);
         let labels = teacher.predict(&decision);
         let n_mal = labels.iter().filter(|&&l| l).count();
         let n_ben = labels.len() - n_mal;
@@ -126,40 +125,7 @@ impl GuidedTree {
             return self.seal_leaf(node_slot, bounds, indices.len(), depth);
         }
 
-        // Search (q*, p*) maximising information gain over candidates.
-        let parent_h = entropy(n_mal, labels.len());
-        let dim = bounds.len();
-        let mut best: Option<(usize, f32, f64)> = None;
-        for q in 0..dim {
-            for p in split_candidates(&decision, q, cfg.n_candidates) {
-                counter!("core.guided.split_candidates").inc();
-                let (mut lm, mut ln, mut rm, mut rn) = (0usize, 0usize, 0usize, 0usize);
-                for (x, &mal) in decision.iter_rows().zip(&labels) {
-                    if x[q] < p {
-                        ln += 1;
-                        if mal {
-                            lm += 1;
-                        }
-                    } else {
-                        rn += 1;
-                        if mal {
-                            rm += 1;
-                        }
-                    }
-                }
-                if ln == 0 || rn == 0 {
-                    continue;
-                }
-                let w_left = ln as f64 / labels.len() as f64;
-                let child_h = w_left * entropy(lm, ln) + (1.0 - w_left) * entropy(rm, rn);
-                let gain = parent_h - child_h;
-                if gain > best.map_or(0.0, |(_, _, g)| g) {
-                    best = Some((q, p, gain));
-                }
-            }
-        }
-
-        let Some((q, p, _gain)) = best else {
+        let Some((q, p, _gain)) = best_split(&decision, &labels, cfg.n_candidates) else {
             // No split improves purity: terminal.
             return self.seal_leaf(node_slot, bounds, indices.len(), depth);
         };
@@ -230,18 +196,22 @@ impl GuidedTree {
     /// Resolves an axis-aligned region `[lo, hi)` to a single leaf, or
     /// reports the first straddling split `(feature, split)` — the
     /// primitive behind whitelist-rule generation.
-    pub fn resolve_region(&self, lo: &[f32], hi: &[f32]) -> RegionResolution {
-        let mut idx = 0usize;
+    ///
+    /// The walk starts at node `*node` (the root is node 0) and leaves
+    /// `*node` at the leaf or straddled node where it stopped. A sub-region
+    /// of `[lo, hi)` routes through that node the same way, so resolving
+    /// it from the returned cursor gives the same answer as from the root.
+    pub fn resolve_region(&self, lo: &[f32], hi: &[f32], node: &mut u32) -> RegionResolution {
         loop {
-            match &self.nodes[idx] {
-                GNode::Leaf { leaf_id } => return Ok(*leaf_id),
+            match self.nodes[*node as usize] {
+                GNode::Leaf { leaf_id } => return Ok(leaf_id),
                 GNode::Internal { feature, split, left, right } => {
-                    if hi[*feature] <= *split {
-                        idx = *left;
-                    } else if lo[*feature] >= *split {
-                        idx = *right;
+                    if hi[feature] <= split {
+                        *node = left as u32;
+                    } else if lo[feature] >= split {
+                        *node = right as u32;
                     } else {
-                        return Err((*feature, *split));
+                        return Err((feature, split));
                     }
                 }
             }
@@ -262,31 +232,30 @@ pub fn entropy(mal: usize, total: usize) -> f64 {
     -p * p.log2() - (1.0 - p) * (1.0 - p).log2()
 }
 
-/// Bounds-cloud augmentation: `k` points ~ Normal(midpoint, range/2) per
-/// feature, clipped to the bounds (paper footnote 7). Features are drawn
-/// independently.
-pub fn augment(bounds: &[(f32, f32)], k: usize, rng: &mut Rng) -> Vec<Vec<f32>> {
-    (0..k)
-        .map(|_| {
-            bounds
-                .iter()
-                .map(|&(lo, hi)| {
-                    let mean = 0.5 * (lo + hi);
-                    let std = 0.5 * (hi - lo);
-                    if std <= 0.0 {
-                        return lo;
-                    }
-                    let g = rng.normal();
-                    (mean + std * g as f32).clamp(lo, hi)
-                })
-                .collect()
-        })
-        .collect()
+/// Bounds-cloud augmentation: appends `k` points ~ Normal(midpoint,
+/// range/2) per feature, clipped to the bounds (paper footnote 7), to
+/// `out`. Features are drawn independently.
+pub fn augment(bounds: &[(f32, f32)], k: usize, rng: &mut Rng, out: &mut Dataset) {
+    let mut x = Vec::with_capacity(bounds.len());
+    for _ in 0..k {
+        x.clear();
+        x.extend(bounds.iter().map(|&(lo, hi)| {
+            let mean = 0.5 * (lo + hi);
+            let std = 0.5 * (hi - lo);
+            if std <= 0.0 {
+                return lo;
+            }
+            let g = rng.normal();
+            (mean + std * g as f32).clamp(lo, hi)
+        }));
+        out.push_row(&x);
+    }
 }
 
-/// Manifold-aware augmentation: each point is a real node sample jittered
-/// by Gaussian noise scaled to the node data's own per-feature spread,
-/// with a log-uniform excursion multiplier in `[1/4, 4]`.
+/// Manifold-aware augmentation: appends `k` points to `samples`, each a
+/// real sample (one of the rows present on entry) jittered by Gaussian
+/// noise scaled to those samples' own per-feature spread, with a
+/// log-uniform excursion multiplier in `[1/4, 4]`.
 ///
 /// Why not pure bounds sampling? Flow features obey hard internal
 /// constraints (min ≤ mean ≤ max packet size, count·mean ≈ total bytes),
@@ -299,14 +268,10 @@ pub fn augment(bounds: &[(f32, f32)], k: usize, rng: &mut Rng) -> Vec<Vec<f32>> 
 /// where the teacher's boundary hugs the data — which is what distilling
 /// the teacher into axis-aligned boxes requires. Falls back to [`augment`]
 /// when the node holds no real samples.
-pub fn augment_around(
-    samples: &Dataset,
-    bounds: &[(f32, f32)],
-    k: usize,
-    rng: &mut Rng,
-) -> Vec<Vec<f32>> {
-    if samples.rows() == 0 {
-        return augment(bounds, k, rng);
+pub fn augment_around(samples: &mut Dataset, bounds: &[(f32, f32)], k: usize, rng: &mut Rng) {
+    let n = samples.rows();
+    if n == 0 {
+        return augment(bounds, k, rng, samples);
     }
     let dim = bounds.len();
     // Per-feature std of the node's samples; degenerate features fall back
@@ -318,7 +283,7 @@ pub fn augment_around(
         }
     }
     for m in &mut mean {
-        *m /= samples.rows() as f64;
+        *m /= n as f64;
     }
     let mut sigma = vec![0.0f64; dim];
     for s in samples.iter_rows() {
@@ -328,53 +293,110 @@ pub fn augment_around(
         }
     }
     for (sg, &(lo, hi)) in sigma.iter_mut().zip(bounds) {
-        *sg = (*sg / samples.rows() as f64).sqrt();
+        *sg = (*sg / n as f64).sqrt();
         if *sg <= 0.0 {
             *sg = ((hi - lo) as f64 / 20.0).max(1e-9);
         }
     }
-    (0..k)
-        .map(|_| {
-            let base = samples.row(rng.gen_range(0..samples.rows()));
-            // Log-uniform excursion: 2^U(-2, 2) ∈ [1/4, 4].
-            let scale = 2f64.powf(rng.gen_range(-2.0..2.0));
-            base.iter()
-                .zip(bounds)
-                .zip(&sigma)
-                .map(|((&x, &(lo, hi)), &sg)| {
-                    let jitter = (rng.normal() * sg * scale) as f32;
-                    (x + jitter).clamp(lo, hi.max(lo))
-                })
-                .collect()
-        })
-        .collect()
+    let mut x = Vec::with_capacity(dim);
+    for _ in 0..k {
+        let base = samples.row(rng.gen_range(0..n));
+        // Log-uniform excursion: 2^U(-2, 2) ∈ [1/4, 4].
+        let scale = 2f64.powf(rng.gen_range(-2.0..2.0));
+        x.clear();
+        x.extend(base.iter().zip(bounds).zip(&sigma).map(|((&x, &(lo, hi)), &sg)| {
+            let jitter = (rng.normal() * sg * scale) as f32;
+            (x + jitter).clamp(lo, hi.max(lo))
+        }));
+        samples.push_row(&x);
+    }
 }
 
-/// Candidate split points for feature `q`: midpoints between evenly spaced
-/// order statistics of the decision set (capped at `n_candidates`).
-fn split_candidates(decision: &Dataset, q: usize, n_candidates: usize) -> Vec<f32> {
-    let mut vals: Vec<f32> = decision.iter_rows().map(|x| x[q]).collect();
-    vals.sort_by(|a, b| a.total_cmp(b));
-    vals.dedup();
-    if vals.len() < 2 {
-        return Vec::new();
-    }
-    let n = (vals.len() - 1).min(n_candidates);
-    (1..=n)
-        .map(|i| {
-            let pos = i * (vals.len() - 1) / (n + 1).max(1);
-            let pos = pos.min(vals.len() - 2);
-            0.5 * (vals[pos] + vals[pos + 1])
-        })
-        .filter(|p| p.is_finite())
-        .collect::<Vec<f32>>()
-        .into_iter()
-        .fold(Vec::new(), |mut acc, p| {
-            if acc.last() != Some(&p) {
-                acc.push(p);
+/// The information-gain-maximising split `(q*, p*, gain)` of a labelled
+/// decision set (paper Eq. 2–4), or `None` when no candidate gains.
+/// Features are searched in ascending order and each feature's
+/// candidates ascending; only a strictly larger gain replaces the best.
+///
+/// One sort per feature does all the work: `(value, label)` pairs sorted
+/// by `total_cmp` give both the deduplicated values the candidates are
+/// drawn from (see [`split_candidates`]) and a prefix count of malicious
+/// labels, so a candidate's left side is the run of non-NaN values below
+/// it, found by binary search. NaN values sort to the ends (by sign) and
+/// always go right, as `x < p` is false for them.
+///
+/// Adds the number of candidates examined to the
+/// `core.guided.split_candidates` counter.
+pub fn best_split(
+    decision: &Dataset,
+    labels: &[bool],
+    n_candidates: usize,
+) -> Option<(usize, f32, f64)> {
+    debug_assert_eq!(decision.rows(), labels.len(), "one label per decision row");
+    let n = labels.len();
+    let n_mal = labels.iter().filter(|&&l| l).count();
+    let parent_h = entropy(n_mal, n);
+    let mut pairs: Vec<(f32, bool)> = Vec::with_capacity(n);
+    let mut vals: Vec<f32> = Vec::with_capacity(n);
+    let mut mal_before: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut examined = 0u64;
+    let mut best: Option<(usize, f32, f64)> = None;
+    for q in 0..decision.cols() {
+        pairs.clear();
+        pairs.extend(decision.column(q).zip(labels.iter().copied()));
+        // Unstable is enough: `total_cmp` ties are bit-identical values,
+        // which always fall on the same side of a candidate.
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        vals.clear();
+        mal_before.clear();
+        mal_before.push(0);
+        let mut seen_mal = 0;
+        for &(v, mal) in &pairs {
+            if vals.last() != Some(&v) {
+                vals.push(v);
             }
-            acc
-        })
+            seen_mal += usize::from(mal);
+            mal_before.push(seen_mal);
+        }
+        // The non-NaN values: negative NaNs sort first, positive ones last.
+        let lead = pairs.iter().take_while(|(v, _)| v.is_nan()).count();
+        let tail = pairs[lead..].iter().rev().take_while(|(v, _)| v.is_nan()).count();
+        let finite = &pairs[lead..n - tail];
+        for p in split_candidates(&vals, n_candidates) {
+            examined += 1;
+            let ln = finite.partition_point(|&(v, _)| v < p);
+            let lm = mal_before[lead + ln] - mal_before[lead];
+            let (rn, rm) = (n - ln, n_mal - lm);
+            if ln == 0 || rn == 0 {
+                continue;
+            }
+            let w_left = ln as f64 / n as f64;
+            let child_h = w_left * entropy(lm, ln) + (1.0 - w_left) * entropy(rm, rn);
+            let gain = parent_h - child_h;
+            if gain > best.map_or(0.0, |(_, _, g)| g) {
+                best = Some((q, p, gain));
+            }
+        }
+    }
+    counter!("core.guided.split_candidates").add(examined);
+    best
+}
+
+/// Candidate split points from a feature's sorted, deduplicated values:
+/// midpoints between evenly spaced order statistics (capped at
+/// `n_candidates`), non-finite midpoints dropped and repeats collapsed.
+fn split_candidates(vals: &[f32], n_candidates: usize) -> impl Iterator<Item = f32> + '_ {
+    let m = vals.len();
+    let n = m.saturating_sub(1).min(n_candidates);
+    let mut last = None;
+    (1..=n).filter_map(move |i| {
+        let pos = (i * (m - 1) / (n + 1)).min(m - 2);
+        let p = 0.5 * (vals[pos] + vals[pos + 1]);
+        if !p.is_finite() || last == Some(p) {
+            return None;
+        }
+        last = Some(p);
+        Some(p)
+    })
 }
 
 #[cfg(test)]
@@ -485,13 +507,45 @@ mod tests {
         let eps = 1e-5f32;
         let lo = [x[0] - eps, x[1] - eps];
         let hi = [x[0] + eps, x[1] + eps];
-        match tree.resolve_region(&lo, &hi) {
-            Ok(leaf) => assert_eq!(leaf, tree.leaf_of(&x)),
-            Err(_) => {} // x happens to lie on a boundary — acceptable
+        // An `Err` means x happens to lie on a boundary — acceptable.
+        if let Ok(leaf) = tree.resolve_region(&lo, &hi, &mut 0) {
+            assert_eq!(leaf, tree.leaf_of(&x));
         }
         // The whole space straddles if the tree split at all.
         if tree.n_leaves() > 1 {
-            assert!(tree.resolve_region(&[0.0, 0.0], &[1.0, 1.0]).is_err());
+            let mut cursor = 0;
+            assert!(tree.resolve_region(&[0.0, 0.0], &[1.0, 1.0], &mut cursor).is_err());
+            assert_eq!(cursor, 0, "the root straddles the whole space");
+        }
+    }
+
+    /// A walk resumed at the node where the enclosing region's walk
+    /// stopped gives the same answer as one from the root, on nested
+    /// boxes shrinking toward random points.
+    #[test]
+    fn resumed_walk_matches_walk_from_root() {
+        let mut rng = Rng::seed_from_u64(7);
+        let data = uniform2(256, &mut rng);
+        let indices: Vec<usize> = (0..data.rows()).collect();
+        let teacher = OracleTeacher(|x: &[f32]| x[0] * x[1] > 0.2);
+        let cfg = GuidedTreeConfig { k_augment: 64, ..Default::default() };
+        let tree = GuidedTree::fit(&data, &indices, &bounds2(), &teacher, &cfg, &mut rng);
+        assert!(tree.n_leaves() > 4);
+        for _ in 0..200 {
+            let x = [rng.gen_range(0.0f32..1.0), rng.gen_range(0.0f32..1.0)];
+            let (mut lo, mut hi) = ([f32::NEG_INFINITY; 2], [f32::INFINITY; 2]);
+            let mut cursor = 0u32;
+            for _ in 0..12 {
+                let resumed = tree.resolve_region(&lo, &hi, &mut cursor);
+                assert_eq!(resumed, tree.resolve_region(&lo, &hi, &mut 0));
+                let Err((f, split)) = resumed else { break };
+                // Keep the half that holds x, as the decomposition would.
+                if x[f] < split {
+                    hi[f] = split;
+                } else {
+                    lo[f] = split;
+                }
+            }
         }
     }
 
@@ -507,7 +561,10 @@ mod tests {
     fn augment_respects_bounds() {
         let mut rng = Rng::seed_from_u64(6);
         let bounds = vec![(0.2f32, 0.4), (10.0, 10.0)];
-        for x in augment(&bounds, 100, &mut rng) {
+        let mut out = Dataset::new(2);
+        augment(&bounds, 100, &mut rng, &mut out);
+        assert_eq!(out.rows(), 100);
+        for x in out.iter_rows() {
             assert!((0.2..=0.4).contains(&x[0]));
             assert_eq!(x[1], 10.0); // degenerate range collapses to lo
         }
@@ -515,9 +572,8 @@ mod tests {
 
     #[test]
     fn split_candidates_sorted_within_range() {
-        let decision =
-            Dataset::from_rows(&(0..50).map(|i| vec![i as f32 / 50.0]).collect::<Vec<_>>());
-        let cands = split_candidates(&decision, 0, 8);
+        let vals: Vec<f32> = (0..50).map(|i| i as f32 / 50.0).collect();
+        let cands: Vec<f32> = split_candidates(&vals, 8).collect();
         assert!(!cands.is_empty() && cands.len() <= 8);
         assert!(cands.windows(2).all(|w| w[0] < w[1]));
         assert!(cands.iter().all(|&p| p > 0.0 && p < 1.0));

@@ -12,6 +12,23 @@
 //! order never affects the final partition. Adjacent same-label cubes are
 //! then greedily merged, and the benign (label-0) cubes become the
 //! whitelist: anything matching no whitelist rule is treated as malicious.
+//!
+//! Both stages work on flat rows, not on per-box allocations; a
+//! [`Hypercube`] is built only for the merged whitelist.
+//!
+//! - **Resumed walks.** The frontier is `lo ‖ hi` rows (`2·dim` floats).
+//!   A child region lies inside its parent, so every tree node the
+//!   parent's walk passed routes the child the same way. Each row carries
+//!   one node cursor per tree (the node where that tree's walk stopped on
+//!   the parent) and the child's walk resumes there instead of at the
+//!   root. The iForest branch-and-bound explores both sides of a
+//!   straddle, has no single stopping node, and carries no cursors.
+//! - **Sorted merge.** A box is one `u64` word per axis holding its
+//!   `(lo, hi)` bit patterns. Each merge axis is one sort of a box index
+//!   by the other axes' words, then the lower bound on the axis, then
+//!   input position, followed by a sweep that coalesces abutting
+//!   neighbours with equal other-axis words. No key is allocated per box,
+//!   and the output order is that of grouping by the other axes' bits.
 
 use iguard_iforest::tree::Node as IfNode;
 use iguard_iforest::IsolationForest;
@@ -56,6 +73,9 @@ pub enum RuleGenError {
     /// (and therefore rule hypercubes) are undefined on an empty set, so
     /// the caller gets a typed error instead of a library panic.
     EmptyTrainingSet,
+    /// An iGuard forest was handed to the rule compiler before
+    /// distillation labelled its leaves: there is no vote to compile.
+    NotDistilled,
 }
 
 impl std::fmt::Display for RuleGenError {
@@ -69,6 +89,9 @@ impl std::fmt::Display for RuleGenError {
             }
             RuleGenError::EmptyTrainingSet => {
                 write!(f, "empty training set: cannot derive feature bounds or rules")
+            }
+            RuleGenError::NotDistilled => {
+                write!(f, "forest is not distilled: its leaves carry no labels to compile")
             }
         }
     }
@@ -88,12 +111,17 @@ pub struct RuleSet {
     pub total_regions: usize,
 }
 
-/// How a region resolves against an ensemble. `Sync` because frontier
-/// levels of the decomposition resolve concurrently.
-type Resolve<'a> = dyn Fn(&[f32], &[f32]) -> Result<bool, (usize, f32)> + Sync + 'a;
+/// How a region `[lo, hi)` resolves against an ensemble. The third
+/// argument is the region's node cursors (one per tree for a guided
+/// forest, none for the iForest): each walk resumes at its cursor and
+/// leaves it at the node where it stopped, which the region's children
+/// inherit. `Sync` because frontier levels of the decomposition resolve
+/// concurrently.
+type Resolve<'a> = dyn Fn(&[f32], &[f32], &mut [u32]) -> Result<bool, (usize, f32)> + Sync + 'a;
 
 impl RuleSet {
-    /// Compiles a distilled [`IGuardForest`] into whitelist rules.
+    /// Compiles a distilled [`IGuardForest`] into whitelist rules, or
+    /// [`RuleGenError::NotDistilled`] if its leaves are not yet labelled.
     ///
     /// The region's verdict is the *majority vote*, so the decomposition
     /// short-circuits: once enough trees have resolved that the remaining
@@ -101,19 +129,18 @@ impl RuleSet {
     /// constant and need not be split further. This is what keeps the
     /// compilation tractable in 13 dimensions.
     pub fn from_iguard(forest: &IGuardForest, max_regions: usize) -> Result<Self, RuleGenError> {
-        assert!(forest.is_distilled(), "distill the forest before compiling rules");
+        if !forest.is_distilled() {
+            return Err(RuleGenError::NotDistilled);
+        }
         let needed = forest.votes_needed();
-        let resolve = |lo: &[f32], hi: &[f32]| -> Result<bool, (usize, f32)> {
+        let resolve = |lo: &[f32], hi: &[f32], cursors: &mut [u32]| {
             let mut mal = 0usize;
             let mut unresolved = 0usize;
             let mut first_straddle: Option<(usize, f32)> = None;
-            for tree in forest.trees() {
-                match tree.resolve_region(lo, hi) {
-                    Ok(leaf) => {
-                        if tree.leaves[leaf].label.expect("undistilled leaf") {
-                            mal += 1;
-                        }
-                    }
+            for (tree, cursor) in forest.trees().iter().zip(cursors) {
+                match tree.resolve_region(lo, hi, cursor) {
+                    // Distillation labels every leaf, so `None` never occurs.
+                    Ok(leaf) => mal += usize::from(tree.leaves[leaf].label == Some(true)),
                     Err(straddle) => {
                         unresolved += 1;
                         first_straddle.get_or_insert(straddle);
@@ -128,7 +155,7 @@ impl RuleSet {
             }
             Err(first_straddle.expect("undetermined region must have a straddle"))
         };
-        Self::compile(forest.bounds().to_vec(), &resolve, max_regions)
+        Self::compile(forest.bounds().to_vec(), forest.trees().len(), &resolve, max_regions)
     }
 
     /// Compiles a conventional [`IsolationForest`] (thresholded anomaly
@@ -145,7 +172,7 @@ impl RuleSet {
         bounds: &[(f32, f32)],
         max_regions: usize,
     ) -> Result<Self, RuleGenError> {
-        let resolve = |lo: &[f32], hi: &[f32]| -> Result<bool, (usize, f32)> {
+        let resolve = |lo: &[f32], hi: &[f32], _: &mut [u32]| {
             let mut path_min = 0.0f64;
             let mut path_max = 0.0f64;
             let mut first_straddle: Option<(usize, f32)> = None;
@@ -166,10 +193,12 @@ impl RuleSet {
             }
             Err(first_straddle.expect("undetermined region must have a straddle"))
         };
-        Self::compile(bounds.to_vec(), &resolve, max_regions)
+        Self::compile(bounds.to_vec(), 0, &resolve, max_regions)
     }
 
-    /// The shared adaptive decomposition + merge pipeline.
+    /// The shared adaptive decomposition + merge pipeline. Each region
+    /// carries `n_cursors` node cursors for `resolve`, all starting at the
+    /// root (node 0).
     ///
     /// The root region is **unbounded**: tree inference routes every point
     /// (inside training bounds or not) to some leaf, so the rule table must
@@ -178,26 +207,54 @@ impl RuleSet {
     /// only when installed into a TCAM.
     ///
     /// Breadth-first: every region of the current frontier resolves in
-    /// parallel, then straddled regions split into the next frontier.
+    /// parallel, then a sequential pass counts the resolved regions against
+    /// the budget and splits straddled ones, left child before right, into
+    /// the next frontier.
     fn compile(
         bounds: Vec<(f32, f32)>,
+        n_cursors: usize,
         resolve: &Resolve<'_>,
         max_regions: usize,
     ) -> Result<Self, RuleGenError> {
+        /// Frontier rows per parallel task: each task returns one
+        /// resolution and cursor buffer for its whole run of rows.
+        const CHUNK: usize = 128;
         let dim = bounds.len();
+        let k = n_cursors;
         let (benign, total_regions) = span!("core.rules.decompose").time(|| {
-            let mut frontier =
-                vec![Hypercube { lo: vec![f32::NEG_INFINITY; dim], hi: vec![f32::INFINITY; dim] }];
-            let mut benign = Vec::new();
+            // Frontier: one `lo ‖ hi` row per region, and its `k` cursors.
+            let mut frontier = Dataset::new(2 * dim);
+            let mut root = vec![f32::NEG_INFINITY; dim];
+            root.resize(2 * dim, f32::INFINITY);
+            frontier.push_row(&root);
+            let mut cursors = vec![0u32; k];
+            let mut benign = Dataset::new(2 * dim);
             let mut total_regions = 0usize;
-            while !frontier.is_empty() {
-                histogram!("core.rules.frontier_width").record(frontier.len() as u64);
-                let resolved = par::par_map_vec(frontier, |cube| {
-                    let r = resolve(&cube.lo, &cube.hi);
-                    (cube, r)
+            while frontier.rows() > 0 {
+                let width = frontier.rows();
+                histogram!("core.rules.frontier_width").record(width as u64);
+                let resolved = par::par_map_range(width.div_ceil(CHUNK), |c| {
+                    let rows = c * CHUNK..((c + 1) * CHUNK).min(width);
+                    let mut advanced = cursors[rows.start * k..rows.end * k].to_vec();
+                    let verdicts: Vec<_> = rows
+                        .enumerate()
+                        .map(|(j, r)| {
+                            let row = frontier.row(r);
+                            resolve(&row[..dim], &row[dim..], &mut advanced[j * k..(j + 1) * k])
+                        })
+                        .collect();
+                    (verdicts, advanced)
                 });
-                let mut next = Vec::new();
-                for (cube, resolution) in resolved {
+                let mut verdicts = Vec::with_capacity(width);
+                cursors.clear();
+                for (v, advanced) in resolved {
+                    verdicts.extend(v);
+                    cursors.extend(advanced);
+                }
+                let mut next = Dataset::new(2 * dim);
+                let mut next_cursors = Vec::new();
+                for (r, resolution) in verdicts.into_iter().enumerate() {
+                    let row = frontier.row(r);
                     match resolution {
                         Ok(label) => {
                             total_regions += 1;
@@ -208,35 +265,37 @@ impl RuleSet {
                                 });
                             }
                             if !label {
-                                benign.push(cube);
+                                benign.push_row(row);
                             }
                         }
                         Err((feature, split)) => {
                             debug_assert!(
-                                cube.lo[feature] < split && split < cube.hi[feature],
+                                row[feature] < split && split < row[dim + feature],
                                 "straddle split must be interior"
                             );
-                            let mut left = cube.clone();
-                            left.hi[feature] = split;
-                            let mut right = cube;
-                            right.lo[feature] = split;
-                            next.push(left);
-                            next.push(right);
-                            if next.len() > max_regions * 2 {
+                            next.push_row(row);
+                            next.row_mut(next.rows() - 1)[dim + feature] = split;
+                            next.push_row(row);
+                            next.row_mut(next.rows() - 1)[feature] = split;
+                            let at = &cursors[r * k..(r + 1) * k];
+                            next_cursors.extend_from_slice(at);
+                            next_cursors.extend_from_slice(at);
+                            if next.rows() > max_regions * 2 {
                                 return Err(RuleGenError::TooManyRegions {
                                     budget: max_regions,
-                                    reached: total_regions + next.len(),
+                                    reached: total_regions + next.rows(),
                                 });
                             }
                         }
                     }
                 }
                 frontier = next;
+                cursors = next_cursors;
             }
             Ok((benign, total_regions))
         })?;
         counter!("core.rules.regions").add(total_regions as u64);
-        let whitelist = span!("core.rules.merge").time(|| merge_adjacent(benign));
+        let whitelist = span!("core.rules.merge").time(|| merge_rows(&benign));
         counter!("core.rules.whitelist_rules").add(whitelist.len() as u64);
         Ok(Self { bounds, whitelist, total_regions })
     }
@@ -412,65 +471,99 @@ fn iforest_path_bounds(
 /// agree on every dimension except one where they abut exactly. Runs to a
 /// fixpoint over all axes.
 ///
-/// Implementation: for each axis, boxes are hash-grouped by their
-/// coordinates on every *other* axis; within a group, a sort-and-sweep
-/// along the axis coalesces abutting runs. This is `O(d · n log n)` per
-/// pass, which matters — baseline iForests can decompose into 10⁵ regions.
-pub fn merge_adjacent(mut cubes: Vec<Hypercube>) -> Vec<Hypercube> {
-    use std::collections::HashMap;
-    if cubes.is_empty() {
+/// Implementation: see [`merge_rows`]. A pass is one sort per axis,
+/// `O(d · n log n)` comparisons of up to `d − 1` packed words each plus a
+/// linear sweep, and `n` shrinks with every merge — which matters, as
+/// baseline iForests can decompose into 10⁵ regions.
+pub fn merge_adjacent(cubes: Vec<Hypercube>) -> Vec<Hypercube> {
+    let Some(first) = cubes.first() else {
         return cubes;
+    };
+    let mut rows = Dataset::new(2 * first.dims());
+    let mut row = Vec::with_capacity(rows.cols());
+    for cube in &cubes {
+        row.clear();
+        row.extend_from_slice(&cube.lo);
+        row.extend_from_slice(&cube.hi);
+        rows.push_row(&row);
     }
-    let dims = cubes[0].dims();
+    merge_rows(&rows)
+}
+
+/// [`merge_adjacent`] on flat `lo ‖ hi` rows.
+///
+/// Each box becomes one `u64` word per axis holding the bit patterns of
+/// `(lo, hi)`, `lo` in the high half, so comparing words compares the
+/// bounds' bits lexicographically. For each axis `d`, a sort orders a box
+/// index by the words of every other axis (ascending axis order), then by
+/// `lo[d]` under `total_cmp` (so a NaN bound cannot panic the sort), then
+/// by input position; a sweep then extends the last emitted box while the
+/// next one has the same other-axis words and starts exactly where it
+/// ends on `d`. Boxes with equal other-axis words form one group: groups
+/// come out in key order and each keeps its input order among equal
+/// `lo[d]`.
+fn merge_rows(rows: &Dataset) -> Vec<Hypercube> {
+    /// The group key on axis `d`: every axis's word but `d`'s.
+    fn key(w: &[u64], d: usize) -> (&[u64], &[u64]) {
+        (&w[..d], &w[d + 1..])
+    }
+    const HI: u64 = 0xFFFF_FFFF;
+    let lo_of = |w: u64| f32::from_bits((w >> 32) as u32);
+    let hi_of = |w: u64| f32::from_bits((w & HI) as u32);
+    let dim = rows.cols() / 2;
+    let mut n = rows.rows();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut words: Vec<u64> = (0..n)
+        .flat_map(|i| {
+            let (lo, hi) = rows.row(i).split_at(dim);
+            lo.iter().zip(hi).map(|(l, h)| (l.to_bits() as u64) << 32 | h.to_bits() as u64)
+        })
+        .collect();
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut out: Vec<u64> = Vec::with_capacity(words.len());
     loop {
         counter!("core.rules.merge_pass").inc();
         let mut merged_any = false;
-        for d in 0..dims {
-            // Key = bit patterns of (lo, hi) on all axes except d.
-            let mut groups: HashMap<Vec<u32>, Vec<Hypercube>> = HashMap::new();
-            for cube in cubes.drain(..) {
-                let mut key = Vec::with_capacity(2 * (dims - 1));
-                for a in 0..dims {
-                    if a == d {
+        for d in 0..dim {
+            order.clear();
+            order.extend(0..n);
+            order.sort_unstable_by(|&i, &j| {
+                let (a, b) = (&words[i * dim..][..dim], &words[j * dim..][..dim]);
+                key(a, d)
+                    .cmp(&key(b, d))
+                    .then_with(|| lo_of(a[d]).total_cmp(&lo_of(b[d])))
+                    .then(i.cmp(&j))
+            });
+            out.clear();
+            for &i in &order {
+                let next = &words[i * dim..][..dim];
+                if let Some(last) = out.len().checked_sub(dim).map(|at| &mut out[at..]) {
+                    if hi_of(last[d]) == lo_of(next[d]) && key(last, d) == key(next, d) {
+                        last[d] = (last[d] & !HI) | (next[d] & HI);
+                        merged_any = true;
                         continue;
                     }
-                    key.push(cube.lo[a].to_bits());
-                    key.push(cube.hi[a].to_bits());
                 }
-                groups.entry(key).or_default().push(cube);
+                out.extend_from_slice(next);
             }
-            // Deterministic output order: sort groups by key.
-            let mut keyed: Vec<(Vec<u32>, Vec<Hypercube>)> = groups.into_iter().collect();
-            keyed.sort_by(|a, b| a.0.cmp(&b.0));
-            for (_, mut group) in keyed {
-                // `total_cmp`, not `partial_cmp(..).unwrap()`: a NaN bound
-                // (e.g. from a degenerate split) must not panic the merge.
-                group.sort_by(|a, b| a.lo[d].total_cmp(&b.lo[d]));
-                let mut run: Option<Hypercube> = None;
-                for cube in group {
-                    match run.take() {
-                        None => run = Some(cube),
-                        Some(mut prev) => {
-                            if prev.hi[d] == cube.lo[d] {
-                                prev.hi[d] = cube.hi[d];
-                                merged_any = true;
-                                run = Some(prev);
-                            } else {
-                                cubes.push(prev);
-                                run = Some(cube);
-                            }
-                        }
-                    }
-                }
-                if let Some(prev) = run {
-                    cubes.push(prev);
-                }
-            }
+            n = out.len() / dim;
+            std::mem::swap(&mut words, &mut out);
         }
         if !merged_any {
-            return cubes;
+            break;
         }
     }
+    (0..n)
+        .map(|i| {
+            let w = &words[i * dim..][..dim];
+            Hypercube {
+                lo: w.iter().map(|&w| lo_of(w)).collect(),
+                hi: w.iter().map(|&w| hi_of(w)).collect(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -601,6 +694,18 @@ mod tests {
             }
             other => panic!("expected budget error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn undistilled_forest_is_a_typed_error() {
+        let mut rng = Rng::seed_from_u64(10);
+        let data = uniform2(128, &mut rng);
+        let teacher = OracleTeacher(|x: &[f32]| x[0] > 0.6);
+        let cfg = IGuardConfig { n_trees: 3, subsample: 64, ..Default::default() };
+        let forest = IGuardForest::fit(&data, &teacher, &cfg, &mut rng);
+        let err = RuleSet::from_iguard(&forest, 100_000).unwrap_err();
+        assert_eq!(err, RuleGenError::NotDistilled);
+        assert!(err.to_string().contains("not distilled"), "{err}");
     }
 
     #[test]

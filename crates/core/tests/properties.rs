@@ -2,7 +2,7 @@
 //! decomposition invariants on randomly grown forests.
 
 use iguard_core::forest::{IGuardConfig, IGuardForest};
-use iguard_core::guided::entropy;
+use iguard_core::guided::{best_split, entropy};
 use iguard_core::rules::{merge_adjacent, Hypercube, RuleSet};
 use iguard_core::teacher::OracleTeacher;
 use iguard_runtime::proptest_lite;
@@ -53,6 +53,140 @@ fn random_grid_cells(rng: &mut Rng, dim: usize, cells_per_axis: usize) -> Vec<Hy
             d += 1;
         }
     }
+}
+
+/// Bounds that stress the merge and the split search: ties, both zeros,
+/// both infinities and both NaN signs.
+const AWKWARD: [f32; 10] =
+    [f32::NEG_INFINITY, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, f32::INFINITY, f32::NAN, -f32::NAN];
+
+fn awkward_value(rng: &mut Rng) -> f32 {
+    if rng.gen_bool(0.75) {
+        AWKWARD[rng.gen_range(0..AWKWARD.len())]
+    } else {
+        rng.gen_range(-2.0f32..2.0)
+    }
+}
+
+/// Every bound's bit pattern, in order: `Hypercube`'s `PartialEq` would
+/// equate -0.0 with 0.0 and never NaN with NaN.
+fn cube_bits(cubes: &[Hypercube]) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect();
+    cubes.iter().map(|c| (bits(&c.lo), bits(&c.hi))).collect()
+}
+
+/// The hash-grouped merge `merge_adjacent` replaced, kept as the oracle of
+/// its output and output order: per axis, group boxes by the bit patterns
+/// of their other axes, visit groups in key order, sort each group by the
+/// axis' lower bound and coalesce abutting runs.
+fn reference_merge(mut cubes: Vec<Hypercube>) -> Vec<Hypercube> {
+    use std::collections::HashMap;
+    if cubes.is_empty() {
+        return cubes;
+    }
+    let dims = cubes[0].lo.len();
+    loop {
+        let mut merged_any = false;
+        for d in 0..dims {
+            let mut groups: HashMap<Vec<u32>, Vec<Hypercube>> = HashMap::new();
+            for cube in cubes.drain(..) {
+                let mut key = Vec::with_capacity(2 * (dims - 1));
+                for a in (0..dims).filter(|&a| a != d) {
+                    key.push(cube.lo[a].to_bits());
+                    key.push(cube.hi[a].to_bits());
+                }
+                groups.entry(key).or_default().push(cube);
+            }
+            let mut keyed: Vec<(Vec<u32>, Vec<Hypercube>)> = groups.into_iter().collect();
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            for (_, mut group) in keyed {
+                group.sort_by(|a, b| a.lo[d].total_cmp(&b.lo[d]));
+                let mut run: Option<Hypercube> = None;
+                for cube in group {
+                    match run.take() {
+                        None => run = Some(cube),
+                        Some(mut prev) => {
+                            if prev.hi[d] == cube.lo[d] {
+                                prev.hi[d] = cube.hi[d];
+                                merged_any = true;
+                                run = Some(prev);
+                            } else {
+                                cubes.push(prev);
+                                run = Some(cube);
+                            }
+                        }
+                    }
+                }
+                cubes.extend(run);
+            }
+        }
+        if !merged_any {
+            return cubes;
+        }
+    }
+}
+
+/// The candidate generator the one-sort split search replaced: sorted,
+/// `==`-deduplicated column values (NaNs kept), midpoints of evenly spaced
+/// order statistics, non-finite midpoints dropped, repeats collapsed.
+fn reference_candidates(decision: &Dataset, q: usize, n_candidates: usize) -> Vec<f32> {
+    let mut vals: Vec<f32> = decision.iter_rows().map(|x| x[q]).collect();
+    vals.sort_by(|a, b| a.total_cmp(b));
+    vals.dedup();
+    if vals.len() < 2 {
+        return Vec::new();
+    }
+    let n = (vals.len() - 1).min(n_candidates);
+    let mut out: Vec<f32> = Vec::new();
+    for i in 1..=n {
+        let pos = (i * (vals.len() - 1) / (n + 1)).min(vals.len() - 2);
+        let p = 0.5 * (vals[pos] + vals[pos + 1]);
+        if p.is_finite() && out.last() != Some(&p) {
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// The split search the one-sort version replaced: one counting pass over
+/// every decision row per candidate.
+fn reference_best_split(
+    decision: &Dataset,
+    labels: &[bool],
+    n_candidates: usize,
+) -> Option<(usize, f32, f64)> {
+    let n_mal = labels.iter().filter(|&&l| l).count();
+    let parent_h = entropy(n_mal, labels.len());
+    let mut best: Option<(usize, f32, f64)> = None;
+    for q in 0..decision.cols() {
+        for p in reference_candidates(decision, q, n_candidates) {
+            let (mut lm, mut ln, mut rm, mut rn) = (0usize, 0usize, 0usize, 0usize);
+            for (x, &mal) in decision.iter_rows().zip(labels) {
+                if x[q] < p {
+                    ln += 1;
+                    lm += usize::from(mal);
+                } else {
+                    rn += 1;
+                    rm += usize::from(mal);
+                }
+            }
+            if ln == 0 || rn == 0 {
+                continue;
+            }
+            let w_left = ln as f64 / labels.len() as f64;
+            let child_h = w_left * entropy(lm, ln) + (1.0 - w_left) * entropy(rm, rn);
+            let gain = parent_h - child_h;
+            if gain > best.map_or(0.0, |(_, _, g)| g) {
+                best = Some((q, p, gain));
+            }
+        }
+    }
+    best
+}
+
+/// A split as bit patterns, so -0.0 and NaN compare exactly.
+fn split_bits(s: Option<(usize, f32, f64)>) -> Option<(usize, u32, u64)> {
+    s.map(|(q, p, g)| (q, p.to_bits(), g.to_bits()))
 }
 
 fn trained_forest(seed: u64, cut: f32) -> IGuardForest {
@@ -197,6 +331,53 @@ proptest_lite! {
                 "rule/vote disagreement at {x:?} ({mal_votes}/{needed} votes)"
             );
         }
+    }
+
+    /// `merge_adjacent` reproduces the hash-grouped merge bit for bit and
+    /// in order, on boxes with duplicates, faces shared on several axes and
+    /// ±0.0, ±∞ and NaN bounds.
+    fn merge_matches_hash_group_reference(rng, cases = 256) {
+        let dim = rng.gen_range(1usize..4);
+        let n = rng.gen_range(0usize..40);
+        let mut cubes: Vec<Hypercube> = Vec::with_capacity(n);
+        for _ in 0..n {
+            if !cubes.is_empty() && rng.gen_bool(0.3) {
+                // A duplicate, or a neighbour sharing every face but one.
+                let mut c = cubes[rng.gen_range(0..cubes.len())].clone();
+                if rng.gen_bool(0.5) {
+                    let d = rng.gen_range(0..dim);
+                    c.lo[d] = c.hi[d];
+                    c.hi[d] = awkward_value(rng);
+                }
+                cubes.push(c);
+            } else {
+                let lo = (0..dim).map(|_| awkward_value(rng)).collect();
+                let hi = (0..dim).map(|_| awkward_value(rng)).collect();
+                cubes.push(Hypercube { lo, hi });
+            }
+        }
+        let expect = reference_merge(cubes.clone());
+        assert_eq!(cube_bits(&merge_adjacent(cubes)), cube_bits(&expect));
+    }
+
+    /// The one-sort split search picks the same `(q, p, gain)`, bit for
+    /// bit, as a counting pass per candidate, on decision sets with ties,
+    /// ±0.0, ±∞ and NaN values.
+    fn best_split_matches_counting_reference(rng, cases = 256) {
+        let cols = rng.gen_range(1usize..4);
+        let rows = rng.gen_range(0usize..60);
+        let mut decision = Dataset::new(cols);
+        for _ in 0..rows {
+            let row: Vec<f32> = (0..cols).map(|_| awkward_value(rng)).collect();
+            decision.push_row(&row);
+        }
+        let p_mal = rng.gen_range(0.0f64..1.0);
+        let labels: Vec<bool> = (0..rows).map(|_| rng.gen_bool(p_mal)).collect();
+        let n_candidates = rng.gen_range(1usize..12);
+        assert_eq!(
+            split_bits(best_split(&decision, &labels, n_candidates)),
+            split_bits(reference_best_split(&decision, &labels, n_candidates)),
+        );
     }
 
     /// Binary entropy is bounded by [0, 1], symmetric, and zero at purity.

@@ -83,3 +83,24 @@ fn snapshots_stay_consistent_across_runs() {
     second.verify().unwrap();
     second.verify_monotonic_since(&first).unwrap();
 }
+
+/// The split-candidate counter totals one pipeline run's examined
+/// `(feature, split)` candidates, whether it is bumped per candidate or
+/// added once per node. The literal was recorded with per-candidate
+/// increments; every test in this file holds the gate lock, so no other
+/// run adds to the counter in between.
+#[test]
+fn split_candidate_counter_totals_are_pinned() {
+    let _g = gate_lock();
+    let mut rng = Rng::seed_from_u64(43);
+    let data = uniform2(256, &mut rng);
+
+    iguard_telemetry::set_enabled(true);
+    let count = || {
+        let snap = iguard_telemetry::registry::snapshot().expect("telemetry enabled");
+        snap.counters.get("core.guided.split_candidates").copied().unwrap_or(0)
+    };
+    let before = count();
+    let _ = pipeline_fingerprint(&data);
+    assert_eq!(count() - before, 464, "split candidates examined by one pipeline run");
+}

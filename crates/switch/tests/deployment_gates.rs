@@ -1,19 +1,21 @@
 //! Deployment gates on a trained whitelist (DESIGN.md §12, §13, §15,
 //! §16): the drift loop, budgeted streams, bounded shedding, storm
-//! recovery, admission tightening and the phase payoff. Each claim is
-//! about how the switch treats a real distilled whitelist, so every test
-//! replays `support::trained_rules` rather than a hand-written rule. The
-//! overload canon is the adversarial scenario storm over a starved flow
-//! table (512 slots per table, 64 flows per logical shard), then a calm
-//! benign tail.
+//! recovery, admission tightening and the phase payoff, plus a golden pin
+//! of the offline pipeline that trains and compiles those whitelists.
+//! Each claim is about how the switch treats a real distilled whitelist,
+//! so every test replays `support::trained_rules` rather than a
+//! hand-written rule. The overload canon is the adversarial scenario
+//! storm over a starved flow table (512 slots per table, 64 flows per
+//! logical shard), then a calm benign tail.
 
 mod support;
 
 use std::sync::OnceLock;
 
 use iguard_core::drift::DriftConfig;
-use iguard_core::forest::IGuardForest;
+use iguard_core::forest::{IGuardConfig, IGuardForest};
 use iguard_core::phase::{train_phases, PhaseTrainConfig};
+use iguard_core::rules::RuleGenError::TooManyRegions;
 use iguard_core::rules::RuleSet;
 use iguard_flow::table::{FlowShard, FlowTableConfig, PhaseSchedule};
 use iguard_runtime::par::with_workers;
@@ -193,6 +195,64 @@ fn drift_loop_fires_on_shift_and_lands_the_retrain_diff() {
     let after = pipeline.ruleset_counters();
     let writes = (after.installed + after.removed) - (before.installed + before.removed);
     assert!(writes <= churn as u64, "{writes} TCAM writes exceed the diff size {churn}");
+}
+
+/// FNV-1a over a string's bytes.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// Golden pin of the offline pipeline: the trained trees (every node,
+/// leaf bound and distilled label) and the compiled whitelist (every cube,
+/// in order, and the region count) of a 13-feature cold fit and of a warm
+/// refit at the default forest shape, plus the baseline iForest's compiled
+/// PL whitelist. A rewrite of tree growth, decomposition or merging must
+/// reproduce these literals, at any worker count; they were recorded
+/// before the decomposition resumed walks and the merge and split search
+/// moved onto sorted flat rows.
+#[test]
+fn offline_pipeline_output_is_pinned() {
+    let mut rng = Rng::seed_from_u64(SEED ^ 0x0FF1_14E5);
+    let extract_cfg = ExtractConfig::default();
+    let (teacher, ig) = (flood_oracle(), IGuardConfig::default());
+    let train = extract_flows(&benign_trace(250, 10.0, &mut rng), &extract_cfg);
+    let shifted = Trace::merge(vec![
+        benign_trace(200, 10.0, &mut rng),
+        Attack::UdpDdos.trace(30, 10.0, &mut rng),
+    ]);
+    let retrain = extract_flows(&shifted, &extract_cfg);
+    assert_eq!(train.features.cols(), 13);
+    // Budgets blown by the resolved-region count and by the frontier
+    // width: `reached` pins the order regions are accounted in.
+    let blown = |forest: &IGuardForest| {
+        [4, 10, 30, 100, 300].map(|budget| RuleSet::from_iguard(forest, budget).map(|r| r.len()))
+    };
+    let digest = |forest: &IGuardForest| {
+        let rules = RuleSet::from_iguard(forest, 600_000).expect("FL rule budget");
+        (rules.total_regions, fnv1a(&format!("{:?}", forest.trees())), fnv1a(&rules.to_tsv()))
+    };
+    let run = || {
+        let mut rng = rng.clone();
+        let mut cold = IGuardForest::fit(&train.features, &teacher, &ig, &mut rng);
+        cold.distill(&train.features, &teacher, ig.k_augment, &mut rng);
+        let mut warm = cold.refit_warm(&retrain.features, &teacher, &ig, &mut rng);
+        warm.distill(&retrain.features, &teacher, ig.k_augment, &mut rng);
+        (digest(&cold), digest(&warm), blown(&cold))
+    };
+    let (cold, warm, budgets) = run();
+    assert_eq!(cold, (50998, 15_872_942_252_504_969_688, 16_850_563_572_585_294_911), "cold fit");
+    assert_eq!(warm, (3394, 6_164_766_374_008_779_430, 13_323_723_410_636_449_867), "warm refit");
+    let reached = [(4, 10), (10, 22), (30, 31), (100, 270), (300, 785)];
+    assert_eq!(budgets, reached.map(|(budget, reached)| Err(TooManyRegions { budget, reached })));
+    for workers in [1, 8] {
+        assert_eq!(with_workers(workers, run), (cold, warm, budgets), "workers = {workers}");
+    }
+    let (_, pl) = rules();
+    assert_eq!(
+        (pl.total_regions, pl.len(), fnv1a(&pl.to_tsv())),
+        (368, 96, 9_257_407_168_234_579_087),
+        "iForest PL"
+    );
 }
 
 /// An 8,000-flow Zipf stream through the sketch-fronted pipeline at a
