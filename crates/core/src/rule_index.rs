@@ -504,7 +504,10 @@ impl RuleIndex {
                 // loop straight-line so it vectorises.
                 let b = (v + 0.0).to_bits() as i32;
                 let k = ((b as u32) ^ (((b >> 31) as u32) | 0x8000_0000)) as u64;
-                k | ((v != v) as u64).wrapping_neg()
+                // `v != v` is the NaN test itself, not a typo.
+                #[allow(clippy::eq_op)]
+                let nan = ((v != v) as u64).wrapping_neg();
+                k | nan
             },
             out,
         );

@@ -21,7 +21,10 @@
 //! digest stream of the replay loop, fault decisions are byte-identical
 //! at any shard/worker count. A [`FaultPlan::none`] plan takes a
 //! pass-through fast path that performs no RNG draws at all, so fault-free
-//! chaos replay is bit-for-bit the plain replay.
+//! chaos replay is bit-for-bit the plain replay. Delivery keeps the
+//! in-flight queue in admission order as it pulls the due messages out,
+//! so the `(due, ord)` sort runs over input that is already sorted
+//! whenever no message was delayed.
 
 use iguard_core::{IguardError, SwitchError};
 use iguard_runtime::{ChannelKind, FaultPlan, FaultStream};
@@ -59,6 +62,7 @@ struct InFlight {
 pub struct DigestChannel {
     plan: FaultPlan,
     stream: FaultStream,
+    /// Messages in transit, in admission order.
     in_flight: Vec<InFlight>,
     /// Reused delivery scratch: messages due this tick, pre-sort. Kept on
     /// the channel so steady-state delivery performs no allocation.
@@ -136,16 +140,18 @@ impl DigestChannel {
         if self.in_flight.is_empty() {
             return;
         }
-        self.ready.clear();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].due <= tick {
-                self.ready.push(self.in_flight.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        // Order-keeping split: due messages go to `ready`, the rest stay,
+        // both in admission order, so the sort below is linear unless
+        // delays interleaved due ticks.
         let ready = &mut self.ready;
+        ready.clear();
+        self.in_flight.retain(|&f| {
+            let due = f.due <= tick;
+            if due {
+                ready.push(f);
+            }
+            !due
+        });
         if ready.is_empty() {
             return;
         }
@@ -203,7 +209,10 @@ impl ActionChannel {
         tick: u64,
     ) -> Result<(), IguardError> {
         self.transmit(tick)?;
+        // An unbounded budget (`usize::MAX`, the default) skips the count,
+        // which walks every shard.
         if matches!(action, ControlAction::InstallBlacklist(_))
+            && self.tcam_capacity != usize::MAX
             && dp.blacklist_len() >= self.tcam_capacity
         {
             self.failures += 1;
@@ -300,6 +309,36 @@ mod tests {
         let s = ch.stats();
         assert_eq!((s.offered, s.delivered), (16, 16));
         assert_eq!((s.dropped, s.duplicated, s.reordered, s.delayed), (0, 0, 0, 0));
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// A fault-free channel delivers every due message in (due,
+        /// admission) order, also when offer ticks go backwards and
+        /// deliveries leave messages in flight.
+        fn none_plan_delivers_in_due_then_admission_order(rng, cases = 64) {
+            let mut ch = DigestChannel::new(FaultPlan::none());
+            let mut model: Vec<(u64, u64)> = Vec::new(); // (due, seq)
+            let (mut seq, mut out) = (0u64, Vec::new());
+            for _ in 0..40 {
+                let tick = rng.gen_range(0u64..12);
+                if rng.gen_bool(0.6) {
+                    let msgs: Vec<SeqDigest> =
+                        (0..rng.gen_range(0u64..5)).map(|i| sd(seq + i)).collect();
+                    model.extend(msgs.iter().map(|m| (tick, m.seq)));
+                    seq += msgs.len() as u64;
+                    ch.offer(tick, &msgs);
+                } else {
+                    ch.deliver_into(tick, &mut out);
+                    let mut due: Vec<(u64, u64)> =
+                        model.iter().copied().filter(|&(d, _)| d <= tick).collect();
+                    model.retain(|&(d, _)| d > tick);
+                    due.sort_unstable();
+                    let want: Vec<u64> = due.iter().map(|&(_, s)| s).collect();
+                    assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), want);
+                }
+                assert_eq!(ch.has_in_flight(), !model.is_empty());
+            }
+        }
     }
 
     #[test]
@@ -420,13 +459,22 @@ mod tests {
     #[test]
     fn action_send_rejects_install_when_tcam_full() {
         let mut dp = test_dp();
-        let mut ch = ActionChannel::new(FaultPlan::none(), 1);
-        ch.send(&mut dp, ControlAction::InstallBlacklist(sd(1).digest.five), 0).expect("fits");
-        let err = ch.send(&mut dp, ControlAction::InstallBlacklist(sd(2).digest.five), 0);
-        assert!(matches!(err, Err(IguardError::Switch(SwitchError::TcamFull { capacity: 1 }))));
-        // Non-install actions still pass at capacity.
-        ch.send(&mut dp, ControlAction::RemoveBlacklist(sd(1).digest.five), 0).expect("remove");
-        assert_eq!(dp.blacklist_len(), 0);
+        let mut ch = ActionChannel::new(FaultPlan::none(), 3);
+        let five = |i: u64| sd(i).digest.five;
+        for i in 0..3 {
+            ch.send(&mut dp, ControlAction::InstallBlacklist(five(i)), 0).expect("fits");
+        }
+        let err = ch.send(&mut dp, ControlAction::InstallBlacklist(five(3)), 0);
+        assert!(matches!(err, Err(IguardError::Switch(SwitchError::TcamFull { capacity: 3 }))));
+        // Non-install actions still pass at capacity; removing an absent
+        // key frees nothing, removing either direction of an entry frees
+        // one slot.
+        ch.send(&mut dp, ControlAction::RemoveBlacklist(five(9)), 0).expect("remove");
+        assert!(ch.send(&mut dp, ControlAction::InstallBlacklist(five(3)), 0).is_err());
+        ch.send(&mut dp, ControlAction::RemoveBlacklist(five(1).reversed()), 0).expect("remove");
+        ch.send(&mut dp, ControlAction::InstallBlacklist(five(3)), 0).expect("a slot was freed");
+        assert_eq!((dp.blacklist_len(), dp.blacklist_contents().len()), (3, 3));
+        assert_eq!(ch.failures(), 2);
     }
 
     #[test]

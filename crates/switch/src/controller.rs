@@ -17,6 +17,9 @@
 //!   dedups on the global packet sequence tag carried by [`SeqDigest`],
 //!   over a bounded sliding window, so a duplicated digest cannot
 //!   double-count bandwidth, churn eviction state, or re-issue installs.
+//!   While the window's tags are strictly increasing (every lossless run)
+//!   membership is a compare against the newest tag plus a binary search;
+//!   a hash set of the window exists only while a descent is inside it.
 //! * **Bounded retries with backoff.** Failed action sends are re-queued
 //!   by [`Controller::note_send_failure`] with deterministic exponential
 //!   backoff plus seeded jitter, capped at
@@ -193,10 +196,16 @@ struct State {
     clock: u64,
     digests_seen: u64,
     digest_bytes_total: f64,
-    /// Sequence tags inside the dedup window.
-    dedup_seen: FlowSet<u64>,
-    /// Window eviction order (front = oldest tag).
+    /// Sequence tags inside the dedup window, in admission order (front =
+    /// oldest). Strictly increasing while `dedup_descents` is 0.
     dedup_order: VecDeque<u64>,
+    /// Adjacent pairs of `dedup_order` whose second tag is the smaller: a
+    /// reorder, a duplicate re-admitted after leaving the window, or a
+    /// packet tag following a [`crate::pipeline::RESYNC_SEQ_BASE`] tag.
+    dedup_descents: usize,
+    /// The window's tags as a set, present exactly while `dedup_descents`
+    /// is nonzero, when binary search over `dedup_order` is unsound.
+    dedup_seen: Option<FlowSet<u64>>,
     retry_queue: VecDeque<PendingRetry>,
     /// Jitter stream; checkpointed so draws after a restore match a run
     /// that never crashed.
@@ -218,8 +227,9 @@ impl State {
             clock: 0,
             digests_seen: 0,
             digest_bytes_total: 0.0,
-            dedup_seen: FlowSet::default(),
             dedup_order: VecDeque::new(),
+            dedup_descents: 0,
+            dedup_seen: None,
             retry_queue: VecDeque::new(),
             retry_rng: Rng::seed_from_u64(retry_seed),
             degraded: false,
@@ -229,6 +239,16 @@ impl State {
             retries: 0,
             retries_exhausted: 0,
             shed: 0,
+        }
+    }
+
+    /// Records `key` as installed at recency `stamp`. Only FIFO queues
+    /// it: LRU never consumes the queue (victims come from recency
+    /// stamps), so pushing under LRU would leak one entry per install.
+    fn install(&mut self, policy: EvictionPolicy, key: FiveTuple, stamp: u64) {
+        self.installed.insert(key, stamp);
+        if policy == EvictionPolicy::Fifo {
+            self.queue.push_back(key);
         }
     }
 }
@@ -303,20 +323,47 @@ impl Controller {
         }
     }
 
-    /// Returns false if `seq` was already seen inside the window.
+    /// Returns false if `seq` was already seen inside the window, else
+    /// admits it, sliding the oldest tag out of a full window.
     fn dedup_admit(&mut self, seq: u64) -> bool {
-        if self.cfg.dedup_window == 0 {
+        let window = self.cfg.dedup_window;
+        if window == 0 {
             return true;
         }
-        if !self.state.dedup_seen.insert(seq) {
+        let s = &mut self.state;
+        let seen = match &mut s.dedup_seen {
+            // Unsorted window: one probe tests and records the tag.
+            Some(set) => !set.insert(seq),
+            // Sorted window: a tag past the newest is new without a search.
+            None => {
+                s.dedup_order.back().is_some_and(|&newest| seq <= newest)
+                    && s.dedup_order.binary_search(&seq).is_ok()
+            }
+        };
+        if seen {
             return false;
         }
-        self.state.dedup_order.push_back(seq);
-        if self.state.dedup_order.len() > self.cfg.dedup_window {
-            if let Some(old) = self.state.dedup_order.pop_front() {
-                self.state.dedup_seen.remove(&old);
+        if s.dedup_order.len() == window {
+            if let Some(old) = s.dedup_order.pop_front() {
+                if s.dedup_order.front().is_some_and(|&next| next < old) {
+                    s.dedup_descents -= 1;
+                }
+                if s.dedup_descents == 0 {
+                    s.dedup_seen = None;
+                } else if let Some(set) = &mut s.dedup_seen {
+                    set.remove(&old);
+                }
             }
         }
+        if s.dedup_order.back().is_some_and(|&newest| seq < newest) {
+            s.dedup_descents += 1;
+            if s.dedup_seen.is_none() {
+                let tags = s.dedup_order.iter().copied().chain([seq]);
+                s.dedup_seen = Some(tags.collect());
+            }
+        }
+        s.dedup_order.push_back(seq);
+        debug_assert_eq!(s.dedup_seen.is_some(), s.dedup_descents > 0);
         true
     }
 
@@ -345,38 +392,38 @@ impl Controller {
             *stamp = self.state.clock;
             return;
         }
-        // Evict if full.
+        // Evict if full. The victim goes before the new key is inserted:
+        // a stale FIFO queue entry for `key` must not evict it.
         if self.state.installed.len() >= self.cfg.blacklist_capacity {
-            if let Some(victim) = self.pick_victim() {
-                self.state.installed.remove(&victim);
+            if let Some(victim) = self.evict() {
                 counter!("switch.controller.blacklist_evict").inc();
                 actions.push(ControlAction::RemoveBlacklist(victim));
             }
         }
-        self.state.installed.insert(key, self.state.clock);
-        if self.cfg.policy == EvictionPolicy::Fifo {
-            // LRU never consumes this queue (victims come from recency
-            // stamps), so pushing under LRU would leak one entry per
-            // install forever.
-            self.state.queue.push_back(key);
-        }
+        self.state.install(self.cfg.policy, key, self.state.clock);
         counter!("switch.controller.blacklist_install").inc();
         actions.push(ControlAction::InstallBlacklist(key));
     }
 
-    fn pick_victim(&mut self) -> Option<FiveTuple> {
+    /// Removes the eviction victim from `installed` and returns it: the
+    /// oldest install still present (FIFO) or the least recently stamped
+    /// entry (LRU).
+    fn evict(&mut self) -> Option<FiveTuple> {
+        let s = &mut self.state;
         match self.cfg.policy {
             EvictionPolicy::Fifo => {
                 // Pop queue entries until one is still installed.
-                while let Some(cand) = self.state.queue.pop_front() {
-                    if self.state.installed.contains_key(&cand) {
+                while let Some(cand) = s.queue.pop_front() {
+                    if s.installed.remove(&cand).is_some() {
                         return Some(cand);
                     }
                 }
                 None
             }
             EvictionPolicy::Lru => {
-                self.state.installed.iter().min_by_key(|(_, &stamp)| stamp).map(|(k, _)| *k)
+                let victim = s.installed.iter().min_by_key(|(_, &stamp)| stamp).map(|(k, _)| *k)?;
+                s.installed.remove(&victim);
+                Some(victim)
             }
         }
     }
@@ -599,10 +646,7 @@ impl Controller {
         };
         for &five in contents {
             state.clock += 1;
-            state.installed.insert(five, state.clock);
-            if self.cfg.policy == EvictionPolicy::Fifo {
-                state.queue.push_back(five);
-            }
+            state.install(self.cfg.policy, five, state.clock);
         }
         self.state = state;
     }
@@ -820,6 +864,163 @@ mod tests {
         c.process_seq_digests_into(&[seq_digest(1, 1, false)], &mut actions);
         assert_eq!(c.dup_digests(), 0);
         assert_eq!(c.digests_seen(), 4);
+    }
+
+    /// The dedup window as it was before the sorted fast path: a hash set
+    /// of the window's tags beside their admission order. Kept as the
+    /// reference the on-demand set must reproduce decision for decision.
+    struct ReferenceWindow {
+        window: usize,
+        seen: FlowSet<u64>,
+        order: VecDeque<u64>,
+    }
+
+    impl ReferenceWindow {
+        fn new(window: usize) -> Self {
+            Self { window, seen: FlowSet::default(), order: VecDeque::new() }
+        }
+
+        fn admit(&mut self, seq: u64) -> bool {
+            if self.window == 0 {
+                return true;
+            }
+            if !self.seen.insert(seq) {
+                return false;
+            }
+            self.order.push_back(seq);
+            if self.order.len() > self.window {
+                if let Some(old) = self.order.pop_front() {
+                    self.seen.remove(&old);
+                }
+            }
+            true
+        }
+    }
+
+    /// A tag stream mixing monotone runs, duplicates from inside and far
+    /// outside a small window, adjacent swaps and resync tags, over a
+    /// small flow pool so refreshes and evictions happen.
+    fn mixed_seq_stream(rng: &mut Rng, len: usize) -> Vec<SeqDigest> {
+        use crate::pipeline::RESYNC_SEQ_BASE;
+        let (mut next, mut resync) = (0u64, 0u64);
+        let mut seqs: Vec<u64> = Vec::with_capacity(len);
+        while seqs.len() < len {
+            match rng.gen_range(0u8..5) {
+                0 => {
+                    for _ in 0..rng.gen_range(1u64..24) {
+                        seqs.push(next);
+                        next += 1;
+                    }
+                }
+                1 if !seqs.is_empty() => {
+                    let back = rng.gen_range(0..seqs.len().min(4));
+                    seqs.push(seqs[seqs.len() - 1 - back]);
+                }
+                2 if !seqs.is_empty() => seqs.push(seqs[rng.gen_range(0..seqs.len())]),
+                3 => {
+                    seqs.extend([next + 1, next]);
+                    next += 2;
+                }
+                _ => {
+                    seqs.push(RESYNC_SEQ_BASE + resync);
+                    resync += 1;
+                }
+            }
+        }
+        seqs.truncate(len);
+        seqs.into_iter()
+            .map(|seq| seq_digest(seq, rng.gen_range(0u16..12), rng.gen_bool(0.7)))
+            .collect()
+    }
+
+    iguard_runtime::proptest_lite! {
+        /// The sorted window with its on-demand set admits exactly what the
+        /// reference window admits, so the controller emits the same
+        /// actions as a dedup-free controller fed the reference's
+        /// admissions, under both eviction policies.
+        fn dedup_matches_reference_window(rng, cases = 256) {
+            let len = rng.gen_range(100usize..400);
+            let stream = mixed_seq_stream(rng, len);
+            for window in [0, 1, 2, 4096] {
+                for policy in [EvictionPolicy::Fifo, EvictionPolicy::Lru] {
+                    let mut c = Controller::new(ControllerConfig {
+                        dedup_window: window,
+                        ..cfg(5, policy)
+                    });
+                    let mut oracle = Controller::new(ControllerConfig {
+                        dedup_window: 0,
+                        ..cfg(5, policy)
+                    });
+                    let mut reference = ReferenceWindow::new(window);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    for (i, &sd) in stream.iter().enumerate() {
+                        let dups = c.dup_digests();
+                        c.process_seq_digests_into(&[sd], &mut got);
+                        let admitted = reference.admit(sd.seq);
+                        assert_eq!(c.dup_digests() == dups, admitted, "w{window} {policy:?} #{i}");
+                        want.clear();
+                        if admitted {
+                            oracle.process_seq_digests_into(&[sd], &mut want);
+                        }
+                        assert_eq!(got, want, "w{window} {policy:?} #{i}");
+                        assert_eq!(c.state.dedup_order, reference.order);
+                        assert_eq!(c.state.dedup_seen.is_some(), c.state.dedup_descents > 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_with_descent_in_window_round_trips() {
+        let mut c = Controller::new(cfg(4, EvictionPolicy::Lru));
+        let mut actions = Vec::new();
+        let sds = [seq_digest(1, 1, true), seq_digest(3, 2, true), seq_digest(2, 3, false)];
+        c.process_seq_digests_into(&sds, &mut actions);
+        assert_eq!(c.state.dedup_descents, 1);
+        assert!(c.state.dedup_seen.is_some(), "a descent in the window builds the set");
+        let snap = c.snapshot();
+
+        c.process_seq_digests_into(&[seq_digest(9, 4, true)], &mut actions);
+        c.restore_from(&snap);
+        assert_eq!(c.snapshot(), snap);
+        // The restored window still rejects every tag inside it.
+        c.process_seq_digests_into(&sds, &mut actions);
+        assert_eq!(c.dup_digests(), 3);
+        assert!(actions.is_empty());
+
+        // A controller reaching the same window by the same tags compares
+        // equal, set included.
+        let mut twin = Controller::new(cfg(4, EvictionPolicy::Lru));
+        twin.process_seq_digests_into(&sds, &mut actions);
+        twin.process_seq_digests_into(&sds, &mut actions);
+        assert_eq!(twin.snapshot(), c.snapshot());
+    }
+
+    #[test]
+    fn set_is_dropped_once_the_last_descent_leaves_the_window() {
+        let mut c =
+            Controller::new(ControllerConfig { dedup_window: 3, ..cfg(10, EvictionPolicy::Fifo) });
+        let mut actions = Vec::new();
+        let mut feed = |c: &mut Controller, seq: u64| {
+            c.process_seq_digests_into(&[seq_digest(seq, 1, false)], &mut actions);
+        };
+        feed(&mut c, 2);
+        assert!(c.state.dedup_seen.is_none(), "a sorted window needs no set");
+        for seq in [1, 3] {
+            feed(&mut c, seq);
+            assert!(c.state.dedup_seen.is_some(), "the descent 2 > 1 is inside at {seq}");
+        }
+        // Window [1, 3, 4]: the pair (2, 1) has left.
+        feed(&mut c, 4);
+        assert_eq!(c.state.dedup_descents, 0);
+        assert!(c.state.dedup_seen.is_none());
+        feed(&mut c, 1);
+        assert_eq!(c.dup_digests(), 1, "binary search still finds an old tag");
+        // Tag 2 slid out of the window: re-admitted, a new descent.
+        feed(&mut c, 2);
+        assert_eq!((c.dup_digests(), c.state.dedup_descents), (1, 1));
+        assert!(c.state.dedup_seen.is_some());
     }
 
     #[test]

@@ -1796,6 +1796,43 @@ mod tests {
         assert_eq!(p.process(&rev).path, PathTaken::Blacklist);
     }
 
+    iguard_runtime::proptest_lite! {
+        /// The blacklist count matches the listed contents through
+        /// duplicate installs, removes of absent keys, flow clears and
+        /// both directions of a tuple, in every layout.
+        fn blacklist_count_tracks_contents(rng, cases = 64) {
+            use crate::sharded::ShardedPipelineConfig;
+            use crate::sketched::SketchedPipelineConfig;
+            let c = cfg(2);
+            let layouts: [Layout; 5] = [
+                c.into(),
+                SketchedPipelineConfig { pipeline: c, ..Default::default() }.into(),
+                ShardedPipelineConfig { pipeline: c, shards: 1 }.into(),
+                ShardedPipelineConfig { pipeline: c, shards: 2 }.into(),
+                ShardedPipelineConfig { pipeline: c, shards: 8 }.into(),
+            ];
+            let steps: Vec<(u16, bool, u8)> = (0..96)
+                .map(|_| (rng.gen_range(0u16..12), rng.gen_bool(0.5), rng.gen_range(0u8..4)))
+                .collect();
+            for layout in layouts {
+                let mut p = Pipeline::new(layout, accept_all(13), accept_all(4));
+                for (i, &(flow, reverse, op)) in steps.iter().enumerate() {
+                    let pk = pkt(flow, i as u64, 100);
+                    let five = if reverse { pk.five.reversed() } else { pk.five };
+                    match op {
+                        0 => p.apply(ControlAction::InstallBlacklist(five)),
+                        1 => p.apply(ControlAction::RemoveBlacklist(five)),
+                        2 => p.apply(ControlAction::ClearFlow(five)),
+                        _ => {
+                            let _ = p.process(&pk);
+                        }
+                    }
+                    assert_eq!(p.blacklist_len(), p.blacklist_contents().len(), "{layout:?} step {i}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn pl_rules_drop_early_packets() {
         let mut p = Pipeline::new(cfg(5), accept_all(13), reject_all(4));

@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release --offline (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 
+echo "== cargo clippy --offline (deny-by-default lints only) =="
+# Clippy's deny-by-default lints (correctness: eq_op and kin) fail the
+# check; its warn-level lints are reported and stay warnings.
+cargo clippy --workspace --all-targets --offline
+
 echo "== cargo doc --offline (rustdoc warnings are errors) =="
 # Catches intra-doc links left dangling when an item is deleted or
 # renamed. Private items are documented too, so links to them resolve and
