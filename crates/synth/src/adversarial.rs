@@ -14,7 +14,7 @@
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 
-use iguard_flow::packet::{Packet, TcpFlags};
+use iguard_flow::packet::TcpFlags;
 
 use crate::profile::gauss;
 use crate::trace::Trace;
@@ -47,13 +47,8 @@ pub fn low_rate(trace: &Trace, factor: f64) -> Trace {
         out.push(q, l);
     }
     // Re-sort: per-flow stretching can reorder packets across flows.
-    let mut zipped: Vec<(Packet, bool)> = out.packets.into_iter().zip(out.labels).collect();
-    zipped.sort_by_key(|(p, _)| p.ts_ns);
-    let mut sorted = Trace::new();
-    for (p, l) in zipped {
-        sorted.push(p, l);
-    }
-    sorted
+    out.sort_by_time();
+    out
 }
 
 /// Poisons a benign training feature set with `fraction` of attack samples
@@ -104,13 +99,8 @@ pub fn evasion_blend(trace: &Trace, ratio: u32, rng: &mut Rng) -> Trace {
             out.push(pad, true);
         }
     }
-    let mut zipped: Vec<(Packet, bool)> = out.packets.into_iter().zip(out.labels).collect();
-    zipped.sort_by_key(|(p, _)| p.ts_ns);
-    let mut sorted = Trace::new();
-    for (p, l) in zipped {
-        sorted.push(p, l);
-    }
-    sorted
+    out.sort_by_time();
+    out
 }
 
 #[cfg(test)]

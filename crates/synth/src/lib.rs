@@ -27,6 +27,7 @@
 pub mod adversarial;
 pub mod attacks;
 pub mod benign;
+mod loser_tree;
 pub mod pcap;
 pub mod profile;
 pub mod scenarios;

@@ -264,7 +264,9 @@ pub struct ScenarioConfig {
 }
 
 /// Generates a trace by sampling `flows` flows from a weighted profile
-/// mixture; every packet is labelled `malicious`.
+/// mixture; every packet is labelled `malicious`. Each flow's
+/// [`FlowCursor`] writes straight into the one packet buffer, which
+/// [`Trace::sort_by_time`] then puts in time order.
 pub fn gen_trace(
     profiles: &[(FlowProfile, f64)],
     scenario: &ScenarioConfig,
@@ -275,20 +277,19 @@ pub fn gen_trace(
     let total_w: f64 = profiles.iter().map(|(_, w)| w).sum();
     assert!(total_w > 0.0, "profile weights must sum > 0");
     let window_ns = (scenario.window_secs * 1e9) as u64;
-    let mut flows: Vec<Vec<Packet>> = Vec::with_capacity(scenario.flows);
+    let mut t = Trace::new();
     for _ in 0..scenario.flows {
         let chosen = pick_weighted(profiles, total_w, rng);
         let src = scenario.src_base + rng.gen_range(0..scenario.src_count.max(1));
         let dst = scenario.dst_base + rng.gen_range(0..scenario.dst_count.max(1));
         let start = if window_ns > 0 { rng.gen_range(0..window_ns) } else { 0 };
-        flows.push(chosen.gen_flow(rng, src, dst, start));
+        let mut cursor = FlowCursor::start(chosen, rng, src, dst, start);
+        while let Some(p) = cursor.next_packet(rng) {
+            t.packets.push(p);
+        }
     }
-    let mut zipped: Vec<Packet> = flows.into_iter().flatten().collect();
-    zipped.sort_by_key(|p| p.ts_ns);
-    let mut t = Trace::new();
-    for p in zipped {
-        t.push(p, malicious);
-    }
+    t.labels = vec![malicious; t.packets.len()];
+    t.sort_by_time();
     t
 }
 

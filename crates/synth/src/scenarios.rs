@@ -179,7 +179,12 @@ pub fn pulse_count(window_secs: f64) -> usize {
 /// timeout, exercising the timeout-restart path on a still-resident slot.
 /// The other half is spent on *ephemeral* churn flows, fresh 5-tuples per
 /// pulse, so the burst also fights for new slots while it lasts.
+///
+/// Intensity 0 is an empty trace, as for the other scenarios.
 fn pulse_wave(intensity: usize, window_secs: f64, rng: &mut Rng) -> Trace {
+    if intensity == 0 {
+        return Trace::new();
+    }
     let pulses = pulse_count(window_secs);
     let persistent_n = (intensity / 2).max(1);
     let churn_per_pulse = (intensity - persistent_n).div_ceil(pulses).max(1);
@@ -238,10 +243,7 @@ fn pulse_wave(intensity: usize, window_secs: f64, rng: &mut Rng) -> Trace {
             t.push(Packet { ts_ns: ts, five, wire_len: 60, ttl: 64, flags }, true);
         }
     }
-    t.packets.sort_by_key(|p| p.ts_ns);
-    // `sort_by_key` cannot carry the labels along; they are all `true`
-    // here, so rebuilding them is exact.
-    t.labels = vec![true; t.packets.len()];
+    t.sort_by_time();
     t
 }
 
@@ -357,6 +359,14 @@ mod tests {
             over as f64 / gaps as f64 > 0.95,
             "beacon cadence leaks under the timeout: {over}/{gaps}"
         );
+    }
+
+    #[test]
+    fn zero_intensity_is_an_empty_trace() {
+        for sc in ALL_SCENARIOS {
+            let t = sc.trace(0, 12.0, &mut Rng::seed_from_u64(19));
+            assert!(t.is_empty() && t.labels.is_empty(), "{} at intensity 0", sc.name());
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   popularity regime sketch-assisted tables are built for.
 //! * **Lanes**: `cfg.lanes` independent flow generators, each with its own
 //!   derived RNG stream, laying flows back-to-back in time with sampled
-//!   inter-flow gaps. A K-way merge on (timestamp, lane) interleaves them
-//!   into one globally time-ordered packet stream with deterministic
-//!   tie-breaks.
+//!   inter-flow gaps. A loser tree keyed on (timestamp, lane) interleaves
+//!   them into one globally time-ordered packet stream with deterministic
+//!   tie-breaks: each packet costs one leaf-to-root replay of about
+//!   log₂(lanes) branch-free compares (see [`crate::loser_tree`]).
 //! * **Benign/attack interleave**: each new flow is an attack with
 //!   probability `attack_fraction`, drawn from `cfg.attacks`; benign flows
 //!   sample the [`crate::benign::device_mixture`] through the same
@@ -38,19 +39,18 @@
 //! ## Allocation discipline
 //!
 //! After construction, the streaming path performs **no allocation**: lane
-//! state is fixed-size (an RNG, a cursor and one pending packet), packets
+//! state is fixed-size (an RNG, a cursor and one pending packet), the merge
+//! tree is one vector sized in [`StreamingTrace::new`], packets
 //! are generated incrementally (no per-flow `Vec`), and `fill_next` writes
 //! into caller-owned buffers. The switch suite `alloc_gates` asserts this
 //! with a counting allocator.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use iguard_flow::packet::Packet;
 use iguard_runtime::rng::Rng;
 
 use crate::attacks::{Attack, BOT_IP_BASE, VICTIM_IP_BASE};
 use crate::benign::{device_mixture, CLOUD_IP_BASE, DEVICE_IP_BASE};
+use crate::loser_tree::LoserTree;
 use crate::profile::{pick_weighted, FlowCursor, FlowProfile};
 use crate::trace::Trace;
 
@@ -234,8 +234,10 @@ impl Lane {
 pub struct StreamingTrace {
     mix: FlowMix,
     lanes: Vec<Lane>,
-    /// Min-heap of `(pending timestamp, lane)` — the K-way merge front.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Loser tree over the lanes' pending timestamps, ties to the lower
+    /// lane — the K-way merge front. An exhausted lane stays in it as a
+    /// leaf that never wins.
+    front: LoserTree,
     flows_left: u64,
     flows_started: u64,
     packets_emitted: u64,
@@ -258,22 +260,21 @@ impl StreamingTrace {
         let base = Rng::seed_from_u64(cfg.seed);
         let n_lanes = (cfg.lanes as u64).min(cfg.total_flows);
         let lanes: Vec<Lane> = (0..n_lanes).map(|li| Lane::new(base.derive(li), &mix)).collect();
-        let heap =
-            lanes.iter().enumerate().map(|(li, l)| Reverse((l.pending.ts_ns, li as u32))).collect();
+        let front = LoserTree::new(lanes.iter().map(|l| Some(l.pending.ts_ns)));
         Self {
             mix,
             flows_left: cfg.total_flows - n_lanes,
             flows_started: n_lanes,
             lanes,
-            heap,
+            front,
             packets_emitted: 0,
         }
     }
 
     /// Advances lane `li` past its pending packet: to the next packet of
-    /// its flow, or to its next flow. Returns false when the lane is
-    /// exhausted (global flow budget spent).
-    fn advance_lane(&mut self, li: usize) -> bool {
+    /// its flow, or to its next flow. Returns the new pending timestamp,
+    /// or `None` when the lane is exhausted (global flow budget spent).
+    fn advance_lane(&mut self, li: usize) -> Option<u64> {
         let lane = &mut self.lanes[li];
         if let Some(p) = lane.cursor.next_packet(&mut lane.rng) {
             lane.pending = p;
@@ -282,22 +283,20 @@ impl StreamingTrace {
             self.flows_started += 1;
             lane.next_flow(&self.mix);
         } else {
-            return false;
+            return None;
         }
-        true
+        Some(lane.pending.ts_ns)
     }
 
     /// The next `(packet, ground-truth label)` of the merged stream, or
     /// `None` when the flow budget is exhausted and every lane has
     /// drained.
     pub fn next_packet(&mut self) -> Option<(Packet, bool)> {
-        let Reverse((_, li)) = self.heap.pop()?;
-        let li = li as usize;
+        let li = self.front.winner()?;
         let pkt = self.lanes[li].pending;
         let label = self.lanes[li].malicious;
-        if self.advance_lane(li) {
-            self.heap.push(Reverse((self.lanes[li].pending.ts_ns, li as u32)));
-        }
+        let next = self.advance_lane(li);
+        self.front.replace_winner(next);
         self.packets_emitted += 1;
         Some((pkt, label))
     }
@@ -371,6 +370,32 @@ mod tests {
             all_l.extend_from_slice(&labels);
         }
         (all_p, all_l)
+    }
+
+    /// The merge the loser tree replaced, kept as the oracle: a min-heap
+    /// of `(pending timestamp, lane)`, popped and re-pushed per packet,
+    /// driving the same lanes.
+    fn heap_merged(cfg: StreamingConfig) -> Vec<(Packet, bool)> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut s = StreamingTrace::new(cfg);
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+            s.lanes.iter().enumerate().map(|(li, l)| Reverse((l.pending.ts_ns, li))).collect();
+        let mut out = Vec::new();
+        while let Some(Reverse((_, li))) = heap.pop() {
+            out.push((s.lanes[li].pending, s.lanes[li].malicious));
+            if let Some(ts) = s.advance_lane(li) {
+                heap.push(Reverse((ts, li)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn no_flows_is_an_empty_stream() {
+        let mut s = StreamingTrace::new(StreamingConfig { total_flows: 0, ..Default::default() });
+        assert_eq!(s.next_packet(), None);
+        assert_eq!((s.flows_started(), s.packets_emitted()), (0, 0));
     }
 
     #[test]
@@ -452,6 +477,24 @@ mod tests {
                 let k = z.sample(rng);
                 assert!((1..=n).contains(&k), "rank {k} outside 1..={n}");
             }
+        }
+
+        /// The loser-tree merge emits exactly the heap merge's stream for
+        /// any lane count (powers of two or not) and flow budget, including
+        /// an empty budget and budgets below the lane count.
+        fn loser_tree_matches_heap_merge(rng, cases = 24) {
+            let cfg = StreamingConfig {
+                seed: rng.next_u64(),
+                users: rng.gen_range(10u64..5_000),
+                lanes: rng.gen_range(1usize..80),
+                total_flows: if rng.gen_bool(0.15) { 0 } else { rng.gen_range(1u64..200) },
+                attack_fraction: rng.gen_range(0.0f64..0.5),
+                mean_flow_gap_ms: rng.gen_range(0.0f64..100.0),
+                ..Default::default()
+            };
+            let want = heap_merged(cfg.clone());
+            let got: Vec<(Packet, bool)> = StreamingTrace::new(cfg).collect();
+            assert_eq!(got, want);
         }
 
         /// The stream is identical however many lanes' worth of packets
