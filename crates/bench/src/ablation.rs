@@ -20,13 +20,13 @@ use iguard_core::forest::{IGuardConfig, IGuardForest};
 use iguard_core::rules::RuleSet;
 use iguard_core::teacher::DetectorTeacher;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
-use iguard_metrics::DetectionSummary;
+use iguard_metrics::{best_threshold, DetectionSummary};
 use iguard_models::detector::AnomalyDetector;
-use iguard_models::magnifier::{Magnifier, MagnifierConfig};
+use iguard_models::magnifier::Magnifier;
 use iguard_synth::attacks::Attack;
 
+use crate::cpu::{fit_teacher, Effort};
 use crate::data::{self, Scenario, ScenarioConfig};
-use crate::tune::best_threshold;
 
 /// One ablation row.
 #[derive(Clone, Debug)]
@@ -43,17 +43,9 @@ const BUDGET: usize = 600_000;
 /// Seed salt of the training stream every ablation arm draws from.
 const ARM_STREAM: u64 = 0xAB1;
 
+/// The testbed's teacher at quick effort, validation-tuned.
 fn teacher_for(s: &Scenario, seed: u64) -> Magnifier {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x7E57);
-    let mut m = Magnifier::fit(
-        &s.train.features,
-        &MagnifierConfig { epochs: 60, ..Default::default() },
-        &mut rng,
-    );
-    let scores = m.scores(&s.val.features);
-    let (thr, _) = best_threshold(&scores, &s.val.labels);
-    m.set_threshold(thr);
-    m
+    fit_teacher(s, Effort::Quick.teacher_epochs(), &mut Rng::seed_from_u64(seed ^ 0x7E57))
 }
 
 fn eval_forest(s: &Scenario, forest: &mut IGuardForest) -> (DetectionSummary, Option<usize>) {

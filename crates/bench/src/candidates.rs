@@ -4,7 +4,7 @@
 use iguard_runtime::rng::Rng;
 
 use iguard_iforest::IsolationForestConfig;
-use iguard_metrics::macro_f1;
+use iguard_metrics::{best_threshold, macro_f1};
 use iguard_models::detector::{AnomalyDetector, IForestDetector};
 use iguard_models::knn::{KnnConfig, KnnDetector};
 use iguard_models::magnifier::{Magnifier, MagnifierConfig};
@@ -15,7 +15,6 @@ use iguard_synth::attacks::Attack;
 
 use crate::cpu::Effort;
 use crate::data::{self, Scenario, ScenarioConfig};
-use crate::tune::best_threshold;
 
 /// The candidate order of Fig. 10.
 pub const CANDIDATES: [&str; 6] = ["kNN", "PCA", "iForest", "X-means", "VAE", "Magnifier"];

@@ -6,13 +6,12 @@ use iguard_runtime::rng::Rng;
 use iguard_core::forest::{IGuardConfig, IGuardForest};
 use iguard_core::teacher::DetectorTeacher;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
-use iguard_metrics::DetectionSummary;
+use iguard_metrics::{best_threshold, DetectionSummary};
 use iguard_models::detector::AnomalyDetector;
 use iguard_models::magnifier::{Magnifier, MagnifierConfig};
 use iguard_synth::attacks::Attack;
 
 use crate::data::{self, Scenario, ScenarioConfig};
-use crate::tune::best_threshold;
 
 /// One attack's CPU comparison.
 #[derive(Clone, Copy, Debug)]
@@ -30,6 +29,26 @@ pub enum Effort {
     Quick,
     /// The fuller grid of the paper.
     Full,
+}
+
+impl Effort {
+    /// Training epochs of the Magnifier teacher.
+    pub fn teacher_epochs(self) -> usize {
+        match self {
+            Effort::Quick => 60,
+            Effort::Full => 150,
+        }
+    }
+}
+
+/// Fits the Magnifier teacher on the scenario's benign training flows,
+/// drawing from `rng`, and tunes its RMSE threshold `T` on validation.
+pub fn fit_teacher(s: &Scenario, epochs: usize, rng: &mut Rng) -> Magnifier {
+    let cfg = MagnifierConfig { epochs, ..Default::default() };
+    let mut mag = Magnifier::fit(&s.train.features, &cfg, rng);
+    let (thr, _) = best_threshold(&mag.scores(&s.val.features), &s.val.labels);
+    mag.set_threshold(thr);
+    mag
 }
 
 /// Trains and evaluates the conventional iForest baseline with a
@@ -60,20 +79,9 @@ pub fn eval_iforest(s: &Scenario, effort: Effort, seed: u64) -> DetectionSummary
 /// Trains Magnifier on benign flows and tunes its RMSE threshold `T` on
 /// validation. Returns the fitted model and its test summary.
 pub fn eval_magnifier(s: &Scenario, effort: Effort, seed: u64) -> (Magnifier, DetectionSummary) {
-    let cfg = MagnifierConfig {
-        epochs: match effort {
-            Effort::Quick => 60,
-            Effort::Full => 150,
-        },
-        ..Default::default()
-    };
-    let mut rng = Rng::seed_from_u64(seed ^ 0xAE);
-    let mut mag = Magnifier::fit(&s.train.features, &cfg, &mut rng);
-    let val_scores = mag.scores(&s.val.features);
-    let (thr, _) = best_threshold(&val_scores, &s.val.labels);
-    mag.set_threshold(thr);
+    let mag = fit_teacher(s, effort.teacher_epochs(), &mut Rng::seed_from_u64(seed ^ 0xAE));
     let test_scores = mag.scores(&s.test.features);
-    let pred: Vec<bool> = test_scores.iter().map(|&v| v > thr).collect();
+    let pred: Vec<bool> = test_scores.iter().map(|&v| v > mag.threshold()).collect();
     let summary = DetectionSummary::compute(&s.test.labels, &pred, &test_scores);
     (mag, summary)
 }

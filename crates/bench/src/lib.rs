@@ -24,7 +24,6 @@ pub mod data;
 pub mod pathlen;
 pub mod report;
 pub mod testbed;
-pub mod tune;
 
 pub use cpu::Effort;
 

@@ -10,19 +10,16 @@ use iguard_core::forest::{feature_bounds, IGuardConfig, IGuardForest};
 use iguard_core::rules::{RuleGenError, RuleSet};
 use iguard_core::teacher::DetectorTeacher;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
-use iguard_metrics::{consistency, DetectionSummary};
-use iguard_models::detector::AnomalyDetector;
-use iguard_models::magnifier::{Magnifier, MagnifierConfig};
+use iguard_metrics::{best_threshold, consistency, DetectionSummary};
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::pipeline::{Pipeline, PipelineConfig};
 use iguard_switch::replay::{replay, ControlPlaneModel, ReplayConfig, ReplayReport};
 use iguard_switch::resources::{ResourceModel, ResourceUsage};
-use iguard_switch::tcam::{compile_ruleset, FieldSpec, RangeTable};
+use iguard_switch::tcam::{compile_ruleset, field_specs_for_bounds, FieldSpec, RangeTable};
 use iguard_synth::attacks::Attack;
 
-use crate::cpu::Effort;
+use crate::cpu::{fit_teacher, Effort};
 use crate::data::{self, AttackTransform, Scenario, ScenarioConfig};
-use crate::tune::best_threshold;
 
 /// Region budget for rule compilation.
 const MAX_REGIONS: usize = 600_000;
@@ -44,15 +41,10 @@ pub struct TestbedResult {
     pub iguard_replay: ReplayReport,
 }
 
-/// 16-bit fixed-point encodings sized to the observed feature bounds.
-pub fn field_specs_for(bounds: &[(f32, f32)]) -> Vec<FieldSpec> {
-    bounds
-        .iter()
-        .map(|&(_, hi)| {
-            let hi = hi.max(1e-6);
-            FieldSpec::new(16, (65_535.0 / hi).min(65_535.0))
-        })
-        .collect()
+/// 16-bit FL field encodings sized to a rule set's feature bounds, which
+/// are finite for a rule set trained on extracted flows.
+fn fl_specs_for(rules: &RuleSet) -> Vec<FieldSpec> {
+    field_specs_for_bounds(&rules.bounds, 16).expect("trained rule bounds are finite")
 }
 
 /// Compiles a conventional iForest into rules, backing off to smaller
@@ -96,18 +88,9 @@ pub struct Deployment {
 pub fn train_deployment(s: &Scenario, effort: Effort, seed: u64) -> Deployment {
     // Teacher: the custom asymmetric autoencoder of §4.2 (13 features —
     // the 2-D statistics Magnifier uses on the CPU are not extractable).
-    let mag_cfg = MagnifierConfig {
-        epochs: match effort {
-            Effort::Quick => 60,
-            Effort::Full => 150,
-        },
-        ..Default::default()
-    };
+    // The same rng then grows the student forests.
     let mut rng = Rng::seed_from_u64(seed ^ 0x7E57);
-    let mut teacher_model = Magnifier::fit(&s.train.features, &mag_cfg, &mut rng);
-    let val_scores = teacher_model.scores(&s.val.features);
-    let (thr, _) = best_threshold(&val_scores, &s.val.labels);
-    teacher_model.set_threshold(thr);
+    let teacher_model = fit_teacher(s, effort.teacher_epochs(), &mut rng);
 
     // iGuard student. Larger forests compile to fragmented rule tables in
     // 13-D; back off down the ladder until the table fits the region
@@ -155,7 +138,7 @@ pub fn train_deployment(s: &Scenario, effort: Effort, seed: u64) -> Deployment {
     let early = EarlyModel::train(&s.benign_first_pl, &pl_cfg, MAX_REGIONS, &mut rng)
         .expect("PL rules within budget");
 
-    let fl_specs = field_specs_for(&iguard_rules.bounds);
+    let fl_specs = fl_specs_for(&iguard_rules);
     Deployment {
         iguard_forest: forest,
         iguard_rules,
@@ -195,8 +178,7 @@ pub fn resources(d: &Deployment, flow_slots: usize) -> (ResourceUsage, ResourceU
     let ig_pl = compile_ruleset(&d.early.rules, &pl_specs);
     let iguard = ResourceModel::for_deployment(&ig_fl, &ig_pl, flow_table, 4096).usage();
 
-    let if_specs = field_specs_for(&d.iforest_rules.bounds);
-    let if_fl = compile_ruleset(&d.iforest_rules, &if_specs);
+    let if_fl = compile_ruleset(&d.iforest_rules, &fl_specs_for(&d.iforest_rules));
     let empty_pl = RangeTable::new(vec![16, 8, 16, 8]);
     let iforest = ResourceModel::for_deployment(&if_fl, &empty_pl, flow_table, 4096).usage();
     (iforest, iguard)
@@ -275,12 +257,5 @@ mod tests {
             r.iforest_usage.tcam
         );
         assert!(r.iguard_replay.packets > 0);
-    }
-
-    #[test]
-    fn field_specs_fit_bounds() {
-        let specs = field_specs_for(&[(0.0, 100.0), (0.0, 1e6)]);
-        assert_eq!(specs[0].quantize(100.0), 65_535);
-        assert!(specs[1].quantize(1e6) <= 65_535);
     }
 }

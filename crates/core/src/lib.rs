@@ -24,7 +24,8 @@
 //!   of the online adaptation loop.
 //! * [`teacher`] — the [`teacher::Teacher`] trait decoupling the forest
 //!   from any particular guide (autoencoder ensemble, VAE, oracle in
-//!   tests), plus adapters.
+//!   tests), plus adapters. [`teacher::EnsembleTeacher`] is the workspace's
+//!   one implementation of the paper's weighted member vote (Eq. 5–6).
 //! * [`early`] — the early-packet model (§3.3.1): a conventional iForest
 //!   on packet-level features compiled to whitelist rules and merged with
 //!   the flow-level rules.
@@ -34,9 +35,11 @@
 //!   scan, with bit-exact agreement with the scan on every key.
 //! * [`error`] — the workspace-wide [`error::IguardError`] uniting the
 //!   rule-generation, TCAM-compilation, and wire-parse error enums.
-//! * [`tuner`] — grid search over `(t, Ψ, k, T)` for iGuard and
-//!   `(t, Ψ, contamination)` for the baseline, maximising the mean of
-//!   macro F1 / PRAUC / ROCAUC (§4.1) or the memory-aware reward (§4.2.1).
+//!
+//! Hyper-parameters are not searched here. The experiments fix `(t, Ψ, k)`
+//! per effort level (backing off to smaller forests when a rule table
+//! outgrows its budget) and tune score thresholds on validation data with
+//! `iguard_metrics::best_threshold`.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +52,6 @@ pub mod phase;
 pub mod rule_index;
 pub mod rules;
 pub mod teacher;
-pub mod tuner;
 
 pub use drift::{DriftConfig, DriftDetector};
 pub use error::{IguardError, SwitchError, TcamError};

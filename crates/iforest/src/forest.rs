@@ -7,6 +7,20 @@ use iguard_runtime::Dataset;
 
 use crate::tree::{average_path_length, IsolationTree};
 
+/// The fit-time threshold cut every detector shares: sorts `scores`
+/// ascending and returns the one at index `round(q · (n − 1))`, so about a
+/// `1 − q` share of them lie strictly above it. A contamination `c` is the
+/// quantile `q = 1 − c`.
+///
+/// # Panics
+/// Panics on empty or NaN scores.
+pub fn quantile_cut(scores: &mut [f64], q: f64) -> f64 {
+    assert!(!scores.is_empty(), "need scores to fit threshold");
+    scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let idx = (q * (scores.len() - 1) as f64).round() as usize;
+    scores[idx.min(scores.len() - 1)]
+}
+
 /// Hyper-parameters of a conventional Isolation Forest — the exact surface
 /// the paper grid-searches for the baseline: `(t, Ψ, contamination)` (§3.1).
 #[derive(Clone, Copy, Debug)]
@@ -60,11 +74,7 @@ impl IsolationForest {
             IsolationTree::fit(data, &sample, &mut tree_rng)
         });
         let mut forest = Self { trees, c_psi: average_path_length(psi), threshold: 0.5 };
-        // Contamination quantile on training scores.
-        let mut scores = forest.scores(data);
-        scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((1.0 - cfg.contamination) * (scores.len() - 1) as f64).round() as usize;
-        forest.threshold = scores[idx.min(scores.len() - 1)];
+        forest.threshold = quantile_cut(&mut forest.scores(data), 1.0 - cfg.contamination);
         forest
     }
 

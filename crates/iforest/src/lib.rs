@@ -10,6 +10,8 @@
 //!   standard anomaly score `s(x) = 2^(−E[h(x)]/c(Ψ))` and a
 //!   contamination-quantile threshold, exactly the `(t, Ψ, contamination)`
 //!   hyper-parameter surface the paper grid-searches (§3.1).
+//! * [`forest::quantile_cut`] — that threshold's order-statistic cut, the
+//!   one every detector in `iguard-models` fits its default threshold with.
 //!
 //! The path-length bookkeeping (the `c(n)` adjustment for unsplit internal
 //! terminations) follows the original paper so that expected path lengths —
@@ -20,5 +22,5 @@
 pub mod forest;
 pub mod tree;
 
-pub use forest::{IsolationForest, IsolationForestConfig};
+pub use forest::{quantile_cut, IsolationForest, IsolationForestConfig};
 pub use tree::{average_path_length, IsolationTree};

@@ -119,6 +119,47 @@ pub fn macro_f1(truth: &[bool], pred: &[bool]) -> f64 {
     ConfusionMatrix::from_predictions(truth, pred).macro_f1()
 }
 
+/// The validation sweep: the first of `candidates` with the highest macro
+/// F1 when predicting malicious for `score > t`, as `(t, macro_f1)`.
+///
+/// # Panics
+/// Panics if `scores` and `truth` differ in length or `candidates` is
+/// empty.
+pub fn best_threshold_among(
+    scores: &[f64],
+    truth: &[bool],
+    candidates: impl IntoIterator<Item = f64>,
+) -> (f64, f64) {
+    assert_eq!(scores.len(), truth.len(), "scores/truth length mismatch");
+    let mut best: Option<(f64, f64)> = None;
+    for t in candidates {
+        let mut cm = ConfusionMatrix::default();
+        for (&s, &y) in scores.iter().zip(truth) {
+            cm.record(y, s > t);
+        }
+        let f1 = cm.macro_f1();
+        if best.is_none_or(|(_, b)| f1 > b) {
+            best = Some((t, f1));
+        }
+    }
+    best.expect("need at least one candidate threshold")
+}
+
+/// [`best_threshold_among`] over 65 evenly spaced order statistics of
+/// `scores` (all of them when there are fewer), lowest first: how every
+/// experiment tunes a threshold on validation.
+///
+/// # Panics
+/// Panics on empty or NaN scores, or a length mismatch with `truth`.
+pub fn best_threshold(scores: &[f64], truth: &[bool]) -> (f64, f64) {
+    assert!(!scores.is_empty(), "need validation scores");
+    let mut sorted = scores.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let n_cand = 64.min(sorted.len());
+    let last = sorted.len() - 1;
+    best_threshold_among(scores, truth, (0..=n_cand).map(|i| sorted[i * last / n_cand]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +207,40 @@ mod tests {
         let mut a = ConfusionMatrix { tp: 1, fp: 2, tn: 3, fn_: 4 };
         a.merge(&ConfusionMatrix { tp: 10, fp: 20, tn: 30, fn_: 40 });
         assert_eq!(a, ConfusionMatrix { tp: 11, fp: 22, tn: 33, fn_: 44 });
+    }
+
+    #[test]
+    fn finds_separating_threshold() {
+        let scores = vec![0.1, 0.2, 0.3, 0.8, 0.9, 1.0];
+        let truth = vec![false, false, false, true, true, true];
+        let (thr, f1) = best_threshold(&scores, &truth);
+        assert!((0.3..0.8).contains(&thr), "threshold {thr}");
+        assert_eq!(f1, 1.0);
+    }
+
+    #[test]
+    fn degenerate_scores_still_return() {
+        let scores = vec![0.5; 10];
+        let truth: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
+        let (_, f1) = best_threshold(&scores, &truth);
+        assert!(f1 >= 0.0);
+    }
+
+    #[test]
+    fn sweep_keeps_the_first_best_candidate() {
+        let scores = vec![0.1, 0.2, 0.9];
+        let truth = vec![false, false, true];
+        // 0.3 and 0.5 both separate perfectly; 0.0 does not.
+        assert_eq!(best_threshold_among(&scores, &truth, [0.0, 0.3, 0.5]), (0.3, 1.0));
+        assert_eq!(best_threshold_among(&scores, &truth, [0.5, 0.3]), (0.5, 1.0));
+        // A lone candidate wins whatever it scores.
+        assert_eq!(best_threshold_among(&scores, &truth, [1.0]).0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one candidate")]
+    fn sweep_rejects_no_candidates() {
+        let _ = best_threshold_among(&[0.5], &[true], []);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! Implements every metric the paper reports:
 //!
 //! * [`ConfusionMatrix`], precision/recall/F1 and **macro F1** (Figs. 5–9),
+//!   and [`best_threshold`], the validation sweep that tunes every
+//!   experiment's score threshold for macro F1,
 //! * **ROC AUC** via the rank statistic (exact, ties handled) and
 //!   **PR AUC** via step-wise interpolation (Figs. 5, 6, 8, 9, Tables 2–3),
 //! * **consistency** `C` between a model and its compiled rule set (§3.2.3),
@@ -17,7 +19,7 @@ pub mod confusion;
 pub mod reward;
 
 pub use auc::{pr_auc, roc_auc};
-pub use confusion::{macro_f1, ConfusionMatrix};
+pub use confusion::{best_threshold, best_threshold_among, macro_f1, ConfusionMatrix};
 pub use reward::{reward, DetectionSummary};
 
 /// Consistency `C` (paper §3.2.3): the fraction of samples on which two

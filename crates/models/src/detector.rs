@@ -80,16 +80,6 @@ impl AnomalyDetector for IForestDetector {
     }
 }
 
-/// Fits `detector.set_threshold` so that `contamination` of the given
-/// (typically validation) scores exceed it. Shared by every detector.
-pub fn threshold_from_contamination(scores: &mut Vec<f64>, contamination: f64) -> f64 {
-    assert!(!scores.is_empty(), "need scores to fit threshold");
-    assert!((0.0..1.0).contains(&contamination));
-    scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((1.0 - contamination) * (scores.len() - 1) as f64).round() as usize;
-    scores[idx.min(scores.len() - 1)]
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use iguard_runtime::rng::Rng;
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn contamination_quantile_threshold() {
         let mut scores: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let t = threshold_from_contamination(&mut scores, 0.1);
+        let t = iguard_iforest::quantile_cut(&mut scores, 1.0 - 0.1);
         assert_eq!(t, 89.0);
         let above = scores.iter().filter(|&&s| s > t).count();
         assert_eq!(above, 10);

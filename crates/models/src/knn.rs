@@ -3,11 +3,12 @@
 //! Score = Euclidean distance (in min-max-scaled space) to the k-th nearest
 //! benign training sample. Far from every benign sample ⇒ anomalous.
 
+use iguard_iforest::quantile_cut;
 use iguard_nn::matrix::Matrix;
 use iguard_nn::scale::MinMaxScaler;
 use iguard_runtime::Dataset;
 
-use crate::detector::{threshold_from_contamination, AnomalyDetector};
+use crate::detector::AnomalyDetector;
 
 /// Configuration of the kNN detector.
 #[derive(Clone, Copy, Debug)]
@@ -54,7 +55,8 @@ impl KnnDetector {
         }
         let det = Self { refs, scaler, k: cfg.k, threshold: f64::INFINITY };
         let mut train_scores: Vec<f64> = train.iter_rows().map(|x| det.score_raw(x)).collect();
-        let threshold = threshold_from_contamination(&mut train_scores, cfg.contamination);
+        assert!((0.0..1.0).contains(&cfg.contamination), "contamination in [0,1)");
+        let threshold = quantile_cut(&mut train_scores, 1.0 - cfg.contamination);
         Self { threshold, ..det }
     }
 

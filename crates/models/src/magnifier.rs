@@ -7,6 +7,7 @@
 //! representational work, keeping reconstruction of benign traffic easy
 //! and out-of-distribution traffic hard.
 
+use iguard_iforest::quantile_cut;
 use iguard_nn::conv::DilatedConv1d;
 use iguard_nn::layer::{Activation, ActivationLayer, Dense};
 use iguard_nn::loss::per_sample_rmse;
@@ -17,7 +18,7 @@ use iguard_nn::scale::MinMaxScaler;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 
-use crate::detector::{threshold_from_contamination, AnomalyDetector};
+use crate::detector::AnomalyDetector;
 
 /// Configuration of the Magnifier detector.
 #[derive(Clone, Copy, Debug)]
@@ -93,12 +94,9 @@ impl Magnifier {
         net.fit(&x.clone(), &x, &mut opt, &tc, rng);
         let mut mag = Self { scaler, net, threshold: f64::INFINITY, input_dim: dim };
         let mut scores: Vec<f64> = train.iter_rows().map(|s| mag.score_raw(s)).collect();
-        // The paper tunes T by grid search; the default is a benign quantile.
+        // The default T is a benign quantile; callers tune it on validation.
         let q = cfg.threshold_quantile.clamp(0.0, 1.0);
-        scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pos = q * (scores.len() - 1) as f64;
-        mag.threshold = scores[pos.round() as usize];
-        let _ = threshold_from_contamination; // same mechanism, quantile form
+        mag.threshold = quantile_cut(&mut scores, q);
         mag
     }
 

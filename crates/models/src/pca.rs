@@ -6,11 +6,12 @@
 //! projecting onto the retained subspace — samples off the benign subspace
 //! reconstruct poorly.
 
+use iguard_iforest::quantile_cut;
 use iguard_nn::matrix::Matrix;
 use iguard_nn::scale::StandardScaler;
 use iguard_runtime::Dataset;
 
-use crate::detector::{threshold_from_contamination, AnomalyDetector};
+use crate::detector::AnomalyDetector;
 
 /// Configuration of the PCA detector.
 #[derive(Clone, Copy, Debug)]
@@ -151,7 +152,8 @@ impl PcaDetector {
         }
         let mut det = Self { scaler, components, threshold: f64::INFINITY, n_components: kept };
         let mut scores: Vec<f64> = train.iter_rows().map(|s| det.score_raw(s)).collect();
-        det.threshold = threshold_from_contamination(&mut scores, cfg.contamination);
+        assert!((0.0..1.0).contains(&cfg.contamination), "contamination in [0,1)");
+        det.threshold = quantile_cut(&mut scores, 1.0 - cfg.contamination);
         det
     }
 

@@ -4,6 +4,7 @@
 //! `z = μ + exp(logσ²/2)·ε`. Loss = reconstruction MSE + β·KL(q‖N(0,I)).
 //! Anomaly score = reconstruction RMSE with the deterministic code `z = μ`.
 
+use iguard_iforest::quantile_cut;
 use iguard_nn::layer::{Activation, ActivationLayer, Dense, Layer};
 use iguard_nn::loss::{kl_standard_normal, mse, per_sample_rmse};
 use iguard_nn::matrix::Matrix;
@@ -12,7 +13,7 @@ use iguard_nn::scale::MinMaxScaler;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 
-use crate::detector::{threshold_from_contamination, AnomalyDetector};
+use crate::detector::AnomalyDetector;
 
 /// Configuration of the VAE detector.
 #[derive(Clone, Copy, Debug)]
@@ -88,7 +89,8 @@ impl VaeDetector {
             }
         }
         let mut scores: Vec<f64> = train.iter_rows().map(|s| vae.score_raw(s)).collect();
-        vae.threshold = threshold_from_contamination(&mut scores, cfg.contamination);
+        assert!((0.0..1.0).contains(&cfg.contamination), "contamination in [0,1)");
+        vae.threshold = quantile_cut(&mut scores, 1.0 - cfg.contamination);
         vae
     }
 

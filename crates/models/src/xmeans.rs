@@ -5,12 +5,13 @@
 //! parent. Anomaly score = distance to the nearest centroid in scaled
 //! space (benign data sits near a centroid; attack traffic does not).
 
+use iguard_iforest::quantile_cut;
 use iguard_nn::matrix::Matrix;
 use iguard_nn::scale::MinMaxScaler;
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 
-use crate::detector::{threshold_from_contamination, AnomalyDetector};
+use crate::detector::AnomalyDetector;
 
 /// Configuration of the X-means detector.
 #[derive(Clone, Copy, Debug)]
@@ -212,7 +213,8 @@ impl XMeansDetector {
         }
         let mut det = Self { scaler, centroids, threshold: f64::INFINITY };
         let mut scores: Vec<f64> = train.iter_rows().map(|x| det.score_raw(x)).collect();
-        det.threshold = threshold_from_contamination(&mut scores, cfg.contamination);
+        assert!((0.0..1.0).contains(&cfg.contamination), "contamination in [0,1)");
+        det.threshold = quantile_cut(&mut scores, 1.0 - cfg.contamination);
         det
     }
 

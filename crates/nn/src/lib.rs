@@ -9,10 +9,10 @@
 //! * [`layer`] — fully-connected layers and element-wise activations, plus
 //!   [`conv::DilatedConv1d`] reproducing the dilated convolutions of the
 //!   Magnifier (HorusEye) autoencoder.
-//! * [`optim`] — SGD (+momentum) and Adam.
+//! * [`optim`] — the [`optim::Optimizer`] trait and Adam.
 //! * [`network::Network`] — a sequential container with an MSE training loop.
-//! * [`autoencoder`] — trained autoencoders with RMSE thresholds `T_u` and
-//!   the weighted [`autoencoder::AutoencoderEnsemble`] of paper §3.2.1.
+//! * [`loss`] — MSE, per-sample RMSE (the reconstruction error `RE_u(x)` of
+//!   paper §3.2.1) and the VAE's KL term.
 //! * [`scale`] — min-max / standard scalers fitted on benign training data.
 //!
 //! ## Why from scratch?
@@ -23,26 +23,35 @@
 //! reproducible bit for bit.
 //!
 //! ## Quick example
+//! A 4 → 2 → 4 autoencoder trained on a tight benign cluster; its
+//! per-sample RMSE is the anomaly score the Magnifier teacher
+//! (`iguard-models`) thresholds.
 //! ```
-//! use iguard_nn::autoencoder::{Autoencoder, AutoencoderSpec, AeTrainConfig};
-//! use iguard_nn::layer::Activation;
+//! use iguard_nn::layer::{Activation, ActivationLayer, Dense};
+//! use iguard_nn::loss::per_sample_rmse;
 //! use iguard_nn::matrix::Matrix;
+//! use iguard_nn::network::{Network, TrainConfig};
+//! use iguard_nn::optim::Adam;
 //! use iguard_runtime::rng::Rng;
 //!
 //! let mut rng = Rng::seed_from_u64(7);
 //! // Benign data: tight cluster.
 //! let mut train = Matrix::zeros(128, 4);
 //! for v in train.as_mut_slice() { *v = 0.5 + rng.gen_range(-0.05..0.05); }
-//! let spec = AutoencoderSpec::symmetric(4, vec![2], Activation::Tanh);
-//! let cfg = AeTrainConfig { epochs: 30, ..Default::default() };
-//! let ae = Autoencoder::train(&spec, &train, &cfg, &mut rng);
-//! let errs = ae.reconstruction_errors(&train);
+//! let mut net = Network::new(vec![
+//!     Box::new(Dense::new(4, 2, &mut rng)),
+//!     Box::new(ActivationLayer::new(Activation::Tanh)),
+//!     Box::new(Dense::new(2, 4, &mut rng)),
+//! ]);
+//! let cfg = TrainConfig { epochs: 30, ..Default::default() };
+//! let losses = net.fit(&train, &train, &mut Adam::new(1e-2), &cfg, &mut rng);
+//! assert!(losses.last() < losses.first());
+//! let errs = per_sample_rmse(&net.infer(&train), &train);
 //! assert_eq!(errs.len(), 128);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod autoencoder;
 pub mod conv;
 pub mod layer;
 pub mod loss;
@@ -51,7 +60,6 @@ pub mod network;
 pub mod optim;
 pub mod scale;
 
-pub use autoencoder::{AeTrainConfig, Autoencoder, AutoencoderEnsemble, AutoencoderSpec};
 pub use layer::Activation;
 pub use matrix::Matrix;
 pub use network::{Network, TrainConfig};

@@ -11,41 +11,6 @@ pub trait Optimizer: Send {
     fn step(&mut self, params_and_grads: &mut [(&mut [f32], &mut [f32])]);
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0,1)");
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params_and_grads: &mut [(&mut [f32], &mut [f32])]) {
-        if self.velocity.len() != params_and_grads.len() {
-            self.velocity = params_and_grads.iter().map(|(p, _)| vec![0.0; p.len()]).collect();
-        }
-        for (i, (p, g)) in params_and_grads.iter_mut().enumerate() {
-            let vel = &mut self.velocity[i];
-            debug_assert_eq!(vel.len(), p.len(), "parameter tensor changed size");
-            for ((pv, gv), v) in p.iter_mut().zip(g.iter()).zip(vel.iter_mut()) {
-                *v = self.momentum * *v - self.lr * gv;
-                *pv += *v;
-            }
-        }
-    }
-}
-
 /// Adam (Kingma & Ba 2015) with bias correction.
 pub struct Adam {
     lr: f32,
@@ -98,37 +63,6 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimise f(x) = (x - 3)^2 with SGD; gradient is 2(x - 3).
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut x = vec![0.0f32];
-        let mut g = vec![0.0f32];
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            g[0] = 2.0 * (x[0] - 3.0);
-            let mut pairs = vec![(x.as_mut_slice(), g.as_mut_slice())];
-            opt.step(&mut pairs);
-        }
-        assert!((x[0] - 3.0).abs() < 1e-3, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn momentum_accelerates_convergence() {
-        let run = |mut opt: Sgd| {
-            let mut x = vec![0.0f32];
-            let mut g = vec![0.0f32];
-            for _ in 0..20 {
-                g[0] = 2.0 * (x[0] - 3.0);
-                let mut pairs = vec![(x.as_mut_slice(), g.as_mut_slice())];
-                opt.step(&mut pairs);
-            }
-            (x[0] - 3.0).abs()
-        };
-        let plain = run(Sgd::new(0.02));
-        let momo = run(Sgd::with_momentum(0.02, 0.9));
-        assert!(momo < plain, "momentum {momo} should beat plain {plain}");
-    }
 
     #[test]
     fn adam_converges_on_quadratic() {

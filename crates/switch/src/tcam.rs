@@ -225,6 +225,25 @@ impl RangeTable {
     }
 }
 
+/// The bound-sized encoding: one `bits`-wide field per feature, scaled so
+/// the feature's upper bound `hi` maps to the field's largest value. A
+/// bound below 1 gets the scale of a bound of 1.
+///
+/// # Errors
+/// [`TcamError::BadFieldWidth`] for a width outside 1..=32, and
+/// [`TcamError::BadScale`] for an infinite upper bound (its scale would be
+/// zero), which a rule file may carry.
+pub fn field_specs_for_bounds(
+    bounds: &[(f32, f32)],
+    bits: u8,
+) -> Result<Vec<FieldSpec>, IguardError> {
+    let maxk = FieldSpec::try_new(bits, 1.0)?.max_value() as f32;
+    bounds
+        .iter()
+        .map(|&(_, hi)| FieldSpec::try_new(bits, (maxk / hi.max(1e-6)).min(maxk)))
+        .collect()
+}
+
 /// Compiles a whitelist [`RuleSet`] into a native-range TCAM table: at
 /// most one entry per hypercube.
 ///
@@ -356,6 +375,54 @@ mod tests {
         assert_eq!(spec.quantize(42.4), 42);
         assert_eq!(spec.quantize(f32::INFINITY), 255);
         assert_eq!(spec.quantize(f32::NEG_INFINITY), 0);
+    }
+
+    #[test]
+    fn field_specs_fit_bounds() {
+        let specs = field_specs_for_bounds(&[(0.0, 100.0), (0.0, 1e6)], 16).unwrap();
+        assert_eq!(specs[0].quantize(100.0), 65_535);
+        assert!(specs[1].quantize(1e6) <= 65_535);
+    }
+
+    /// The scales are the ones every caller computed inline before the
+    /// encoding had one home, to the bit, at both widths in use.
+    #[test]
+    fn field_specs_match_the_inline_encoding() {
+        let bounds =
+            [(0.0, 0.0), (0.0, 1e-9), (0.0, 0.5), (0.0, 1.0), (0.0, 8.987_322), (0.0, 3e7)];
+        let specs = field_specs_for_bounds(&bounds, 16).unwrap();
+        for (&(_, hi), spec) in bounds.iter().zip(&specs) {
+            let inline = (65_535.0f32 / hi.max(1e-6)).min(65_535.0);
+            assert_eq!((spec.bits, spec.scale.to_bits()), (16, inline.to_bits()), "hi = {hi}");
+        }
+        let specs = field_specs_for_bounds(&bounds, 24).unwrap();
+        for (&(_, hi), spec) in bounds.iter().zip(&specs) {
+            let maxk = (1u32 << 24) as f32 - 1.0;
+            let inline = (maxk / hi.max(1e-6)).min(maxk);
+            assert_eq!((spec.bits, spec.scale.to_bits()), (24, inline.to_bits()), "hi = {hi}");
+        }
+    }
+
+    #[test]
+    fn field_specs_reject_bad_widths() {
+        for bits in [0, 33] {
+            let err = field_specs_for_bounds(&[(0.0, 1.0)], bits).unwrap_err();
+            assert!(matches!(err, IguardError::Tcam(TcamError::BadFieldWidth { .. })), "{bits}");
+        }
+    }
+
+    /// `RuleSet::from_tsv` accepts an `inf` bound; sizing a field to it
+    /// is a typed error, not a panic.
+    #[test]
+    fn infinite_bound_from_tsv_is_bad_scale() {
+        let tsv = "iguard-ruleset\tv1\t2\t1\t1\n\
+                   bounds_lo\t0\t0\n\
+                   bounds_hi\t4\tinf\n\
+                   rule\t0\t0\t1\t1\n";
+        let rules = RuleSet::from_tsv(tsv).expect("the parser accepts inf bounds");
+        assert_eq!(rules.bounds[1].1, f32::INFINITY);
+        let err = field_specs_for_bounds(&rules.bounds, 16).unwrap_err();
+        assert!(matches!(err, IguardError::Tcam(TcamError::BadScale)), "{err:?}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use iguard_switch::replay::{
 };
 use iguard_switch::ruleset::RulesetTxn;
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
-use iguard_switch::tcam::{compile_ruleset, FieldSpec};
+use iguard_switch::tcam::{compile_ruleset, field_specs_for_bounds, FieldSpec};
 use iguard_switch::{SketchEviction, SketchedPipeline, SketchedPipelineConfig};
 use iguard_synth::attacks::Attack;
 use iguard_synth::benign::benign_trace;
@@ -60,11 +60,7 @@ fn rules() -> &'static (RuleSet, RuleSet) {
 
 /// 16-bit quantization specs scaled to a rule set's feature bounds.
 fn specs_for(rules: &RuleSet) -> Vec<FieldSpec> {
-    rules
-        .bounds
-        .iter()
-        .map(|&(_, hi)| FieldSpec::new(16, (65_535.0 / hi.max(1e-6)).min(65_535.0)))
-        .collect()
+    field_specs_for_bounds(&rules.bounds, 16).expect("trained rule bounds are finite")
 }
 
 /// One canon scenario's workload: benign background across the storm

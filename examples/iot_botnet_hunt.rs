@@ -36,14 +36,7 @@ fn main() {
         let mut labels = vec![false; val_b.len()];
         labels.extend(vec![true; val_a.len()]);
         let scores = forest.scores(&feats);
-        let mut best = (0.25, -1.0);
-        for thr in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5] {
-            let pred: Vec<bool> = scores.iter().map(|&s| s > thr).collect();
-            let f1 = macro_f1(&labels, &pred);
-            if f1 > best.1 {
-                best = (thr, f1);
-            }
-        }
+        let best = best_threshold_among(&scores, &labels, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
         forest.set_vote_threshold(best.0);
         println!("  vote threshold {:.2} (val F1 {:.3})", best.0, best.1);
     }

@@ -76,7 +76,10 @@ pub mod prelude {
     pub use iguard_flow::packet::Packet;
     pub use iguard_flow::table::FlowTableConfig;
     pub use iguard_iforest::{IsolationForest, IsolationForestConfig};
-    pub use iguard_metrics::{consistency, macro_f1, pr_auc, roc_auc, DetectionSummary};
+    pub use iguard_metrics::{
+        best_threshold, best_threshold_among, consistency, macro_f1, pr_auc, roc_auc,
+        DetectionSummary,
+    };
     pub use iguard_models::detector::AnomalyDetector;
     pub use iguard_models::magnifier::MagnifierConfig;
     pub use iguard_models::Magnifier;

@@ -42,15 +42,8 @@ fn train_deployment(seed: u64) -> (Deployment, LabeledFlows) {
     let mut labels = vec![false; val_b.len()];
     labels.extend(vec![true; val_a.len()]);
     let scores = forest.scores(&feats);
-    let mut best = (0.25, -1.0);
-    for thr in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5] {
-        let pred: Vec<bool> = scores.iter().map(|&s| s > thr).collect();
-        let f1 = macro_f1(&labels, &pred);
-        if f1 > best.1 {
-            best = (thr, f1);
-        }
-    }
-    forest.set_vote_threshold(best.0);
+    let (vote_thr, _) = best_threshold_among(&scores, &labels, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
+    forest.set_vote_threshold(vote_thr);
     let rules = RuleSet::from_iguard(&forest, 600_000).expect("rule budget");
 
     // Early-packet model on first-packet PL features.
@@ -275,7 +268,7 @@ fn golden_matrix_holds_through_batch_path() {
 
 #[test]
 fn tcam_compilation_agrees_with_rules_on_probes() {
-    use iguard::switch::tcam::{compile_ruleset, quantize_key_into, FieldSpec};
+    use iguard::switch::tcam::{compile_ruleset, field_specs_for_bounds, quantize_key_into};
     let (d, train) = train_deployment(104);
     let n_probes = 200.min(train.len());
 
@@ -286,12 +279,7 @@ fn tcam_compilation_agrees_with_rules_on_probes() {
     // point ranges; every source rule is accounted for either way, and the
     // installed table agrees with the float rules *exactly* at every key's
     // canonical grid image `dequantize(key)`.
-    let coarse: Vec<FieldSpec> = d
-        .rules
-        .bounds
-        .iter()
-        .map(|&(_, hi)| FieldSpec::new(16, (65_535.0 / hi.max(1e-6)).min(65_535.0)))
-        .collect();
+    let coarse = field_specs_for_bounds(&d.rules.bounds, 16).expect("finite bounds");
     let tcam = compile_ruleset(&d.rules, &coarse);
     assert_eq!(tcam.len() as u64 + tcam.skipped_empty, d.rules.len() as u64);
     assert!(!tcam.is_empty(), "a trained whitelist must install some entries");
@@ -319,15 +307,7 @@ fn tcam_compilation_agrees_with_rules_on_probes() {
     // skipped and the quantised verdict tracks the float verdict on the raw
     // (off-grid) probes too; only rows within half a quantum of a cube
     // boundary may flip, hence agreement rather than bit-exactness.
-    let fine: Vec<FieldSpec> = d
-        .rules
-        .bounds
-        .iter()
-        .map(|&(_, hi)| {
-            let maxk = (1u32 << 24) as f32 - 1.0;
-            FieldSpec::new(24, (maxk / hi.max(1e-6)).min(maxk))
-        })
-        .collect();
+    let fine = field_specs_for_bounds(&d.rules.bounds, 24).expect("finite bounds");
     let tcam = compile_ruleset(&d.rules, &fine);
     assert_eq!(tcam.len(), d.rules.len(), "24-bit fields must resolve every cube");
     assert_eq!(tcam.skipped_empty, 0);
