@@ -30,7 +30,8 @@ RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
 # extremes, the fingerprint gates among them: chaos (fixed fault seeds
 # 11 and 47), controller_idempotence, tcam_parity, soa_parity,
 # scale_parity, ruleset_swap, overload, phase_parity, the trained-whitelist
-# deployment_gates and the telemetry_snapshot registry check.
+# deployment_gates, the telemetry_snapshot registry check and the
+# registry_parity check (registry deltas against each backend's counts).
 echo "== tier-1: cargo test -q --offline (IGUARD_WORKERS=1) =="
 IGUARD_WORKERS=1 cargo test -q --offline --workspace
 
