@@ -24,8 +24,6 @@
 //! comparison carries over to integer comparison exactly. The quantized
 //! TCAM index in `iguard-switch` uses field values as cuts directly.
 
-use iguard_telemetry::counter;
-
 /// Maps a non-NaN `f32` onto `u64` such that `a < b ⇔ ord_key(a) <
 /// ord_key(b)` (with `-0.0` and `+0.0` mapped to the same key, matching
 /// IEEE `==`). The usual sign-flip trick: negative floats have their bits
@@ -462,23 +460,18 @@ impl RuleIndex {
     /// to [`RuleSet::lookup`](crate::rules::RuleSet::lookup) on every
     /// input, NaN included.
     pub fn lookup(&self, x: &[f32], scratch: &mut Vec<u64>) -> Option<usize> {
-        counter!("core.rule_index.lookup").inc();
         // A NaN component fails `v >= lo` for every rule, even unbounded
         // ones — the linear scan misses, so the index must too.
         if x.iter().any(|v| v.is_nan()) {
             return None;
         }
-        let hit = self.inner.lookup_with(scratch, |d| ord_key(x[d]));
-        if hit.is_some() {
-            counter!("core.rule_index.hit").inc();
-        }
-        hit.map(|bit| bit as usize)
+        self.inner.lookup_with(scratch, |d| ord_key(x[d])).map(|bit| bit as usize)
     }
 
     /// Columnar batch lookup: `cols[d]` is the feature-`d` column of the
     /// batch (all columns the same length). Fills `out` with one answer
     /// per row, equal to calling [`RuleIndex::lookup`] on each gathered
-    /// row; counters advance by the same totals as the per-key path.
+    /// row.
     ///
     /// NaN components are folded into the key domain instead of branching
     /// per row: `u64::MAX` is strictly above [`ord_key`] of every non-NaN
@@ -493,7 +486,6 @@ impl RuleIndex {
     ) {
         let n = cols.first().map_or(0, |c| c.len());
         debug_assert!(cols.iter().all(|c| c.len() == n), "ragged feature columns");
-        counter!("core.rule_index.lookup").add(n as u64);
         self.inner.lookup_batch_with(
             scratch,
             n,
@@ -511,8 +503,6 @@ impl RuleIndex {
             },
             out,
         );
-        let hits = out.iter().filter(|h| h.is_some()).count();
-        counter!("core.rule_index.hit").add(hits as u64);
     }
 
     pub fn n_rules(&self) -> usize {

@@ -49,9 +49,9 @@ use std::num::NonZeroU64;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::sketch::{BloomFilter, CountMinSketch};
-use iguard_flow::table::{FlowShard, InsertOutcome, ObserveTallies, SlotClaim};
+use iguard_flow::table::{FlowShard, InsertOutcome, SlotClaim};
 use iguard_runtime::rng::Rng;
-use iguard_telemetry::{counter, histogram, Counter};
+use iguard_telemetry::histogram;
 
 use crate::data_plane::SketchStats;
 use crate::pipeline::{OverloadState, Pipeline, PipelineConfig};
@@ -267,13 +267,15 @@ impl EvictionBook {
     }
 }
 
-/// Sketch event totals, read live by [`SketchStats`] and added to the
-/// registry once per batch by [`SketchStage::flush_counters`].
+/// Sketch event totals, read by [`SketchStats`] and published to the
+/// registry by the owning [`Pipeline`]. Budget evictions are the flow
+/// table's own count ([`iguard_flow::table::FlowEvents::evict_budget`]).
 #[derive(Clone, Copy, Debug, Default)]
-struct SketchCounts {
-    promoted: u64,
-    absorbed: u64,
-    evicted: u64,
+pub(crate) struct SketchCounts {
+    pub(crate) promoted: u64,
+    pub(crate) absorbed: u64,
+    /// Sketch windows cleared (`switch.sketch.window_reset`).
+    pub(crate) window_resets: u64,
 }
 
 /// The sketch admission stage of the sketched layout — see the module
@@ -288,9 +290,7 @@ pub(crate) struct SketchStage {
     book: EvictionBook,
     max_tracked: usize,
     window_left: u64,
-    counts: SketchCounts,
-    /// The share of `counts` already added to the registry.
-    flushed: SketchCounts,
+    pub(crate) counts: SketchCounts,
 }
 
 impl SketchStage {
@@ -307,7 +307,6 @@ impl SketchStage {
                 .unwrap_or(usize::MAX),
             window_left: cfg.window_packets.get(),
             counts: SketchCounts::default(),
-            flushed: SketchCounts::default(),
             cfg,
         }
     }
@@ -331,7 +330,6 @@ impl SketchStage {
     /// was absorbed: the sketch holds the flow's only state, so the walk
     /// gives it the stateless PL-only decision — the same "cannot track"
     /// fallback as the collision path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit(
         &mut self,
         flow: &mut FlowShard,
@@ -340,7 +338,6 @@ impl SketchStage {
         i1: u32,
         i2: u32,
         pkt: &Packet,
-        tallies: &mut ObserveTallies,
     ) -> Option<InsertOutcome> {
         if self.cfg.promote_threshold > 1 {
             if !self.sketch_admit(&key, flow.pressure_milli(), overload) {
@@ -353,11 +350,10 @@ impl SketchStage {
         // exceeds the cap even transiently.
         while self.book.len >= self.max_tracked {
             let Some(victim) = self.book.pop_victim() else { break };
-            let released = flow.evict_at(victim, tallies);
+            let released = flow.evict_at(victim);
             debug_assert!(released, "eviction book out of sync with table");
-            self.counts.evicted += 1;
         }
-        let (out, claim) = flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns, tallies);
+        let (out, claim) = flow.admit_prehashed(key, i1, i2, pkt, pkt.ts_ns);
         match claim {
             SlotClaim::Fresh(pos) => self.book.insert(pos),
             SlotClaim::Displaced(_, pos) => {
@@ -367,21 +363,6 @@ impl SketchStage {
             SlotClaim::Unclaimed => {}
         }
         Some(out)
-    }
-
-    /// Adds the sketch events counted since the last flush to the
-    /// registry — one atomic add per event kind, identical totals to
-    /// per-event increments.
-    pub(crate) fn flush_counters(&mut self) {
-        let (now, then) = (self.counts, std::mem::replace(&mut self.flushed, self.counts));
-        let add = |n: u64, c: &'static Counter| {
-            if n > 0 {
-                c.add(n);
-            }
-        };
-        add(now.promoted - then.promoted, counter!("switch.sketch.promoted"));
-        add(now.absorbed - then.absorbed, counter!("switch.sketch.absorbed"));
-        add(now.evicted - then.evicted, counter!("switch.sketch.evicted"));
     }
 
     /// One sketch observation of an untracked flow: returns true when the
@@ -395,7 +376,7 @@ impl SketchStage {
             self.cms.clear();
             self.bloom.clear();
             self.window_left = self.cfg.window_packets.get();
-            counter!("switch.sketch.window_reset").inc();
+            self.counts.window_resets += 1;
         }
         self.window_left -= 1;
         let seen = self.bloom.insert(key);
@@ -415,15 +396,12 @@ impl SketchStage {
             // Would have been admitted at the calm threshold — rejected
             // only because pressure raised the bar.
             o.admission_tightened += 1;
-            counter!("switch.overload.admission_tightened").inc();
         }
         est >= eff
     }
 
-    /// Batch end: flushes the event counters and records the occupancy
-    /// gauges.
-    pub(crate) fn end_batch(&mut self) {
-        self.flush_counters();
+    /// Batch end: records the occupancy gauges.
+    pub(crate) fn end_batch(&self) {
         let tracked = self.book.len;
         histogram!("switch.sketch.occupancy").record(tracked as u64);
         if tracked > 0 {
@@ -432,7 +410,9 @@ impl SketchStage {
         }
     }
 
-    pub(crate) fn stats(&self) -> SketchStats {
+    /// The stage's statistics; `flow` is the table it admits into, whose
+    /// budget-eviction count is the stage's `evicted`.
+    pub(crate) fn stats(&self, flow: &FlowShard) -> SketchStats {
         SketchStats {
             tracked: self.book.len,
             max_tracked: self.max_tracked,
@@ -441,7 +421,7 @@ impl SketchStage {
             sketch_bytes: self.cms.bytes() + self.bloom.bytes(),
             promoted: self.counts.promoted,
             absorbed: self.counts.absorbed,
-            evicted: self.counts.evicted,
+            evicted: flow.events().evict_budget,
         }
     }
 }
