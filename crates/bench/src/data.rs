@@ -8,15 +8,14 @@
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 
-use iguard_flow::features::{packet_level_features, FeatureSet};
+use iguard_flow::features::FeatureSet;
 use iguard_synth::attacks::Attack;
 use iguard_synth::benign::benign_trace;
-use iguard_synth::trace::{extract_flows, ExtractConfig, LabeledFlows, Trace};
+use iguard_synth::trace::{extract_flows, first_packet_pl, ExtractConfig, LabeledFlows, Trace};
 
 /// Scenario sizing knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {
-    pub feature_set: FeatureSet,
     /// Benign flows in the training trace.
     pub train_flows: usize,
     /// Benign flows in each of the validation / test traces.
@@ -35,7 +34,6 @@ impl ScenarioConfig {
     /// CPU experiments: Magnifier-grade features, generous flows.
     pub fn cpu(seed: u64) -> Self {
         Self {
-            feature_set: FeatureSet::Magnifier,
             train_flows: 700,
             eval_flows: 280,
             attack_flows: 160,
@@ -53,7 +51,6 @@ impl ScenarioConfig {
     /// Testbed experiments: the 13 switch features only.
     pub fn testbed(seed: u64) -> Self {
         Self {
-            feature_set: FeatureSet::SwitchFl,
             train_flows: 700,
             eval_flows: 280,
             attack_flows: 160,
@@ -169,19 +166,6 @@ pub fn build_adv(
     Scenario { attack, train, val, test, test_trace, attack_flows, benign_first_pl }
 }
 
-/// PL features of the first packet of every flow in a trace.
-pub fn first_packet_pl(trace: &Trace) -> Dataset {
-    use std::collections::HashSet;
-    let mut seen = HashSet::new();
-    let mut out = Dataset::default();
-    for p in &trace.packets {
-        if seen.insert(p.five.canonical()) {
-            out.push_row(&packet_level_features(p));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,15 +203,5 @@ mod tests {
         let b = build(Attack::UdpDdos, &cfg);
         assert_eq!(a.train.features, b.train.features);
         assert_eq!(a.test.labels, b.test.labels);
-    }
-
-    #[test]
-    fn first_packet_pl_one_per_flow() {
-        let mut rng = Rng::seed_from_u64(2);
-        let t = benign_trace(25, 2.0, &mut rng);
-        let pl = first_packet_pl(&t);
-        let distinct: std::collections::HashSet<_> =
-            t.packets.iter().map(|p| p.five.canonical()).collect();
-        assert_eq!(pl.rows(), distinct.len());
     }
 }

@@ -8,7 +8,6 @@ use iguard_core::early::EarlyModel;
 use iguard_core::forest::{IGuardConfig, IGuardForest};
 use iguard_core::rules::{Hypercube, RuleSet};
 use iguard_core::teacher::OracleTeacher;
-use iguard_flow::features::packet_level_features;
 use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP, PROTO_UDP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::table::FlowTableConfig;
@@ -17,7 +16,7 @@ use iguard_runtime::rng::Rng;
 use iguard_switch::pipeline::PipelineConfig;
 use iguard_synth::attacks::Attack;
 use iguard_synth::benign::benign_trace;
-use iguard_synth::trace::{extract_flows, ExtractConfig, Trace};
+use iguard_synth::trace::{extract_flows, first_packet_pl, ExtractConfig, Trace};
 
 /// Pipeline config with a `slots`-per-table flow table and a 4-packet
 /// classification threshold.
@@ -183,13 +182,7 @@ pub fn trained_rules(seed: u64) -> (RuleSet, RuleSet) {
     forest.distill(&train.features, &teacher, ig.k_augment, &mut rng);
     let fl = RuleSet::from_iguard(&forest, 600_000).expect("FL rule budget");
 
-    let mut seen = std::collections::HashSet::new();
-    let mut first_packets = iguard_runtime::Dataset::default();
-    for p in &train_trace.packets {
-        if seen.insert(p.five.canonical()) {
-            first_packets.push_row(&packet_level_features(p));
-        }
-    }
+    let first_packets = first_packet_pl(&train_trace);
     let pl_cfg = IsolationForestConfig { n_trees: 10, subsample: 64, contamination: 0.05 };
     let early = EarlyModel::train(&first_packets, &pl_cfg, 600_000, &mut rng).expect("PL rules");
     (fl, early.rules)

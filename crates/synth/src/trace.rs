@@ -8,11 +8,11 @@
 //! truncation the switch imposes (paper §3.3.1), applied consistently to
 //! training and evaluation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use iguard_runtime::Dataset;
 
-use iguard_flow::features::{flow_features, FeatureSet};
+use iguard_flow::features::{flow_features, packet_level_features, FeatureSet};
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
 use iguard_flow::stats::FlowStats;
@@ -289,6 +289,20 @@ pub fn extract_flows(trace: &Trace, cfg: &ExtractConfig) -> LabeledFlows {
     out
 }
 
+/// Packet-level features of the first packet of every flow in a trace,
+/// in first-arrival order — the training rows of the early-packet
+/// (PL) model.
+pub fn first_packet_pl(trace: &Trace) -> Dataset {
+    let mut seen = HashSet::new();
+    let mut out = Dataset::default();
+    for p in &trace.packets {
+        if seen.insert(p.five.canonical()) {
+            out.push_row(&packet_level_features(p));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,5 +488,14 @@ mod tests {
         assert_eq!(t.total_bytes(), 300);
         assert!((t.duration_secs() - 1.0).abs() < 1e-9);
         assert!((t.malicious_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn first_packet_pl_one_per_flow() {
+        let mut rng = iguard_runtime::rng::Rng::seed_from_u64(2);
+        let t = crate::benign::benign_trace(25, 2.0, &mut rng);
+        let pl = first_packet_pl(&t);
+        let distinct: HashSet<_> = t.packets.iter().map(|p| p.five.canonical()).collect();
+        assert_eq!(pl.rows(), distinct.len());
     }
 }

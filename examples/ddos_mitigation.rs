@@ -10,6 +10,7 @@ use iguard::core::early::EarlyModel;
 use iguard::prelude::*;
 use iguard::switch::pipeline::PipelineConfig as SwitchPipelineConfig;
 use iguard::switch::replay::{ControlPlaneModel, ReplayConfig};
+use iguard::synth::trace::first_packet_pl;
 use iguard_iforest::IsolationForestConfig;
 use iguard_runtime::rng::Rng;
 
@@ -48,7 +49,7 @@ fn main() {
     let fl_rules = RuleSet::from_iguard(&forest, 400_000).expect("rule budget");
     // Early-packet PL model for the brown path.
     let pl_trace = benign_trace(300, 10.0, &mut rng);
-    let pl_feats = iguard_bench_first_packets(&pl_trace);
+    let pl_feats = first_packet_pl(&pl_trace);
     let pl_cfg = IsolationForestConfig { n_trees: 10, subsample: 64, contamination: 0.05 };
     let early = EarlyModel::train(&pl_feats, &pl_cfg, 400_000, &mut rng).expect("PL rules");
     println!("  {} FL rules, {} PL rules installed", fl_rules.len(), early.n_rules());
@@ -95,17 +96,4 @@ fn main() {
         "throughput {:.2} Gbps, avg latency {:.1} ns, digest bandwidth {:.1} KBps",
         report.throughput_gbps, report.avg_latency_ns, report.digest_kbps
     );
-}
-
-/// PL features of each flow's first packet.
-fn iguard_bench_first_packets(trace: &Trace) -> iguard_runtime::Dataset {
-    use std::collections::HashSet;
-    let mut seen = HashSet::new();
-    let mut out = iguard_runtime::Dataset::default();
-    for p in &trace.packets {
-        if seen.insert(p.five.canonical()) {
-            out.push_row(&iguard::flow::features::packet_level_features(p));
-        }
-    }
-    out
 }
