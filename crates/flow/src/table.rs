@@ -165,15 +165,6 @@ impl FlowTableStats {
             self.occupancy as f64 / self.capacity as f64
         }
     }
-
-    /// Element-wise sum — merging per-shard stats into a table-wide view.
-    pub fn merge(&self, other: &Self) -> Self {
-        Self {
-            occupancy: self.occupancy + other.occupancy,
-            capacity: self.capacity + other.capacity,
-            collision_packets: self.collision_packets + other.collision_packets,
-        }
-    }
 }
 
 /// Point-in-time pressure summary of one shard (or a merge of many): the
@@ -195,8 +186,8 @@ pub struct PressureStats {
     pub collision_window_hwm: u64,
     /// Most displacements in one completed window. Max over shards.
     pub eviction_window_hwm: u64,
-    /// Total residents displaced by newer flows (timed-out or classified
-    /// slot reuse) plus budget evictions. Summed over shards.
+    /// Residents pushed out of their slot: the classified, timed-out and
+    /// budget evictions of [`FlowEvents`]. Summed over shards.
     pub evictions: u64,
 }
 
@@ -205,6 +196,7 @@ impl PressureStats {
     /// high-water marks take the max (pressure is a per-shard signal — one
     /// hot shard must stay visible in the aggregate), while occupancy
     /// high-water and eviction totals sum.
+    #[inline]
     pub fn merge(&self, other: &Self) -> Self {
         Self {
             pressure_milli: self.pressure_milli.max(other.pressure_milli),
@@ -298,10 +290,31 @@ pub struct FlowEvents {
     pub install: u64,
     /// Classified residents displaced by a colliding flow.
     pub evict_classified: u64,
+    /// Timed-out residents displaced by a newly admitted flow.
+    pub evict_timeout: u64,
     /// Packets that found both slots held (orange path).
     pub collision: u64,
     /// Residents released by [`FlowShard::evict_at`].
     pub evict_budget: u64,
+}
+
+impl FlowEvents {
+    /// Field-wise sum — merging per-shard counts.
+    #[inline]
+    pub fn merge(&self, o: &Self) -> Self {
+        Self {
+            classified: self.classified + o.classified,
+            ready_timeout: self.ready_timeout + o.ready_timeout,
+            ready: self.ready + o.ready,
+            phase_ready: self.phase_ready + o.phase_ready,
+            early: self.early + o.early,
+            install: self.install + o.install,
+            evict_classified: self.evict_classified + o.evict_classified,
+            evict_timeout: self.evict_timeout + o.evict_timeout,
+            collision: self.collision + o.collision,
+            evict_budget: self.evict_budget + o.evict_budget,
+        }
+    }
 }
 
 /// Advances a resident flow by one packet — the state machine behind
@@ -372,8 +385,6 @@ pub struct FlowShard {
     resident: usize,
     /// Most resident flows ever held at once.
     occupancy_hwm: usize,
-    /// Residents displaced by newer flows plus budget evictions (total).
-    evictions: u64,
     /// Packets observed in the current churn window.
     win_obs: u64,
     /// Collision packets in the current churn window.
@@ -416,7 +427,6 @@ impl FlowShard {
             events: FlowEvents::default(),
             resident: 0,
             occupancy_hwm: 0,
-            evictions: 0,
             win_obs: 0,
             win_collisions: 0,
             win_evictions: 0,
@@ -467,10 +477,7 @@ impl FlowShard {
                 self.resident += 1;
                 self.occupancy_hwm = self.occupancy_hwm.max(self.resident);
             }
-            SlotClaim::Displaced(..) => {
-                self.evictions += 1;
-                self.win_evictions += 1;
-            }
+            SlotClaim::Displaced(..) => self.win_evictions += 1,
             SlotClaim::Unclaimed => {}
         }
     }
@@ -491,6 +498,7 @@ impl FlowShard {
 
     /// Pressure + high-water-mark summary of this shard.
     pub fn pressure_stats(&self) -> PressureStats {
+        let e = &self.events;
         PressureStats {
             pressure_milli: self.pressure_milli(),
             churn_milli: self.churn_milli,
@@ -498,7 +506,7 @@ impl FlowShard {
             occupancy_hwm: self.occupancy_hwm,
             collision_window_hwm: self.collision_window_hwm,
             eviction_window_hwm: self.eviction_window_hwm,
-            evictions: self.evictions,
+            evictions: e.evict_classified + e.evict_timeout + e.evict_budget,
         }
     }
 
@@ -598,6 +606,7 @@ impl FlowShard {
             let claim = match slot_opt {
                 None => Some(SlotClaim::Fresh(pos as u32)),
                 Some(s) if s.stats.timed_out(now_ns, self.cfg.timeout_ns) => {
+                    self.events.evict_timeout += 1;
                     Some(SlotClaim::Displaced(s.key, pos as u32))
                 }
                 Some(_) => None,
@@ -659,7 +668,6 @@ impl FlowShard {
             return false;
         }
         self.resident -= 1;
-        self.evictions += 1;
         self.events.evict_budget += 1;
         true
     }
@@ -747,10 +755,11 @@ impl FlowShard {
         2 * self.cfg.slots_per_table
     }
 
-    /// Occupancy + collision summary for this shard.
+    /// Occupancy + collision summary for this shard. O(1) in every build:
+    /// no [`FlowShard::occupancy`] debug slot scan, so snapshots stay cheap.
     pub fn stats(&self) -> FlowTableStats {
         FlowTableStats {
-            occupancy: self.occupancy(),
+            occupancy: self.resident,
             capacity: self.capacity(),
             collision_packets: self.events.collision,
         }
@@ -1089,6 +1098,26 @@ mod tests {
         assert_eq!(m.collision_window_hwm, 100);
         assert_eq!(m.eviction_window_hwm, 9);
         assert_eq!(m.evictions, 9);
+    }
+
+    #[test]
+    fn each_eviction_kind_is_counted_once() {
+        // One slot per table: every flow competes for positions 0 and 1.
+        let small = FlowTableConfig { slots_per_table: 1, pkt_threshold: 100, ..cfg() };
+        let mut t = FlowShard::new(small);
+        let _ = t.observe(&pkt(1, 0), 0);
+        let _ = t.observe(&pkt(2, 0), 0);
+        // Flow 1 is labelled, so flow 3 displaces it from position 0.
+        assert!(t.set_label(&pkt(1, 0).five, true));
+        let _ = t.observe(&pkt(3, 0), 0);
+        // The budget releases flow 2 from position 1.
+        assert!(t.evict_at(1));
+        // 5 s later flow 3 has timed out and flow 4 takes its slot.
+        let _ = t.observe(&pkt(4, 5000), 5_000_000_000);
+        let e = t.events();
+        assert_eq!((e.evict_classified, e.evict_timeout, e.evict_budget), (1, 1, 1));
+        assert_eq!(t.pressure_stats().evictions, 3);
+        assert_eq!(t.occupancy(), 1);
     }
 
     #[test]

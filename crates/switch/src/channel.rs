@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(dp.ruleset_version(), 1);
         // Retrying a delivered version is an idempotent no-op.
         ch.send_ruleset(&mut dp, &txn, 6).expect("replay is idempotent");
-        assert_eq!(dp.ruleset_counters().replayed, 1);
+        assert_eq!(dp.stats().ruleset.replayed, 1);
         assert_eq!((ch.sends(), ch.failures()), (3, 1));
     }
 

@@ -4,7 +4,7 @@
 //! classified — serially, across shards, or behind a sketch admission
 //! stage — only that a backend can consume packet batches, surface the
 //! digests those batches produced **in packet arrival order**, accept
-//! control-plane commands, and report its counters. Everything downstream
+//! control-plane commands, and report its counts. Everything downstream
 //! (controller feedback, the confusion matrix, the telemetry report) is
 //! expressed against this trait, which is what makes backends
 //! interchangeable and byte-comparable.
@@ -17,31 +17,24 @@
 //! ## Contract
 //!
 //! * `process_batch` appends one outcome per packet, in input order, and
-//!   advances `packets_processed` by the batch length.
-//! * `drain_seq_digests_into` yields every digest generated since the
-//!   last drain, ordered by the arrival sequence number of the generating
-//!   packet — **not** by worker/shard completion order. Two backends fed
-//!   the same packets with the same control feedback must produce the
-//!   same digest stream.
-//! * `apply` takes effect before the next `process_batch` call; backends
-//!   need not support mid-batch rule changes (hardware installs rules
-//!   between packets too, just at a finer grain).
-//!
-//! `process_batch` and `classify_batch` are the **primary** entry points:
-//! `Pipeline` classifies each batch in fixed 1024-row chunks, resolving
-//! the stateless lookups of a chunk with one batched index probe over
-//! feature columns, in every layout, so callers should hand over the
-//! largest batches their latency budget allows.
-//! Per-packet processing is just a batch of one (the `ScalarPipeline`
-//! oracle is the per-packet baseline). An empty batch is a no-op.
-//!
-//! The counter getters read the only tally of each event; `Pipeline`
-//! publishes the registry's event counters from the same fields at the
-//! end of each batch, bulk classification and ruleset call (DESIGN.md §18).
+//!   counts each packet on exactly one path of `stats().paths`. An empty
+//!   batch is a no-op. Per-packet processing is a batch of one.
+//! * `drain_seq_digests_into` orders digests by the arrival sequence
+//!   number of the generating packet, **not** by worker/shard completion
+//!   order: two backends fed the same packets with the same control
+//!   feedback produce the same digest stream.
+//! * `apply` and `apply_ruleset` take effect before the next
+//!   `process_batch` call; backends need not support mid-batch rule
+//!   changes (hardware installs rules between packets too, just at a
+//!   finer grain).
+//! * [`DataPlane::stats`] returns one [`DataPlaneStats`] snapshot, the
+//!   only tally of each event, which the per-figure getters project.
+//!   `Pipeline` builds it in one walk of its logical shards and publishes
+//!   the registry from the difference of two snapshots (DESIGN.md §18).
 
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_flow::packet::Packet;
-use iguard_flow::table::{FlowTableStats, PressureStats};
+use iguard_flow::table::{FlowEvents, FlowShard, FlowTableStats, PressureStats};
 use iguard_runtime::Dataset;
 
 use iguard_core::error::SwitchError;
@@ -50,8 +43,8 @@ use crate::pipeline::{ControlAction, PathCounters, ProcessOutcome, SeqDigest, Wh
 use crate::ruleset::{RulesetCounters, RulesetTxn};
 
 /// Occupancy and approximation statistics of the sketched layout (see
-/// `crate::sketched`). Exact layouts report `None` from
-/// [`DataPlane::sketch_stats`].
+/// `crate::sketched`), projected by [`DataPlaneStats::sketch_stats`].
+/// Exact layouts report `None`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SketchStats {
     /// Flows currently holding an exact table slot.
@@ -107,6 +100,7 @@ pub struct OverloadStats {
 impl OverloadStats {
     /// Folds another shard's view into this one (sum events, merge
     /// pressure, max the buffer high-water mark).
+    #[inline]
     pub fn merge(&self, other: &Self) -> Self {
         Self {
             pressure: self.pressure.merge(&other.pressure),
@@ -122,14 +116,106 @@ impl OverloadStats {
     }
 }
 
+/// The sketch stage's part of a [`DataPlaneStats`]: the fields of
+/// [`SketchStats`] that the stage itself holds, which mean what they mean
+/// there. `resident_bytes` follows from `tracked`, and budget evictions
+/// are the flow table's ([`FlowEvents::evict_budget`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SketchView {
+    pub tracked: usize,
+    pub max_tracked: usize,
+    pub budget_bytes: Option<usize>,
+    pub sketch_bytes: usize,
+    pub promoted: u64,
+    pub absorbed: u64,
+    /// Sketch windows cleared.
+    pub window_resets: u64,
+}
+
+/// One point-in-time read of every count a data plane keeps, which the
+/// getters project and the registry publish step renders. Each event is
+/// held once: `collision_packets` and the sketch's `evicted` are projected
+/// from `events`; `overload.pressure.evictions` sums its three kinds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DataPlaneStats {
+    /// Per-path packet counts; every packet offered takes one path, so
+    /// [`PathCounters::total_offered`] is the packets processed.
+    pub paths: PathCounters,
+    /// Whitelist-index lookups and hits, bulk classification included.
+    /// Pipeline-scoped (the group scratches), so zero in a shard view.
+    pub whitelist: WhitelistCounters,
+    /// Flow-table event counts.
+    pub events: FlowEvents,
+    /// Phase-boundary looks that convicted their flow.
+    pub phase_convicted: u64,
+    /// Occupied slots across both hash tables.
+    pub occupancy: usize,
+    /// Slot capacity across both hash tables.
+    pub capacity: usize,
+    /// Pressure view, degraded-mode residency and digest shedding.
+    pub overload: OverloadStats,
+    /// The sketch stage (sketched layout only).
+    pub sketch: Option<SketchView>,
+    /// Ruleset transaction lifecycle. Pipeline-scoped (the match engine),
+    /// so zero in a shard view.
+    pub ruleset: RulesetCounters,
+}
+
+impl DataPlaneStats {
+    /// Folds another shard's snapshot into this one: counts and occupancy
+    /// marks sum, rates and collision-window marks take the max (see
+    /// [`PressureStats::merge`]). A data plane has at most one sketch
+    /// stage, so at most one side carries a sketch view.
+    #[inline]
+    pub fn merge(&self, o: &Self) -> Self {
+        debug_assert!(self.sketch.is_none() || o.sketch.is_none(), "two sketch stages");
+        Self {
+            paths: self.paths.merge(&o.paths),
+            whitelist: self.whitelist.merge(&o.whitelist),
+            events: self.events.merge(&o.events),
+            phase_convicted: self.phase_convicted + o.phase_convicted,
+            occupancy: self.occupancy + o.occupancy,
+            capacity: self.capacity + o.capacity,
+            overload: self.overload.merge(&o.overload),
+            sketch: self.sketch.or(o.sketch),
+            ruleset: self.ruleset.merge(&o.ruleset),
+        }
+    }
+
+    /// Occupancy and collision summary of the flow tables.
+    pub fn flow_table(&self) -> FlowTableStats {
+        FlowTableStats {
+            occupancy: self.occupancy,
+            capacity: self.capacity,
+            collision_packets: self.events.collision,
+        }
+    }
+
+    /// The sketch stage's statistics; `None` for exact layouts.
+    pub fn sketch_stats(&self) -> Option<SketchStats> {
+        self.sketch.map(|s| SketchStats {
+            tracked: s.tracked,
+            max_tracked: s.max_tracked,
+            resident_bytes: s.tracked * FlowShard::slot_bytes(),
+            budget_bytes: s.budget_bytes,
+            sketch_bytes: s.sketch_bytes,
+            promoted: s.promoted,
+            absorbed: s.absorbed,
+            evicted: self.events.evict_budget,
+        })
+    }
+}
+
 /// A switch data-plane backend.
 pub trait DataPlane {
     /// Classifies a batch, appending one [`ProcessOutcome`] per packet in
     /// input order. Implementations clear `out` first; the caller owns the
     /// buffer so the hot loop reuses its allocation. This is the primary
-    /// ingest path: `Pipeline` defers the stateless lookups of each chunk
-    /// to one batched index probe, and results are byte-identical to
-    /// per-packet processing at any batch size.
+    /// ingest path: `Pipeline` cuts each batch into fixed 1024-row chunks
+    /// and resolves a chunk's stateless lookups with one batched index
+    /// probe, so callers should hand over the largest batches their
+    /// latency budget allows; results are byte-identical to per-packet
+    /// processing at any batch size.
     fn process_batch(&mut self, pkts: &[Packet], out: &mut Vec<ProcessOutcome>);
 
     /// Appends the digests accumulated since the last drain, in packet
@@ -158,10 +244,6 @@ pub trait DataPlane {
     /// transaction is applied).
     fn ruleset_version(&self) -> u64;
 
-    /// Lifecycle accounting of the ruleset transactions seen so far
-    /// (entries installed/removed, swaps, replayed no-ops, stale rejects).
-    fn ruleset_counters(&self) -> RulesetCounters;
-
     /// The installed blacklist in canonical sorted order — equality checks
     /// across backends, and the source a crashed controller rebuilds its
     /// install map from.
@@ -175,13 +257,6 @@ pub trait DataPlane {
     /// the missed installs and storage releases.
     fn resync_labeled_into(&mut self, out: &mut Vec<SeqDigest>);
 
-    /// Aggregate per-path packet counters.
-    fn counters(&self) -> PathCounters;
-
-    /// Aggregate whitelist-index lookup counters (FL + PL lookups and
-    /// hits). Deterministic across worker counts and shard groupings.
-    fn whitelist_counters(&self) -> WhitelistCounters;
-
     /// Classifies raw 13-feature FL rows in bulk through the compiled
     /// whitelist index (`true` = malicious, i.e. no whitelist rule
     /// matched), applying the backend's configured log-compress map.
@@ -190,22 +265,46 @@ pub trait DataPlane {
     /// per-packet FL decision — same rules, same index, same scratch reuse.
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>);
 
-    /// Aggregate flow-table occupancy/collision statistics.
-    fn flow_table_stats(&self) -> FlowTableStats;
+    /// Every count the backend keeps, as one snapshot. Deterministic
+    /// across worker counts and shard groupings.
+    fn stats(&self) -> DataPlaneStats;
 
-    /// Number of blacklist entries currently installed.
+    /// Blacklist entries installed, read from the live sets without a full
+    /// snapshot: the action channel asks on every install under a finite TCAM.
     fn blacklist_len(&self) -> usize;
 
-    /// Total packets offered to `process_batch` (and `process`) so far.
-    fn packets_processed(&self) -> u64;
-
-    /// Sketch-occupancy statistics; `None` for exact layouts (the
-    /// default), `Some` for the sketched one.
-    fn sketch_stats(&self) -> Option<SketchStats> {
-        None
+    /// Per-path packet counters. Goes when Benchmark v2 moves `perf`.
+    fn counters(&self) -> PathCounters {
+        self.stats().paths
     }
 
-    /// Overload-layer statistics: merged pressure view, degraded-mode
-    /// residency, and digest-shedding counts.
-    fn overload_stats(&self) -> OverloadStats;
+    /// Whitelist-index lookup counters. Goes when Benchmark v2 moves `perf`.
+    fn whitelist_counters(&self) -> WhitelistCounters {
+        self.stats().whitelist
+    }
+
+    /// Flow-table occupancy and collisions. Goes when Benchmark v2 moves `perf`.
+    fn flow_table_stats(&self) -> FlowTableStats {
+        self.stats().flow_table()
+    }
+
+    /// Overload-layer statistics. Goes when Benchmark v2 moves `perf`.
+    fn overload_stats(&self) -> OverloadStats {
+        self.stats().overload
+    }
+
+    /// Sketch statistics, if any. Goes when Benchmark v2 moves `perf`.
+    fn sketch_stats(&self) -> Option<SketchStats> {
+        self.stats().sketch_stats()
+    }
+
+    /// Ruleset lifecycle counters. Goes when Benchmark v2 moves `perf`.
+    fn ruleset_counters(&self) -> RulesetCounters {
+        self.stats().ruleset
+    }
+
+    /// Packets offered so far. Goes when Benchmark v2 moves `perf`.
+    fn packets_processed(&self) -> u64 {
+        self.stats().paths.total_offered()
+    }
 }

@@ -28,8 +28,8 @@
 //!   collision/orange, early-decision/purple, loopback/green), digest
 //!   emission, and loopback mirroring: [`Pipeline`], the one data plane
 //!   for every layout, and [`ScalarPipeline`], its per-packet oracle.
-//! * [`data_plane`] — the [`DataPlane`] trait both implement; the
-//!   controller and replay harness are generic over it.
+//! * [`data_plane`] — the [`DataPlane`] trait both implement and its
+//!   [`DataPlaneStats`] snapshot; controller and replay are generic over it.
 //! * [`sharded`] — the sharded layout ([`ShardedPipelineConfig`]): the
 //!   same pipeline partitioned across logical shards and driven on the
 //!   runtime's worker pool, with deterministic (sequence-ordered) digest
@@ -70,7 +70,7 @@ pub use channel::{ActionChannel, ChannelStats, DigestChannel};
 pub use controller::{
     Controller, ControllerConfig, ControllerSnapshot, EvictionPolicy, RetryPolicy,
 };
-pub use data_plane::{DataPlane, OverloadStats, SketchStats};
+pub use data_plane::{DataPlane, DataPlaneStats, OverloadStats, SketchStats, SketchView};
 pub use pipeline::{
     Layout, OverloadConfig, PacketVerdict, PathTaken, Pipeline, PipelineConfig, ScalarPipeline,
     SeqDigest, WhitelistCounters, RESYNC_SEQ_BASE,

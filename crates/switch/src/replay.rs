@@ -726,7 +726,7 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
     mut mitigation: Option<&mut MitigationLog>,
 ) -> Result<ReplayReport, IguardError> {
     let mut report = ReplayReport::default();
-    let wl_start = data_plane.whitelist_counters();
+    let wl_start = data_plane.stats().whitelist;
     let mut latency_total = 0.0f64;
     let base_ns = cfg.latency.base_ns();
     let batch_size = cfg.batch_size.max(1);
@@ -877,7 +877,7 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
         }
     }
 
-    let wl_end = data_plane.whitelist_counters();
+    let wl_end = data_plane.stats().whitelist;
     report.wl_lookups = wl_end.lookups - wl_start.lookups;
     report.wl_hits = wl_end.hits - wl_start.hits;
 

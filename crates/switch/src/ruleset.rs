@@ -237,6 +237,19 @@ pub struct RulesetCounters {
     pub replayed: u64,
 }
 
+impl RulesetCounters {
+    /// Field-wise sum.
+    pub fn merge(&self, o: &Self) -> Self {
+        Self {
+            installed: self.installed + o.installed,
+            removed: self.removed + o.removed,
+            swaps: self.swaps + o.swaps,
+            stale: self.stale + o.stale,
+            replayed: self.replayed + o.replayed,
+        }
+    }
+}
+
 /// Applies a delta to `base`, producing the successor table in canonical
 /// order. Fails with [`SwitchError::StaleRuleset`] when the delta does
 /// not fit the base — a remove names an entry the base does not hold, or

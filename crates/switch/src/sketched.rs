@@ -53,7 +53,7 @@ use iguard_flow::table::{FlowShard, InsertOutcome, SlotClaim};
 use iguard_runtime::rng::Rng;
 use iguard_telemetry::histogram;
 
-use crate::data_plane::SketchStats;
+use crate::data_plane::SketchView;
 use crate::pipeline::{OverloadState, Pipeline, PipelineConfig};
 
 /// Victim-selection policy of the budgeted exact table.
@@ -267,17 +267,6 @@ impl EvictionBook {
     }
 }
 
-/// Sketch event totals, read by [`SketchStats`] and published to the
-/// registry by the owning [`Pipeline`]. Budget evictions are the flow
-/// table's own count ([`iguard_flow::table::FlowEvents::evict_budget`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SketchCounts {
-    pub(crate) promoted: u64,
-    pub(crate) absorbed: u64,
-    /// Sketch windows cleared (`switch.sketch.window_reset`).
-    pub(crate) window_resets: u64,
-}
-
 /// The sketch admission stage of the sketched layout — see the module
 /// docs. It lives in the layout's one [`crate::pipeline::ShardState`] and
 /// is consulted only at the flow table's untracked seam
@@ -288,25 +277,32 @@ pub(crate) struct SketchStage {
     cms: CountMinSketch,
     bloom: BloomFilter,
     book: EvictionBook,
-    max_tracked: usize,
     window_left: u64,
-    pub(crate) counts: SketchCounts,
+    /// The stage's sizes and counts in the shape it reports them; `tracked`
+    /// is filled in by [`SketchStage::view`].
+    view: SketchView,
 }
 
 impl SketchStage {
     /// A stage in front of a flow table of `positions` slots (both hash
     /// tables), which sizes the eviction book.
     pub(crate) fn new(cfg: SketchedPipelineConfig, positions: usize) -> Self {
-        Self {
-            cms: CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed),
-            bloom: BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9),
-            book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1), positions),
+        let cms = CountMinSketch::new(cfg.cms_width, cfg.cms_depth, cfg.seed);
+        let bloom = BloomFilter::new(cfg.bloom_bits, cfg.bloom_hashes, cfg.seed ^ 0x9E37_79B9);
+        let view = SketchView {
             max_tracked: cfg
                 .budget_bytes
-                .map(|b| (b / FlowShard::slot_bytes()).max(1))
-                .unwrap_or(usize::MAX),
+                .map_or(usize::MAX, |b| (b / FlowShard::slot_bytes()).max(1)),
+            budget_bytes: cfg.budget_bytes,
+            sketch_bytes: cms.bytes() + bloom.bytes(),
+            ..SketchView::default()
+        };
+        Self {
+            book: EvictionBook::new(cfg.eviction, cfg.seed.wrapping_add(1), positions),
             window_left: cfg.window_packets.get(),
-            counts: SketchCounts::default(),
+            cms,
+            bloom,
+            view,
             cfg,
         }
     }
@@ -341,14 +337,14 @@ impl SketchStage {
     ) -> Option<InsertOutcome> {
         if self.cfg.promote_threshold > 1 {
             if !self.sketch_admit(&key, flow.pressure_milli(), overload) {
-                self.counts.absorbed += 1;
+                self.view.absorbed += 1;
                 return None;
             }
-            self.counts.promoted += 1;
+            self.view.promoted += 1;
         }
         // Budget: make room *before* claiming, so the tracked set never
         // exceeds the cap even transiently.
-        while self.book.len >= self.max_tracked {
+        while self.book.len >= self.view.max_tracked {
             let Some(victim) = self.book.pop_victim() else { break };
             let released = flow.evict_at(victim);
             debug_assert!(released, "eviction book out of sync with table");
@@ -376,7 +372,7 @@ impl SketchStage {
             self.cms.clear();
             self.bloom.clear();
             self.window_left = self.cfg.window_packets.get();
-            self.counts.window_resets += 1;
+            self.view.window_resets += 1;
         }
         self.window_left -= 1;
         let seen = self.bloom.insert(key);
@@ -395,7 +391,7 @@ impl SketchStage {
         if est >= base && est < eff {
             // Would have been admitted at the calm threshold — rejected
             // only because pressure raised the bar.
-            o.admission_tightened += 1;
+            o.counts.admission_tightened += 1;
         }
         est >= eff
     }
@@ -405,24 +401,14 @@ impl SketchStage {
         let tracked = self.book.len;
         histogram!("switch.sketch.occupancy").record(tracked as u64);
         if tracked > 0 {
-            let bytes = tracked * FlowShard::slot_bytes() + self.cms.bytes() + self.bloom.bytes();
+            let bytes = tracked * FlowShard::slot_bytes() + self.view.sketch_bytes;
             histogram!("switch.sketch.bytes_per_flow").record((bytes / tracked) as u64);
         }
     }
 
-    /// The stage's statistics; `flow` is the table it admits into, whose
-    /// budget-eviction count is the stage's `evicted`.
-    pub(crate) fn stats(&self, flow: &FlowShard) -> SketchStats {
-        SketchStats {
-            tracked: self.book.len,
-            max_tracked: self.max_tracked,
-            resident_bytes: self.book.len * FlowShard::slot_bytes(),
-            budget_bytes: self.cfg.budget_bytes,
-            sketch_bytes: self.cms.bytes() + self.bloom.bytes(),
-            promoted: self.counts.promoted,
-            absorbed: self.counts.absorbed,
-            evicted: flow.events().evict_budget,
-        }
+    /// The stage's part of its shard's snapshot.
+    pub(crate) fn view(&self) -> SketchView {
+        SketchView { tracked: self.book.len, ..self.view }
     }
 }
 

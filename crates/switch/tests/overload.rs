@@ -16,7 +16,7 @@ use iguard_flow::table::{FlowShard, FlowTableConfig, InsertOutcome};
 use iguard_runtime::par::with_workers;
 use iguard_runtime::proptest_lite;
 use iguard_runtime::rng::Rng;
-use iguard_switch::data_plane::OverloadStats;
+use iguard_switch::data_plane::{DataPlaneStats, OverloadStats};
 use iguard_switch::pipeline::{
     ControlAction, PathTaken, Pipeline, PipelineConfig, ProcessOutcome, SeqDigest, FINAL_PHASE,
 };
@@ -339,9 +339,57 @@ fn degraded_shards_recover_after_storm() {
     assert!(after.degraded_batches >= after.degraded_entries);
 
     // The merged view is exactly the sum of the per-shard views.
-    let views = dp.shard_overload_views();
+    let views = dp.shard_stats();
     assert_eq!(views.len(), LOGICAL_SHARDS);
-    let summed = views.iter().fold(OverloadStats::default(), |acc, v| acc.merge(v));
+    let summed = views.iter().fold(OverloadStats::default(), |acc, v| acc.merge(&v.overload));
     assert_eq!(summed, after);
-    assert!(views.iter().all(|v| v.degraded_shards == 0));
+    assert!(views.iter().all(|v| v.overload.degraded_shards == 0));
+}
+
+proptest_lite! {
+    /// The shard snapshots are the exact constituents of the pipeline's
+    /// own at 1, 2 and 8 physical groupings: folded with
+    /// `DataPlaneStats::merge` they give `stats()` back, once the two
+    /// pipeline-scoped parts every shard view reads as zero (whitelist
+    /// lookups, ruleset lifecycle) are added. Each shard's view is the
+    /// same at every grouping.
+    fn shard_stats_fold_to_the_pipeline_snapshot(rng, cases = 6) {
+        let pcfg = PipelineConfig::default().with_flow_table(
+            FlowTableConfig::default()
+                .with_slots_per_table(rng.gen_range(16usize..256))
+                .with_pkt_threshold(rng.gen_range(3u64..6))
+                .with_phases(PhaseSchedule::new(&[2])),
+        );
+        let flows = rng.gen_range(50u32..2_000);
+        let mut ts = 0u64;
+        let pkts: Vec<Packet> = (0..rng.gen_range(500usize..5_000))
+            .map(|_| {
+                ts += rng.gen_range(0u64..5_000_000);
+                pkt(rng.gen_range(0..flows), ts, rng.gen_range(60u16..1500))
+            })
+            .collect();
+        let batch = rng.gen_range(1usize..1500);
+        let mut first: Option<Vec<DataPlaneStats>> = None;
+        for shards in [1, 2, 8] {
+            let cfg = ShardedPipelineConfig::from(pcfg).with_shards(shards);
+            let mut dp = ShardedPipeline::new(cfg, accept_all(13), accept_all(4));
+            dp.set_phase_rulesets(&[fl_mean_size_below(800.0)]);
+            let mut out = Vec::new();
+            for chunk in pkts.chunks(batch) {
+                dp.process_batch(chunk, &mut out);
+            }
+            let (all, views) = (dp.stats(), dp.shard_stats());
+            assert_eq!(views.len(), LOGICAL_SHARDS);
+            assert!(views.iter().all(|v| v.whitelist == Default::default()));
+            let folded = views.iter().fold(DataPlaneStats::default(), |acc, v| acc.merge(v));
+            let scoped =
+                DataPlaneStats { whitelist: all.whitelist, ruleset: all.ruleset, ..folded };
+            assert_eq!(scoped, all, "fold of shard views != stats() at {shards} groups");
+            assert!(all.phase_convicted > 0 && all.events.collision > 0, "{all:?}");
+            match &first {
+                None => first = Some(views),
+                Some(base) => assert_eq!(&views, base, "shard views moved at {shards} groups"),
+            }
+        }
+    }
 }

@@ -1,10 +1,11 @@
 //! Registry parity: each backend replays one fixed storm-plus-mixed trace
 //! (phase rulesets live, one ruleset diff mid-stream, one bulk
-//! classification), and every registry counter that mirrors a
-//! [`DataPlane`] figure must advance by exactly that figure. Counters
-//! with no `DataPlane` twin (flow-table event kinds, phase outcomes,
-//! sketch window resets, the collision high-water mark) are pinned as
-//! literals per layout.
+//! classification), and every published registry counter must advance by
+//! exactly its field of the backend's [`DataPlane::stats`] snapshot, read
+//! through a name-to-field table written here, not the pipeline's own.
+//! Fourteen counters are also pinned as literals per layout, recorded
+//! before the snapshot existed; `switch.phase.rulesets_installed`, bumped
+//! directly by `set_phase_rulesets`, has only its pin.
 //!
 //! The registry is process-global, so this suite is its own test binary
 //! holding a single test; each backend reads its own registry delta.
@@ -97,7 +98,7 @@ fn counters() -> BTreeMap<String, u64> {
     iguard_telemetry::registry::snapshot_unchecked().counters
 }
 
-/// Counters with no `DataPlane` twin, in the order the pins list them.
+/// Counters pinned as literals, in the order the pins list them.
 const PINNED: [&str; 14] = [
     "flow.table.classified",
     "flow.table.ready",
@@ -116,8 +117,8 @@ const PINNED: [&str; 14] = [
 ];
 
 /// Builds a backend with `make`, runs it through [`drive`] and checks its
-/// registry delta: every mirrored counter against the backend's own
-/// figure, every [`PINNED`] counter against `pins`.
+/// registry delta: every published counter against its snapshot field,
+/// every [`PINNED`] counter against `pins`.
 fn check<D: DataPlane>(
     what: &str,
     make: impl FnOnce() -> D,
@@ -132,20 +133,30 @@ fn check<D: DataPlane>(
     let delta =
         |name: &str| after.get(name).copied().unwrap_or(0) - before.get(name).copied().unwrap_or(0);
 
-    let paths = dp.counters();
-    let wl = dp.whitelist_counters();
-    let ov = dp.overload_stats();
-    let sk = dp.sketch_stats().unwrap_or_default();
-    let rs = dp.ruleset_counters();
+    let s = dp.stats();
+    let (p, wl, e, ov, rs) = (&s.paths, &s.whitelist, &s.events, &s.overload, &s.ruleset);
+    let sk = s.sketch.unwrap_or_default();
     let mirrored = [
-        ("switch.pipeline.path.blacklist", paths.blacklist),
-        ("switch.pipeline.path.brown", paths.brown),
-        ("switch.pipeline.path.blue", paths.blue),
-        ("switch.pipeline.path.orange", paths.orange),
-        ("switch.pipeline.path.purple", paths.purple),
-        ("switch.pipeline.path.green_loopback", paths.green_loopback),
+        ("switch.pipeline.path.blacklist", p.blacklist),
+        ("switch.pipeline.path.brown", p.brown),
+        ("switch.pipeline.path.blue", p.blue),
+        ("switch.pipeline.path.orange", p.orange),
+        ("switch.pipeline.path.purple", p.purple),
+        ("switch.pipeline.path.green_loopback", p.green_loopback),
         ("core.rule_index.lookup", wl.lookups),
         ("core.rule_index.hit", wl.hits),
+        ("flow.table.classified", e.classified),
+        ("flow.table.ready", e.ready),
+        ("flow.table.ready_timeout", e.ready_timeout),
+        ("flow.table.phase_ready", e.phase_ready),
+        ("flow.table.early", e.early),
+        ("flow.table.install", e.install),
+        ("flow.table.evict_classified", e.evict_classified),
+        ("flow.table.evict_budget", e.evict_budget),
+        ("flow.table.collision", s.flow_table().collision_packets),
+        ("switch.phase.boundary", e.phase_ready),
+        ("switch.phase.escalated", e.phase_ready - s.phase_convicted),
+        ("switch.phase.convicted", s.phase_convicted),
         ("switch.overload.degraded_enter", ov.degraded_entries),
         ("switch.overload.degraded_exit", ov.degraded_exits),
         ("switch.overload.shed_benign", ov.shed_benign),
@@ -153,18 +164,18 @@ fn check<D: DataPlane>(
         ("switch.overload.admission_tightened", ov.admission_tightened),
         ("switch.sketch.promoted", sk.promoted),
         ("switch.sketch.absorbed", sk.absorbed),
-        ("switch.sketch.evicted", sk.evicted),
+        ("switch.sketch.evicted", s.sketch_stats().map_or(0, |k| k.evicted)),
+        ("switch.sketch.window_reset", sk.window_resets),
         ("switch.ruleset.installed", rs.installed),
         ("switch.ruleset.removed", rs.removed),
         ("switch.ruleset.swaps", rs.swaps),
         ("switch.ruleset.stale", rs.stale),
         ("switch.ruleset.replayed", rs.replayed),
-        ("flow.table.collision", dp.flow_table_stats().collision_packets),
         ("switch.flow_table.occupancy_hwm", ov.pressure.occupancy_hwm as u64),
         ("switch.flow_table.collision_hwm", ov.pressure.collision_window_hwm),
     ];
     for (name, own) in mirrored {
-        assert_eq!(delta(name), own, "{what}: registry {name} vs the backend's own count");
+        assert_eq!(delta(name), own, "{what}: registry {name} vs the backend's stats() field");
     }
     let got: Vec<u64> = PINNED.iter().map(|n| delta(n)).collect();
     assert_eq!(got, pins, "{what}: pinned registry deltas, in PINNED order");

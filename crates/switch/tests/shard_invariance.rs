@@ -1,10 +1,10 @@
 //! Shard-invariance suite: the `ShardedPipeline` backend must produce
 //! **byte-identical** replay output — confusion matrix, digest stream,
-//! blacklist contents, path counters — at 1, 2 and 8 physical shards,
-//! at 1 and 8 workers, and with telemetry on or off. It must also match
-//! the serial `Pipeline` packet-for-packet when the flow table is large
-//! enough that neither backend sees slot collisions (cross-flow coupling
-//! exists only through shared slots).
+//! blacklist contents, the whole `stats()` snapshot — at 1, 2 and 8
+//! physical shards, at 1 and 8 workers, and with telemetry on or off. It
+//! must also match the serial `Pipeline` packet-for-packet when the flow
+//! table is large enough that neither backend sees slot collisions
+//! (cross-flow coupling exists only through shared slots).
 
 mod support;
 
@@ -12,7 +12,7 @@ use iguard_flow::five_tuple::FiveTuple;
 use iguard_runtime::par::with_workers;
 use iguard_runtime::rng::Rng;
 use iguard_switch::controller::{Controller, ControllerConfig};
-use iguard_switch::data_plane::DataPlane;
+use iguard_switch::data_plane::{DataPlane, DataPlaneStats};
 use iguard_switch::pipeline::{Digest, Pipeline, ProcessOutcome};
 use iguard_switch::replay::{replay, ReplayConfig};
 use iguard_switch::sharded::{ShardedPipeline, ShardedPipelineConfig};
@@ -29,8 +29,7 @@ struct ReplayFingerprint {
     dropped: u64,
     digests: u64,
     loopback: u64,
-    counters: iguard_switch::pipeline::PathCounters,
-    stats: iguard_flow::table::FlowTableStats,
+    stats: DataPlaneStats,
     blacklist: Vec<FiveTuple>,
     controller_installed: usize,
 }
@@ -54,8 +53,7 @@ fn replay_sharded(trace: &Trace, shards: usize, workers: usize, batch: usize) ->
             dropped: r.dropped,
             digests: r.digests,
             loopback: r.loopback,
-            counters: dp.counters(),
-            stats: dp.flow_table_stats(),
+            stats: dp.stats(),
             blacklist: dp.blacklist_contents(),
             controller_installed: controller.installed_len(),
         }
@@ -182,7 +180,8 @@ fn telemetry_toggle_does_not_change_results() {
 /// One pipeline whose worker count changes between batches (1 → 2 → 8
 /// → 1, so its crew is built, rebuilt and dropped to none mid-run) must
 /// fingerprint-equal a fresh 1-shard × 1-worker run: outcomes, digest
-/// stream, blacklist, counters, and batch-classification verdicts.
+/// stream, blacklist, the `stats()` snapshot, and batch-classification
+/// verdicts.
 #[test]
 fn worker_count_changes_between_batches() {
     let trace = mixed_trace();
@@ -212,15 +211,7 @@ fn worker_count_changes_between_batches() {
             all_outcomes.extend_from_slice(&outcomes);
             dp.drain_seq_digests_into(&mut digests);
         }
-        (
-            all_outcomes,
-            digests,
-            verdicts,
-            dp.blacklist_contents(),
-            dp.counters(),
-            dp.whitelist_counters(),
-            dp.flow_table_stats(),
-        )
+        (all_outcomes, digests, verdicts, dp.blacklist_contents(), dp.stats())
     };
     let base = run(1, &[1]);
     assert!(!base.1.is_empty(), "trace must emit digests");

@@ -26,7 +26,7 @@ use iguard_switch::pipeline::{
 };
 use iguard_switch::sharded::ShardedPipelineConfig;
 use iguard_switch::{
-    DataPlane, OverloadStats, ShardedPipeline, SketchEviction, SketchStats, SketchedPipelineConfig,
+    DataPlane, DataPlaneStats, ShardedPipeline, SketchEviction, SketchedPipelineConfig,
 };
 use support::{accept_all, random_pool, random_rules};
 
@@ -61,8 +61,13 @@ type Observed =
 
 /// Feed `batches` through `dp` with a blacklist install/remove pair
 /// between the first and second halves, then collect everything
-/// observable.
-fn drive(dp: &mut dyn DataPlane, batches: &[Vec<Packet>], victims: &[FiveTuple]) -> Observed {
+/// observable: the fields every layout shares without slot pressure, and
+/// the whole snapshot, which only the same layout must reproduce.
+fn drive(
+    dp: &mut dyn DataPlane,
+    batches: &[Vec<Packet>],
+    victims: &[FiveTuple],
+) -> (Observed, DataPlaneStats) {
     let mut out = Vec::new();
     let mut digests = Vec::new();
     let mut buf = Vec::new();
@@ -79,32 +84,29 @@ fn drive(dp: &mut dyn DataPlane, batches: &[Vec<Packet>], victims: &[FiveTuple])
         out.extend_from_slice(&buf);
         dp.drain_seq_digests_into(&mut digests);
     }
-    (
-        out,
-        digests,
-        dp.whitelist_counters(),
-        dp.counters(),
-        dp.blacklist_contents(),
-        dp.packets_processed(),
-    )
+    let s = dp.stats();
+    let observed =
+        (out, digests, s.whitelist, s.paths, dp.blacklist_contents(), s.paths.total_offered());
+    (observed, s)
 }
 
 /// Feeds `pkts` in batches of `size` with controller feedback at fixed
 /// packet offsets — blacklist installs plus one removal, then
-/// `ClearFlow`s — and collects everything observable, the sketch and
-/// overload views included. In the sketched layout the eviction book must
-/// track the table exactly after every step, so a `ClearFlow` that left
-/// its flow in the book would show as `tracked > occupancy`.
+/// `ClearFlow`s — and collects everything observable, the whole snapshot
+/// included. In the sketched layout the eviction book must track the
+/// table exactly after every step, so a `ClearFlow` that left its flow in
+/// the book would show as `tracked > occupancy`.
 fn drive_sliced(
     dp: &mut dyn DataPlane,
     pkts: &[Packet],
     size: usize,
     victims: &[FiveTuple],
-) -> (Observed, Option<SketchStats>, OverloadStats) {
+) -> (Vec<ProcessOutcome>, Vec<SeqDigest>, Vec<FiveTuple>, DataPlaneStats) {
     let (mut out, mut digests, mut buf) = (Vec::new(), Vec::new(), Vec::new());
     let book_in_lockstep = |dp: &dyn DataPlane| {
-        if let Some(sk) = dp.sketch_stats() {
-            assert_eq!(sk.tracked, dp.flow_table_stats().occupancy, "eviction book drifted");
+        let s = dp.stats();
+        if let Some(sk) = s.sketch {
+            assert_eq!(sk.tracked, s.occupancy, "eviction book drifted");
         }
     };
     for (b, chunk) in pkts.chunks(size).enumerate() {
@@ -126,15 +128,7 @@ fn drive_sliced(
         out.extend_from_slice(&buf);
         dp.drain_seq_digests_into(&mut digests);
     }
-    let observed = (
-        out,
-        digests,
-        dp.whitelist_counters(),
-        dp.counters(),
-        dp.blacklist_contents(),
-        dp.packets_processed(),
-    );
-    (observed, dp.sketch_stats(), dp.overload_stats())
+    (out, digests, dp.blacklist_contents(), dp.stats())
 }
 
 fn random_cfg(rng: &mut Rng) -> PipelineConfig {
@@ -148,7 +142,7 @@ proptest_lite! {
     /// Columnar `Pipeline`, `ScalarPipeline`, and `ShardedPipeline` at
     /// every (shards, workers) grouping agree packet-for-packet: verdicts,
     /// seq-tagged digests, whitelist counters, path counters, blacklist,
-    /// processed count.
+    /// processed count. The two serial walks agree on the whole snapshot.
     fn process_batch_matches_scalar_everywhere(rng) {
         let cfg = random_cfg(rng);
         let fl = random_rules(rng, SWITCH_FL_DIM);
@@ -178,9 +172,9 @@ proptest_lite! {
                     .with_pipeline(cfg)
                     .with_shards(shards);
                 let mut dp = ShardedPipeline::new(scfg, fl.clone(), pl.clone());
-                drive(&mut dp, &batches, &victims)
+                drive(&mut dp, &batches, &victims).0
             });
-            assert_eq!(got, want, "sharded({shards})/workers({workers}) != scalar");
+            assert_eq!(got, want.0, "sharded({shards})/workers({workers}) != scalar");
         }
     }
 
@@ -202,9 +196,9 @@ proptest_lite! {
             let scfg =
                 ShardedPipelineConfig::default().with_pipeline(cfg).with_shards(8);
             let mut dp = ShardedPipeline::new(scfg, fl.clone(), pl.clone());
-            drive(&mut dp, &batches, &[])
+            drive(&mut dp, &batches, &[]).0
         });
-        assert_eq!(got, want, "sharded != scalar at n={n}");
+        assert_eq!(got, want.0, "sharded != scalar at n={n}");
     }
 
     /// `classify_batch` (offline FL rows, NaN/∞/−0.0 injected) returns the
@@ -230,7 +224,7 @@ proptest_lite! {
         let mut want = Vec::new();
         let mut scalar = ScalarPipeline::new(cfg, fl.clone(), pl.clone());
         scalar.classify_batch(&data, &mut want);
-        let want_wl = scalar.whitelist_counters();
+        let want_stats = scalar.stats();
         // The scalar walk probes the compiled index; it must agree with
         // the linear first-match scan over the same (compressed) row.
         let mut row = Vec::new();
@@ -251,20 +245,23 @@ proptest_lite! {
         let mut soa = Pipeline::new(cfg, fl.clone(), pl.clone());
         soa.classify_batch(&data, &mut got);
         assert_eq!(got, want, "SoA verdicts != scalar at n={n}");
-        assert_eq!(soa.whitelist_counters(), want_wl);
+        assert_eq!(soa.stats(), want_stats);
 
+        // No packet has touched a flow table, so the whole snapshot agrees
+        // across layouts: equal capacity, and every count but the lookups
+        // at zero.
         for (shards, workers) in [(1usize, 1usize), (1, 8), (8, 1), (8, 8)] {
-            let (got, wl) = with_workers(workers, || {
+            let (got, stats) = with_workers(workers, || {
                 let scfg = ShardedPipelineConfig::default()
                     .with_pipeline(cfg)
                     .with_shards(shards);
                 let mut dp = ShardedPipeline::new(scfg, fl.clone(), pl.clone());
                 let mut v = Vec::new();
                 dp.classify_batch(&data, &mut v);
-                (v, dp.whitelist_counters())
+                (v, dp.stats())
             });
             assert_eq!(got, want, "sharded({shards})/workers({workers}) verdicts differ");
-            assert_eq!(wl, want_wl, "sharded({shards})/workers({workers}) counters differ");
+            assert_eq!(stats, want_stats, "sharded({shards})/workers({workers}) stats differ");
         }
     }
 
@@ -300,7 +297,7 @@ proptest_lite! {
             let mut soa = Pipeline::new(sketched, fl.clone(), pl.clone());
             let got = drive_sliced(&mut soa, &pkts, size, &victims);
             assert_eq!(got, want, "sketched columnar != scalar oracle at batch {size}");
-            let sk = got.1.expect("sketched layout reports sketch stats");
+            let sk = got.3.sketch_stats().expect("sketched layout reports sketch stats");
             assert!(sk.absorbed > 0 && sk.evicted > 0, "budget never bit: {sk:?}");
 
             let mut scalar = ScalarPipeline::new(sharded, fl.clone(), pl.clone());
@@ -329,7 +326,7 @@ proptest_lite! {
         let got = drive(&mut soa, &batches, &[]);
         assert_eq!(got, want);
         assert!(
-            got.0.iter().all(|o| o.verdict == PacketVerdict::Forward),
+            (got.0).0.iter().all(|o| o.verdict == PacketVerdict::Forward),
             "nothing may drop with drop_malicious=false and no blacklist"
         );
     }
@@ -371,16 +368,19 @@ fn empty_batches_are_no_ops_on_every_path() {
         let run = |dp: &mut dyn DataPlane| {
             let mut out = Vec::new();
             dp.process_batch(&storm, &mut out);
-            let after_storm = dp.overload_stats();
+            let after_storm = dp.stats();
             for _ in 0..5 {
                 dp.process_batch(&[], &mut out);
                 assert!(out.is_empty());
             }
-            assert_eq!(dp.overload_stats(), after_storm, "{name}: an empty batch ticked overload");
-            (after_storm, dp.packets_processed(), dp.counters())
+            assert_eq!(dp.stats(), after_storm, "{name}: an empty batch ticked overload");
+            after_storm
         };
         let columnar = run(&mut Pipeline::new(layout, accept_all(SWITCH_FL_DIM), accept_all(4)));
-        assert!(columnar.0.degraded_entries > 0, "{name}: the storm must trip degraded mode");
+        assert!(
+            columnar.overload.degraded_entries > 0,
+            "{name}: the storm must trip degraded mode"
+        );
         let scalar =
             run(&mut ScalarPipeline::new(layout, accept_all(SWITCH_FL_DIM), accept_all(4)));
         assert_eq!(scalar, columnar, "{name}: scalar oracle != columnar walk");

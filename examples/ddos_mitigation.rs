@@ -87,7 +87,7 @@ fn main() {
         cm.macro_f1()
     );
     println!("blacklist entries installed: {}", pipeline.blacklist_len());
-    let paths = pipeline.counters();
+    let paths = pipeline.stats().paths;
     println!(
         "paths: blacklist {} brown {} blue {} purple {} orange {} (+{} loopback)",
         paths.blacklist, paths.brown, paths.blue, paths.purple, paths.orange, paths.green_loopback,

@@ -124,7 +124,7 @@ fn controller_blacklist_shortens_detection_path() {
     let mut controller = Controller::new(ControllerConfig::default());
     let _ = replay(&trace, &mut pipeline, &mut controller, &ReplayConfig::default());
     assert!(
-        pipeline.counters().blacklist > 0,
+        pipeline.stats().paths.blacklist > 0,
         "no packet was dropped by an installed blacklist rule"
     );
 }
