@@ -22,7 +22,6 @@
 use crate::five_tuple::FiveTuple;
 use crate::packet::Packet;
 use crate::stats::FlowStats;
-use iguard_telemetry::counter;
 
 /// Observations per churn-rate window: every `PRESSURE_WINDOW` packets a
 /// shard observes, its collision/eviction tallies are folded into a churn
@@ -271,9 +270,10 @@ pub enum InsertOutcome {
 
 /// Event counts of one shard's flow-table walk, each bumped once where
 /// the event happens ([`FlowShard::observe_resident_prehashed`],
-/// [`FlowShard::admit_prehashed`], [`FlowShard::evict_at`]). The shard
-/// never writes them to the telemetry registry: its owner reads them
-/// through [`FlowShard::events`] and publishes them.
+/// [`FlowShard::admit_prehashed`], [`FlowShard::evict_at`],
+/// [`FlowShard::clear`]). The shard never writes them to the telemetry
+/// registry: its owner reads them through [`FlowShard::events`] and
+/// publishes them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowEvents {
     /// Packets of an already-labelled flow (purple path).
@@ -296,6 +296,8 @@ pub struct FlowEvents {
     pub collision: u64,
     /// Residents released by [`FlowShard::evict_at`].
     pub evict_budget: u64,
+    /// Residents released by [`FlowShard::clear`].
+    pub clear: u64,
 }
 
 impl FlowEvents {
@@ -313,6 +315,7 @@ impl FlowEvents {
             evict_timeout: self.evict_timeout + o.evict_timeout,
             collision: self.collision + o.collision,
             evict_budget: self.evict_budget + o.evict_budget,
+            clear: self.clear + o.clear,
         }
     }
 }
@@ -722,7 +725,7 @@ impl FlowShard {
         let pos = self.locate(&key.canonical())?;
         self.slots[pos] = None;
         self.resident -= 1;
-        counter!("flow.table.clear").inc();
+        self.events.clear += 1;
         Some(pos as u32)
     }
 

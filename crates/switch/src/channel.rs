@@ -201,7 +201,9 @@ impl ActionChannel {
     /// [`SwitchError::ChannelDown`] while an outage window covers `tick`
     /// or a sampled send failure fires, [`SwitchError::TcamFull`] when an
     /// install would exceed the TCAM budget (retryable because eviction
-    /// removes may free space). On success the action has taken effect.
+    /// removes may free space). On success the action has reached the
+    /// data plane: every later read sees it, and it takes effect before
+    /// the next batch (see the [`DataPlane`] contract).
     pub fn send<D: DataPlane + ?Sized>(
         &mut self,
         dp: &mut D,
@@ -210,7 +212,7 @@ impl ActionChannel {
     ) -> Result<(), IguardError> {
         self.transmit(tick)?;
         // An unbounded budget (`usize::MAX`, the default) skips the count,
-        // which walks every shard.
+        // which applies every queued action and walks every shard.
         if matches!(action, ControlAction::InstallBlacklist(_))
             && self.tcam_capacity != usize::MAX
             && dp.blacklist_len() >= self.tcam_capacity
@@ -498,6 +500,56 @@ mod tests {
         ch.send_ruleset(&mut dp, &txn, 6).expect("replay is idempotent");
         assert_eq!(dp.stats().ruleset.replayed, 1);
         assert_eq!((ch.sends(), ch.failures()), (3, 1));
+    }
+
+    #[test]
+    fn tcam_budget_counts_installs_queued_on_the_sharded_layout() {
+        use crate::pipeline::{PathTaken, ProcessOutcome};
+        use crate::sharded::ShardedPipelineConfig;
+        use iguard_flow::packet::{Packet, TcpFlags};
+        use iguard_runtime::par::with_workers;
+        // Installs sent in one gap, a reverse-direction duplicate and a
+        // repeat among them: every count must see the queued ones.
+        let five = |i: u64| sd(i).digest.five;
+        let sends =
+            [five(0), five(1), five(1).reversed(), five(2), five(0), five(3), five(4), five(5)];
+        let install_all = |dp: &mut dyn DataPlane| {
+            let mut ch = ActionChannel::new(FaultPlan::none(), 4);
+            let sent: Vec<Result<(), IguardError>> =
+                sends.iter().map(|&f| ch.send(dp, ControlAction::InstallBlacklist(f), 0)).collect();
+            sent.into_iter()
+                .map(|r| match r {
+                    Ok(()) => true,
+                    Err(IguardError::Switch(SwitchError::TcamFull { capacity: 4 })) => false,
+                    Err(e) => panic!("unexpected send error {e:?}"),
+                })
+                .collect::<Vec<bool>>()
+        };
+        let group_of = |f: &FiveTuple| crate::sharded::logical_shard_of(f) % 2;
+        assert!(sends.iter().any(|f| group_of(f) == 0) && sends.iter().any(|f| group_of(f) == 1));
+        let serial = install_all(&mut test_dp());
+        assert_eq!(serial, [true, true, true, true, true, true, false, false]);
+        with_workers(2, || {
+            let layout = ShardedPipelineConfig { pipeline: PipelineConfig::default(), shards: 2 };
+            let mut dp = Pipeline::new(layout, accept_all(13), accept_all(4));
+            assert_eq!(install_all(&mut dp), serial, "2 groups x 2 workers vs serial");
+            assert_eq!(dp.blacklist_len(), 4);
+            // The next batch walks the installed entries on both groups.
+            let pkts: Vec<Packet> = sends
+                .iter()
+                .map(|&five| Packet {
+                    ts_ns: 0,
+                    five,
+                    wire_len: 100,
+                    ttl: 64,
+                    flags: TcpFlags::default(),
+                })
+                .collect();
+            let mut out: Vec<ProcessOutcome> = Vec::new();
+            dp.process_batch(&pkts, &mut out);
+            let dropped: Vec<bool> = out.iter().map(|o| o.path == PathTaken::Blacklist).collect();
+            assert_eq!(dropped, serial);
+        });
     }
 
     iguard_runtime::proptest_lite! {

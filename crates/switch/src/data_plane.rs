@@ -24,9 +24,13 @@
 //!   order: two backends fed the same packets with the same control
 //!   feedback produce the same digest stream.
 //! * `apply` and `apply_ruleset` take effect before the next
-//!   `process_batch` call; backends need not support mid-batch rule
-//!   changes (hardware installs rules between packets too, just at a
-//!   finer grain).
+//!   `process_batch` call, and every read after them (`stats`, the
+//!   blacklist reads, the resync sweep) sees them. `Pipeline` queues a
+//!   per-flow action on its shard group's inbox and applies it first
+//!   thing in the group's next batch job, on the worker that owns those
+//!   shards, or on the caller before any read. Backends need not support
+//!   mid-batch rule changes (hardware installs rules between packets
+//!   too, just at a finer grain).
 //! * [`DataPlane::stats`] returns one [`DataPlaneStats`] snapshot, the
 //!   only tally of each event, which the per-figure getters project.
 //!   `Pipeline` builds it in one walk of its logical shards and publishes
@@ -224,7 +228,9 @@ pub trait DataPlane {
     /// the controller's dedup window are keyed on these tags.
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>);
 
-    /// Applies a controller command (blacklist install/remove, flow clear).
+    /// Applies a controller command (blacklist install/remove, flow clear):
+    /// every later read sees it, and it takes effect before the next
+    /// `process_batch`.
     fn apply(&mut self, action: ControlAction);
 
     /// Applies a versioned whitelist-ruleset transaction (the lifecycle
@@ -269,8 +275,9 @@ pub trait DataPlane {
     /// across worker counts and shard groupings.
     fn stats(&self) -> DataPlaneStats;
 
-    /// Blacklist entries installed, read from the live sets without a full
-    /// snapshot: the action channel asks on every install under a finite TCAM.
+    /// Blacklist entries installed, counting every action applied so far,
+    /// read from the live sets without a full snapshot: the action channel
+    /// asks on every install under a finite TCAM.
     fn blacklist_len(&self) -> usize;
 
     /// Per-path packet counters. Goes when Benchmark v2 moves `perf`.

@@ -36,6 +36,7 @@
 //! parity-pinned byte for byte (verdicts, digests, counters) by the
 //! `soa_parity` suite on every layout.
 
+use std::cell::{Ref, RefCell};
 use std::sync::{Arc, OnceLock};
 
 use iguard_core::error::SwitchError;
@@ -1066,12 +1067,42 @@ impl From<SketchedPipelineConfig> for Layout {
 /// counters) — per group, not per shard, because one worker drives a
 /// group serially. `verdicts` is the group's reusable slice of a
 /// `classify_batch` result.
+///
+/// `inbox` holds the control actions routed to the group's shards since
+/// it last settled, as `(shard in group, action)` in arrival order.
+/// [`Group::settle`] applies them: first thing in the group's next
+/// `process_batch` job, on the worker that walks these shards, or on the
+/// caller before any other entry point touches shard state.
 #[derive(Default)]
 struct Group {
     shards: Vec<ShardState>,
+    inbox: Vec<(usize, ControlAction)>,
     outcomes: Vec<ProcessOutcome>,
     scratch: MatchScratch,
     verdicts: Vec<bool>,
+}
+
+impl Group {
+    /// Applies the inbox to the group's shards in arrival order and
+    /// empties it.
+    fn settle(&mut self) {
+        for (p, action) in self.inbox.drain(..) {
+            self.shards[p].apply(action);
+        }
+    }
+}
+
+/// Settles every group's inbox.
+fn settle_all(groups: &mut [Group]) {
+    groups.iter_mut().for_each(Group::settle);
+}
+
+/// The logical shards, in logical-shard order — every fold over them is
+/// therefore identical at any physical grouping. Shard `p·G + g` is
+/// `groups[g].shards[p]`, so the walk goes row by row, with no division.
+fn logical_shards(groups: &[Group]) -> impl Iterator<Item = &ShardState> {
+    let rows = groups[0].shards.len();
+    (0..rows).flat_map(move |p| groups.iter().filter_map(move |g| g.shards.get(p)))
 }
 
 /// The emulated data plane, in any [`Layout`]. The batched [`DataPlane`]
@@ -1079,10 +1110,17 @@ struct Group {
 /// [`Pipeline::process`] is the scalar per-packet walk, kept
 /// byte-compatible so it can serve as the parity oracle (see
 /// [`ScalarPipeline`]).
+///
+/// [`DataPlane::apply`] only routes a control action to its group's
+/// inbox. Each group applies its inbox at the start of its next
+/// `process_batch` job, on the worker that walks its shards; every other
+/// entry point settles the inboxes before it touches shard state, so
+/// every read sees every applied action. The `&self` readers settle
+/// through a [`RefCell`]: a `Pipeline` is `Send` but not `Sync`.
 pub struct Pipeline {
     engine: MatchEngine,
     /// `groups[g].shards[p]` is logical shard `p * groups.len() + g`.
-    groups: Vec<Group>,
+    groups: RefCell<Vec<Group>>,
     /// Logical shards: 1 (serial and sketched layouts) or
     /// [`LOGICAL_SHARDS`] (sharded layout).
     logical: usize,
@@ -1102,7 +1140,7 @@ pub struct Pipeline {
 }
 
 /// Number of registry counters a [`Pipeline`] publishes.
-const PUBLISHED: usize = 36;
+const PUBLISHED: usize = 37;
 
 /// Every registry counter a [`Pipeline`] publishes, with its total in `s`.
 fn registry_rows(s: &DataPlaneStats) -> [(&'static str, u64); PUBLISHED] {
@@ -1126,6 +1164,7 @@ fn registry_rows(s: &DataPlaneStats) -> [(&'static str, u64); PUBLISHED] {
         ("flow.table.evict_classified", e.evict_classified),
         ("flow.table.collision", e.collision),
         ("flow.table.evict_budget", e.evict_budget),
+        ("flow.table.clear", e.clear),
         // Every phase-ready observation reaches the dispatch's boundary
         // look, which convicts the flow or escalates it.
         ("switch.phase.boundary", e.phase_ready),
@@ -1180,7 +1219,7 @@ impl Pipeline {
         first.sketch = sketch.map(|s| Box::new(SketchStage::new(s, first.flow.capacity())));
         Self {
             engine: MatchEngine::new(&cfg, fl_rules, pl_rules),
-            groups,
+            groups: RefCell::new(groups),
             logical,
             bins: ShardBins::new(),
             rows_idx: Vec::new(),
@@ -1197,8 +1236,10 @@ impl Pipeline {
         let seq = self.processed;
         self.processed += 1;
         let l = self.shard_of(&pkt.five);
-        let phys = self.groups.len();
-        let Group { shards, scratch, .. } = &mut self.groups[l % phys];
+        let groups = self.groups.get_mut();
+        settle_all(groups);
+        let phys = groups.len();
+        let Group { shards, scratch, .. } = &mut groups[l % phys];
         self.engine.process_one(&mut shards[l / phys], scratch, pkt, seq)
     }
 
@@ -1224,7 +1265,7 @@ impl Pipeline {
 
     /// Closes a batch on every logical shard (see [`ShardState::end_batch`]).
     fn end_batch(&mut self) {
-        for st in self.groups.iter_mut().flat_map(|g| &mut g.shards) {
+        for st in self.groups.get_mut().iter_mut().flat_map(|g| &mut g.shards) {
             st.end_batch(&self.engine.overload);
         }
     }
@@ -1238,12 +1279,10 @@ impl Pipeline {
         }
     }
 
-    /// The logical shards, in logical-shard order — every fold over them
-    /// is therefore identical at any physical grouping. Shard `p·G + g` is
-    /// `groups[g].shards[p]`, so the walk goes row by row, with no division.
-    fn shards(&self) -> impl Iterator<Item = &ShardState> {
-        let rows = self.groups[0].shards.len();
-        (0..rows).flat_map(move |p| self.groups.iter().filter_map(move |g| g.shards.get(p)))
+    /// The groups with every inbox settled, for the `&self` readers.
+    fn settled(&self) -> Ref<'_, Vec<Group>> {
+        settle_all(&mut self.groups.borrow_mut());
+        self.groups.borrow()
     }
 
     /// Installs one whitelist per intermediate phase boundary of the flow
@@ -1269,12 +1308,12 @@ impl Pipeline {
 
     /// Physical shard groups in use (≤ [`LOGICAL_SHARDS`]).
     pub fn physical_shards(&self) -> usize {
-        self.groups.len()
+        self.groups.borrow().len()
     }
 
     /// Packets processed per logical shard, in logical-shard order.
     pub fn shard_packet_counts(&self) -> Vec<u64> {
-        self.shards().map(|s| s.paths.total_offered()).collect()
+        logical_shards(&self.settled()).map(|s| s.paths.total_offered()).collect()
     }
 
     /// Snapshot per logical shard, in logical-shard order — the unmerged
@@ -1282,7 +1321,7 @@ impl Pipeline {
     /// need to see *which* shards are degraded or what each one counted.
     /// The pipeline-scoped whitelist and ruleset counts read zero here.
     pub fn shard_stats(&self) -> Vec<DataPlaneStats> {
-        self.shards().map(ShardState::stats).collect()
+        logical_shards(&self.settled()).map(ShardState::stats).collect()
     }
 
     /// Load-imbalance ratio: max over mean of per-shard packet counts
@@ -1307,6 +1346,7 @@ impl DataPlane for Pipeline {
         }
         record_batch_telemetry(pkts.len());
         let Self { groups, bins, engine, processed, rows_idx, crew, logical, .. } = self;
+        let groups = groups.get_mut();
         let phys = groups.len();
         if *logical > 1 {
             counter!("switch.sharded.batches").inc();
@@ -1319,11 +1359,12 @@ impl DataPlane for Pipeline {
         *processed += pkts.len() as u64;
         let overload = &engine.overload;
 
-        // Single physical group: rows are walked in arrival order, so the
-        // engine writes the outcome column directly — no binning, group
-        // buffer or scatter pass. Output is identical to the general path
-        // by construction.
+        // Single physical group: the caller settles the inbox and walks
+        // the rows in arrival order, so the engine writes the outcome
+        // column directly — no binning, group buffer or scatter pass.
+        // Output is identical to the general path by construction.
         if phys == 1 {
+            groups[0].settle();
             let Group { shards, scratch, .. } = &mut groups[0];
             rows_idx.clear();
             rows_idx.extend(0..pkts.len() as u32);
@@ -1349,6 +1390,9 @@ impl DataPlane for Pipeline {
             crew.for_each_mut(groups, |g, group| {
                 let bin = bins.bin(g);
                 histogram!("switch.sharded.group_batch_packets").record(bin.len() as u64);
+                // The actions sent since the last batch are applied here,
+                // on the worker whose cache holds these shards.
+                group.settle();
                 let Group { shards, outcomes, scratch, .. } = group;
                 outcomes.clear();
                 engine.process_rows(
@@ -1384,9 +1428,10 @@ impl DataPlane for Pipeline {
     }
 
     fn drain_seq_digests_into(&mut self, out: &mut Vec<SeqDigest>) {
+        let groups = self.groups.get_mut();
         // One logical shard: its buffer is already in arrival order.
         if self.logical == 1 {
-            out.append(&mut self.groups[0].shards[0].digests);
+            out.append(&mut groups[0].shards[0].digests);
             return;
         }
         // Restore global packet arrival order across shards (seq is
@@ -1394,7 +1439,7 @@ impl DataPlane for Pipeline {
         // total, grouping-independent order).
         let start = out.len();
         span!("switch.sharded.digest_merge").time(|| {
-            for st in self.groups.iter_mut().flat_map(|g| &mut g.shards) {
+            for st in groups.iter_mut().flat_map(|g| &mut g.shards) {
                 out.append(&mut st.digests);
             }
             out[start..].sort_unstable_by_key(|sd| sd.seq);
@@ -1402,7 +1447,8 @@ impl DataPlane for Pipeline {
         // Occupancy telemetry only on productive drains — replay drains
         // after every batch and most drains are empty.
         if out.len() > start {
-            for st in self.shards() {
+            settle_all(groups);
+            for st in logical_shards(groups) {
                 histogram!("switch.sharded.shard_occupancy").record(st.flow.occupancy() as u64);
             }
         }
@@ -1412,8 +1458,10 @@ impl DataPlane for Pipeline {
         let (ControlAction::InstallBlacklist(five)
         | ControlAction::RemoveBlacklist(five)
         | ControlAction::ClearFlow(five)) = action;
-        let (l, phys) = (self.shard_of(&five), self.groups.len());
-        self.groups[l % phys].shards[l / phys].apply(action);
+        let l = self.shard_of(&five);
+        let groups = self.groups.get_mut();
+        let phys = groups.len();
+        groups[l % phys].inbox.push((l / phys, action));
     }
 
     fn apply_ruleset(&mut self, txn: &RulesetTxn) -> Result<(), SwitchError> {
@@ -1431,7 +1479,7 @@ impl DataPlane for Pipeline {
 
     fn blacklist_contents(&self) -> Vec<FiveTuple> {
         let mut v: Vec<FiveTuple> =
-            self.shards().flat_map(|s| s.blacklist.iter().copied()).collect();
+            logical_shards(&self.settled()).flat_map(|s| s.blacklist.iter().copied()).collect();
         v.sort_unstable();
         v
     }
@@ -1439,8 +1487,10 @@ impl DataPlane for Pipeline {
     fn resync_labeled_into(&mut self, out: &mut Vec<SeqDigest>) {
         // Logical-shard order is fixed regardless of the physical
         // grouping, so the resync stream is shard/worker invariant.
+        let groups = self.groups.get_mut();
+        settle_all(groups);
         let mut flows = Vec::new();
-        for st in self.shards() {
+        for st in logical_shards(groups) {
             st.flow.labeled_flows_into(&mut flows);
         }
         for (five, malicious) in flows {
@@ -1464,6 +1514,7 @@ impl DataPlane for Pipeline {
         // vector (and the counter totals) are worker-invariant.
         record_batch_telemetry(n);
         let Self { groups, engine, crew, .. } = self;
+        let groups = groups.get_mut();
         let phys = groups.len();
         let rows_per_group = n.div_ceil(BATCH_CHUNK).div_ceil(phys) * BATCH_CHUNK;
         let engine = &*engine;
@@ -1485,10 +1536,13 @@ impl DataPlane for Pipeline {
     }
 
     fn stats(&self) -> DataPlaneStats {
-        let mut all =
-            self.shards().map(ShardState::stats).reduce(|a, b| a.merge(&b)).unwrap_or_default();
+        let groups = self.settled();
+        let mut all = logical_shards(&groups)
+            .map(ShardState::stats)
+            .reduce(|a, b| a.merge(&b))
+            .unwrap_or_default();
         // Lookups live in the group scratches, ruleset counts in the engine.
-        for g in &self.groups {
+        for g in groups.iter() {
             all.whitelist = all.whitelist.merge(&g.scratch.wl);
         }
         all.ruleset = self.engine.ruleset_stats;
@@ -1497,7 +1551,7 @@ impl DataPlane for Pipeline {
     }
 
     fn blacklist_len(&self) -> usize {
-        self.shards().map(|s| s.blacklist.len()).sum()
+        logical_shards(&self.settled()).map(|s| s.blacklist.len()).sum()
     }
 }
 
@@ -1572,7 +1626,7 @@ impl DataPlane for ScalarPipeline {
     fn classify_batch(&mut self, rows: &Dataset, out: &mut Vec<bool>) {
         out.clear();
         let Pipeline { engine, groups, .. } = &mut self.0;
-        let scratch = &mut groups[0].scratch;
+        let scratch = &mut groups.get_mut()[0].scratch;
         out.extend((0..rows.rows()).map(|i| engine.classify_fl(rows.row(i), scratch)));
         self.0.publish();
     }
@@ -1588,10 +1642,12 @@ impl DataPlane for ScalarPipeline {
 
 #[cfg(test)]
 impl Pipeline {
-    /// Logical shard `logical`'s state.
-    pub(crate) fn shard(&self, logical: usize) -> &ShardState {
-        let phys = self.groups.len();
-        &self.groups[logical % phys].shards[logical / phys]
+    /// Logical shard `logical`'s state, inboxes settled.
+    pub(crate) fn shard(&self, logical: usize) -> Ref<'_, ShardState> {
+        Ref::map(self.settled(), |groups| {
+            let phys = groups.len();
+            &groups[logical % phys].shards[logical / phys]
+        })
     }
 }
 

@@ -551,8 +551,8 @@ mod tests {
     /// the policy's own index (lists or dense vector) covers exactly the
     /// live positions.
     fn assert_lockstep(dp: &SketchedPipeline) {
-        let flow = &dp.shard(0).flow;
-        let book = &dp.shard(0).sketch.as_ref().unwrap().book;
+        let shard = dp.shard(0);
+        let (flow, book) = (&shard.flow, &shard.sketch.as_ref().unwrap().book);
         assert_eq!(book.len, flow.occupancy());
         for pos in 0..flow.capacity() as u32 {
             let live = book.nodes[pos as usize].live;

@@ -1,6 +1,6 @@
 //! Registry parity: each backend replays one fixed storm-plus-mixed trace
-//! (phase rulesets live, one ruleset diff mid-stream, one bulk
-//! classification), and every published registry counter must advance by
+//! (phase rulesets live, one ruleset diff mid-stream, flow clears after
+//! the last batch, one bulk classification), and every published registry counter must advance by
 //! exactly its field of the backend's [`DataPlane::stats`] snapshot, read
 //! through a name-to-field table written here, not the pipeline's own.
 //! Fourteen counters are also pinned as literals per layout, recorded
@@ -66,8 +66,9 @@ fn tables() -> (RangeTable, RangeTable) {
 
 /// The fixed workload: v1 and eight blacklist entries installed up
 /// front, the v2 diff halfway through the trace, a replay of v2 and a
-/// version gap at the end, then one bulk FL classification of the
-/// trace's flows.
+/// version gap at the end, clears of 64 of the trace's flows (resident or
+/// not), then one bulk FL classification of the trace's flows, whose
+/// publish counts the clears.
 fn drive(dp: &mut impl DataPlane, trace: &Trace, rows: &Dataset) {
     let (t1, t2) = tables();
     dp.apply_ruleset(&RulesetTxn::full_install(1, &t1, fl_rules())).expect("v1");
@@ -89,6 +90,9 @@ fn drive(dp: &mut impl DataPlane, trace: &Trace, rows: &Dataset) {
     }
     dp.apply_ruleset(&v2).expect("replaying v2 is a no-op");
     assert!(dp.apply_ruleset(&RulesetTxn::full_install(9, &t2, fl_rules())).is_err());
+    for p in trace.packets.iter().rev().step_by(61).take(64) {
+        dp.apply(ControlAction::ClearFlow(p.five));
+    }
     let mut verdicts = Vec::new();
     dp.classify_batch(rows, &mut verdicts);
 }
@@ -153,6 +157,7 @@ fn check<D: DataPlane>(
         ("flow.table.install", e.install),
         ("flow.table.evict_classified", e.evict_classified),
         ("flow.table.evict_budget", e.evict_budget),
+        ("flow.table.clear", e.clear),
         ("flow.table.collision", s.flow_table().collision_packets),
         ("switch.phase.boundary", e.phase_ready),
         ("switch.phase.escalated", e.phase_ready - s.phase_convicted),
@@ -174,6 +179,7 @@ fn check<D: DataPlane>(
         ("switch.flow_table.occupancy_hwm", ov.pressure.occupancy_hwm as u64),
         ("switch.flow_table.collision_hwm", ov.pressure.collision_window_hwm),
     ];
+    assert!(e.clear > 0, "{what}: the trailing clears must find resident flows");
     for (name, own) in mirrored {
         assert_eq!(delta(name), own, "{what}: registry {name} vs the backend's stats() field");
     }

@@ -11,11 +11,15 @@
 # BENCHMARK.json's run_seconds). The pairs alternate which side runs
 # first.
 #
-# Prints each side's median and quartiles of pps and tick_p99_us, and
-# how many pairs the change won on each. Exits 1 if a run fails or
-# reports "correct": false, or if a detection metric (tpr, fpr,
-# ttm_p50_pkts, ttm_p99_pkts, mitigated_frac) differs between any two
-# runs: those are pure functions of the seed.
+# For every metric in BENCHMARK.json's `end_to_end` list, prints each
+# side's median and quartiles, how many pairs the change won (by the
+# metric's `better` direction), and `worse than bound` when the change's
+# median is worse than the parent's by more than the metric's `bound`
+# (a fraction of the parent's median). A metric a workload does not
+# report reads n/a. Exits 1 if a run fails or reports "correct": false,
+# or if a detection metric (tpr, fpr, ttm_p50_pkts, ttm_p99_pkts,
+# mitigated_frac) differs between any two runs: those are pure
+# functions of the seed.
 #
 # Environment: BASE (parent revision), SECONDS_PER_RUN, WORK_DIR (keep
 # the builds and raw run lines there, and reuse them on the next call,
@@ -60,39 +64,61 @@ for ((i = 0; i < pairs; i++)); do
     echo "# pair $((i + 1))/$pairs done"
 done
 
-# Metric columns: side, then pps, tick_p99_us and the detection metrics.
-metrics="pps tick_p99_us tpr fpr ttm_p50_pkts ttm_p99_pkts mitigated_frac"
+# The end-to-end metrics, one "name better bound" line each.
+sed -n '/"end_to_end"/,/\]/s/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p' \
+    BENCHMARK.json >"$work/metrics.txt"
+metrics=$(cut -d' ' -f1 "$work/metrics.txt")
+detection="tpr fpr ttm_p50_pkts ttm_p99_pkts mitigated_frac"
+
+# One row per run: side, then every metric in metrics.txt order ("n/a"
+# where the run does not report it).
 while read -r side line; do
     printf '%s' "$side"
     for m in $metrics; do
-        printf ' %s' "$(sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p" <<<"$line")"
+        v=$(sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p" <<<"$line")
+        printf ' %s' "${v:-n/a}"
     done
     printf '\n'
 done <"$work/runs.txt" >"$work/table.txt"
 
-# Median and quartiles (linear interpolation between order statistics).
-summary() {
-    awk -v s="$1" -v c="$2" '$1 == s { print $c }' "$work/table.txt" | sort -g | awk '
-        { v[NR] = $1 }
-        function q(p,  h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
-        END { v[NR + 1] = v[NR]; printf "median %.6g  IQR %.6g..%.6g", q(0.5), q(0.25), q(0.75) }'
-}
-for col in 2:pps 3:tick_p99_us; do
-    c=${col%%:*} name=${col#*:}
-    for side in parent change; do
-        echo "$name $side: $(summary "$side" "$c")"
-    done
-done
+# Pair k is the k-th parent run against the k-th change run. Per metric:
+# median and quartiles of each side (linear interpolation between order
+# statistics), the change's wins, and the bound check on the medians.
+paste -d' ' <(awk '$1 == "parent"' "$work/table.txt") <(awk '$1 == "change"' "$work/table.txt") |
+    awk -v n="$pairs" -v width="$(wc -l <"$work/metrics.txt")" '
+    NR == FNR { name[FNR] = $1; better[FNR] = $2; bound[FNR] = $3; next }
+    {
+        for (k = 1; k <= width; k++) { p[k, FNR] = $(k + 1); c[k, FNR] = $(k + width + 2) }
+    }
+    function sorted(a, k, v,  i, j, t) {
+        for (i = 1; i <= n; i++) v[i] = a[k, i]
+        for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        v[n + 1] = v[n]
+    }
+    function q(v, x,  h, l) { h = (n - 1) * x + 1; l = int(h); return v[l] + (h - l) * (v[l + 1] - v[l]) }
+    END {
+        printf "%-16s %-5s %-12s %-25s %-12s %-25s %s\n", "metric", "good", "parent", "parent IQR", "change", "change IQR", "wins"
+        for (k = 1; k <= width; k++) {
+            if (p[k, 1] == "n/a" || c[k, 1] == "n/a") { printf "%-16s n/a\n", name[k]; continue }
+            sorted(p, k, pv); sorted(c, k, cv)
+            pm = q(pv, 0.5); cm = q(cv, 0.5); wins = 0
+            for (i = 1; i <= n; i++) wins += better[k] == "higher" ? c[k, i] > p[k, i] : c[k, i] < p[k, i]
+            worse = better[k] == "higher" ? cm < pm * (1 - bound[k]) : cm > pm * (1 + bound[k])
+            printf "%-16s %-5s %-12.6g %-25s %-12.6g %-25s %d/%d%s\n", name[k], better[k] == "higher" ? "up" : "down",
+                pm, sprintf("%.6g..%.6g", q(pv, 0.25), q(pv, 0.75)), cm,
+                sprintf("%.6g..%.6g", q(cv, 0.25), q(cv, 0.75)), wins, n,
+                worse ? sprintf("  worse than bound (%g)", bound[k]) : ""
+        }
+    }' "$work/metrics.txt" -
 
-# Pair k is the k-th parent run against the k-th change run.
-paste <(awk '$1 == "parent"' "$work/table.txt") <(awk '$1 == "change"' "$work/table.txt") | awk -v n="$pairs" '
-    { pps += ($10 > $2); tick += ($11 < $3) }
-    END { printf "change wins: pps %d/%d, tick_p99_us %d/%d\n", pps, n, tick, n }'
-
-distinct=$(cut -d' ' -f4- "$work/table.txt" | sort -u | wc -l)
+# Columns of the detection metrics in table.txt (the side is column 1).
+cols=$(for m in $detection; do
+    awk -v m="$m" '$1 == m { print NR + 1 }' "$work/metrics.txt"
+done | paste -sd, -)
+distinct=$(cut -d' ' -f"$cols" "$work/table.txt" | sort -u | wc -l)
 if [ "$distinct" -ne 1 ]; then
-    echo "detection metrics differ between runs (tpr fpr ttm_p50 ttm_p99 mitigated_frac):" >&2
-    cut -d' ' -f1,4- "$work/table.txt" | sort | uniq -c >&2
+    echo "detection metrics differ between runs ($detection):" >&2
+    cut -d' ' -f1,"$cols" "$work/table.txt" | sort | uniq -c >&2
     exit 1
 fi
-echo "detection metrics identical on every run: $(cut -d' ' -f4- "$work/table.txt" | head -n 1)"
+echo "detection metrics identical on every run: $(cut -d' ' -f"$cols" "$work/table.txt" | head -n 1)"
