@@ -16,6 +16,10 @@
 //!   [`SwitchError::TcamFull`] (install into a saturated table); the
 //!   caller decides whether to retry.
 //!
+//! Each channel counts its faults in a `Copy` snapshot, [`ChannelStats`]
+//! and [`ActionStats`], and writes nothing to the telemetry registry; the
+//! replay loop publishes the snapshots.
+//!
 //! Both channels own one derived [`FaultStream`] and consume it serially
 //! in message order. Because they sit on the *merged* (sequence-ordered)
 //! digest stream of the replay loop, fault decisions are byte-identical
@@ -28,7 +32,6 @@
 
 use iguard_core::{IguardError, SwitchError};
 use iguard_runtime::{ChannelKind, FaultPlan, FaultStream};
-use iguard_telemetry::counter;
 
 use crate::data_plane::DataPlane;
 use crate::pipeline::{ControlAction, SeqDigest};
@@ -103,24 +106,20 @@ impl DigestChannel {
                 // the stream stays aligned with runs that differ only in
                 // outage windows.
                 self.stats.dropped += 1;
-                counter!("switch.chan.dropped").inc();
                 continue;
             }
             if self.stream.fires(self.plan.drop_p) {
                 self.stats.dropped += 1;
-                counter!("switch.chan.dropped").inc();
                 continue;
             }
             let copies = if self.stream.fires(self.plan.duplicate_p) {
                 self.stats.duplicated += 1;
-                counter!("switch.chan.duplicated").inc();
                 2
             } else {
                 1
             };
             let due = if self.stream.fires(self.plan.delay_p) {
                 self.stats.delayed += 1;
-                counter!("switch.chan.delayed").inc();
                 tick + self.stream.delay_ticks(self.plan.max_delay_ticks)
             } else {
                 tick
@@ -161,7 +160,6 @@ impl DigestChannel {
                 if pair.len() == 2 && self.stream.fires(self.plan.reorder_p) {
                     pair.swap(0, 1);
                     self.stats.reordered += 1;
-                    counter!("switch.chan.reordered").inc();
                 }
             }
         }
@@ -179,20 +177,31 @@ impl DigestChannel {
     }
 }
 
+/// Observable action-channel accounting. Per-flow actions and ruleset
+/// transactions share the transport, so both count here.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ActionStats {
+    /// Send attempts.
+    pub sends: u64,
+    /// Sends failed in transit ([`SwitchError::ChannelDown`]).
+    pub send_failed: u64,
+    /// Installs rejected by the TCAM budget ([`SwitchError::TcamFull`]).
+    pub tcam_full: u64,
+}
+
 /// The fallible controller → data-plane command channel.
 pub struct ActionChannel {
     plan: FaultPlan,
     stream: FaultStream,
     /// Hardware TCAM entry budget; installs beyond it are rejected.
     tcam_capacity: usize,
-    sends: u64,
-    failures: u64,
+    stats: ActionStats,
 }
 
 impl ActionChannel {
     pub fn new(plan: FaultPlan, tcam_capacity: usize) -> Self {
         let stream = plan.stream(ChannelKind::Action);
-        Self { plan, stream, tcam_capacity, sends: 0, failures: 0 }
+        Self { plan, stream, tcam_capacity, stats: ActionStats::default() }
     }
 
     /// Attempts to apply `action` to the data plane at `tick`.
@@ -217,8 +226,7 @@ impl ActionChannel {
             && self.tcam_capacity != usize::MAX
             && dp.blacklist_len() >= self.tcam_capacity
         {
-            self.failures += 1;
-            counter!("switch.chan.tcam_full").inc();
+            self.stats.tcam_full += 1;
             return Err(SwitchError::TcamFull { capacity: self.tcam_capacity }.into());
         }
         dp.apply(action);
@@ -250,23 +258,18 @@ impl ActionChannel {
     /// nothing, and a [`FaultPlan::none`] plan never draws, so the fault
     /// stream stays aligned across runs that differ only in outages.
     fn transmit(&mut self, tick: u64) -> Result<(), IguardError> {
-        self.sends += 1;
+        self.stats.sends += 1;
         if self.plan.is_down(ChannelKind::Action, tick)
             || (!self.plan.is_none() && self.stream.fires(self.plan.send_fail_p))
         {
-            self.failures += 1;
-            counter!("switch.chan.send_failed").inc();
+            self.stats.send_failed += 1;
             return Err(SwitchError::ChannelDown.into());
         }
         Ok(())
     }
 
-    pub fn sends(&self) -> u64 {
-        self.sends
-    }
-
-    pub fn failures(&self) -> u64 {
-        self.failures
+    pub fn stats(&self) -> ActionStats {
+        self.stats
     }
 }
 
@@ -442,7 +445,7 @@ mod tests {
         let five = sd(1).digest.five;
         ch.send(&mut dp, ControlAction::InstallBlacklist(five), 0).expect("clean channel");
         assert_eq!(dp.blacklist_len(), 1);
-        assert_eq!((ch.sends(), ch.failures()), (1, 0));
+        assert_eq!(ch.stats(), ActionStats { sends: 1, ..ActionStats::default() });
     }
 
     #[test]
@@ -476,7 +479,7 @@ mod tests {
         ch.send(&mut dp, ControlAction::RemoveBlacklist(five(1).reversed()), 0).expect("remove");
         ch.send(&mut dp, ControlAction::InstallBlacklist(five(3)), 0).expect("a slot was freed");
         assert_eq!((dp.blacklist_len(), dp.blacklist_contents().len()), (3, 3));
-        assert_eq!(ch.failures(), 2);
+        assert_eq!(ch.stats(), ActionStats { sends: 8, send_failed: 0, tcam_full: 2 });
     }
 
     #[test]
@@ -499,7 +502,7 @@ mod tests {
         // Retrying a delivered version is an idempotent no-op.
         ch.send_ruleset(&mut dp, &txn, 6).expect("replay is idempotent");
         assert_eq!(dp.stats().ruleset.replayed, 1);
-        assert_eq!((ch.sends(), ch.failures()), (3, 1));
+        assert_eq!(ch.stats(), ActionStats { sends: 3, send_failed: 1, tcam_full: 0 });
     }
 
     #[test]
@@ -577,7 +580,7 @@ mod tests {
                 let r = rulesets.send_ruleset(&mut dp_r, &txn, tick).is_ok();
                 assert_eq!(a, r, "tick {tick}");
             }
-            assert_eq!(actions.failures(), rulesets.failures());
+            assert_eq!(actions.stats(), rulesets.stats());
         }
     }
 

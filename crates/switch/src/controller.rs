@@ -6,6 +6,11 @@
 //! table is full (paper §3.3.2). It also accounts control-plane bandwidth
 //! for the App. B.2 comparison.
 //!
+//! Every control-plane event is counted once, in the [`ControllerStats`]
+//! that [`Controller::stats`] returns: lifetime counts of the instance,
+//! kept outside the crash-losable state, so no recovery rewinds them. The
+//! replay loop, not the controller, publishes them to the registry.
+//!
 //! ## Hardening (PR 4)
 //!
 //! The digest and action paths between switch and controller are lossy in
@@ -35,8 +40,9 @@
 //!   declared once as one struct (including the retry RNG, so the jitter
 //!   stream resumes exactly); [`Controller::rebuild_from_blacklist`]
 //!   cold-starts a crashed controller from the data plane's installed
-//!   rules. Neither touches the ruleset staging queue, so a staged swap
-//!   is still delivered after a crash.
+//!   rules. Neither touches the ruleset staging queue or the counts, so a
+//!   staged swap is still delivered after a crash and no event is
+//!   forgotten.
 
 use std::collections::VecDeque;
 
@@ -44,7 +50,6 @@ use iguard_core::drift::{DriftConfig, DriftDetector};
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_runtime::hash::{FlowMap, FlowSet};
 use iguard_runtime::Rng;
-use iguard_telemetry::counter;
 
 use crate::pipeline::{ControlAction, Digest, SeqDigest};
 use crate::ruleset::RulesetTxn;
@@ -182,9 +187,9 @@ const DEGRADED_CLEAR_TICKS: u64 = 4;
 /// and a cold rebuild starts a fresh one.
 ///
 /// Kept outside: the configuration, the drift detector (it re-arms on the
-/// live digest stream) and the ruleset staging queue with its counters,
-/// which a crash leaves alone so that a transaction staged but not yet
-/// delivered still lands after recovery.
+/// live digest stream), the ruleset staging queue, which a crash leaves
+/// alone so that a transaction staged but not yet delivered still lands
+/// after recovery, and the [`ControllerStats`] counts.
 #[derive(Clone, Debug, PartialEq)]
 struct State {
     /// FIFO install-order queue (front = oldest). Only maintained under
@@ -194,8 +199,6 @@ struct State {
     /// Membership + recency stamps.
     installed: FlowMap<FiveTuple, u64>,
     clock: u64,
-    digests_seen: u64,
-    digest_bytes_total: f64,
     /// Sequence tags inside the dedup window, in admission order (front =
     /// oldest). Strictly increasing while `dedup_descents` is 0.
     dedup_order: VecDeque<u64>,
@@ -211,12 +214,7 @@ struct State {
     /// that never crashed.
     retry_rng: Rng,
     degraded: bool,
-    ever_degraded: bool,
     quiescent_ticks: u64,
-    dup_digests: u64,
-    retries: u64,
-    retries_exhausted: u64,
-    shed: u64,
 }
 
 impl State {
@@ -225,20 +223,13 @@ impl State {
             queue: VecDeque::new(),
             installed: FlowMap::default(),
             clock: 0,
-            digests_seen: 0,
-            digest_bytes_total: 0.0,
             dedup_order: VecDeque::new(),
             dedup_descents: 0,
             dedup_seen: None,
             retry_queue: VecDeque::new(),
             retry_rng: Rng::seed_from_u64(retry_seed),
             degraded: false,
-            ever_degraded: false,
             quiescent_ticks: 0,
-            dup_digests: 0,
-            retries: 0,
-            retries_exhausted: 0,
-            shed: 0,
         }
     }
 
@@ -264,6 +255,39 @@ impl State {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ControllerSnapshot(State);
 
+/// Lifetime event counts of one [`Controller`], one field per event,
+/// returned as a `Copy` snapshot by [`Controller::stats`]. A crash does
+/// not rewind them (see [`State`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ControllerStats {
+    /// Digests admitted past the dedup window.
+    pub digests: u64,
+    /// Digests discarded by the dedup window.
+    pub dup_digests: u64,
+    /// Blacklist installs issued.
+    pub installs: u64,
+    /// Blacklist entries evicted to make room for an install.
+    pub evictions: u64,
+    /// Drift-detector fires.
+    pub drift_triggers: u64,
+    /// Failed per-flow action sends, the ones that exhausted the budget too.
+    pub retries: u64,
+    /// Actions abandoned after [`RetryPolicy::max_attempts`] sends.
+    pub retries_exhausted: u64,
+    /// Shedding events (retry queue at capacity).
+    pub shed: u64,
+    /// Entries into the degraded state.
+    pub degraded_entries: u64,
+    /// Ruleset transactions handed to [`Controller::stage_ruleset`].
+    pub rulesets_staged: u64,
+    /// Staged transactions confirmed applied by the data plane.
+    pub rulesets_delivered: u64,
+    /// Staged transactions dropped by [`Controller::ruleset_rejected`].
+    pub rulesets_rejected: u64,
+    /// Failed ruleset send attempts.
+    pub ruleset_retries: u64,
+}
+
 /// The control-plane process.
 pub struct Controller {
     cfg: ControllerConfig,
@@ -274,10 +298,7 @@ pub struct Controller {
     /// Set by a drift fire, cleared by [`Self::take_drift_trigger`].
     drift_pending: bool,
     pending_rulesets: VecDeque<PendingRuleset>,
-    rulesets_staged: u64,
-    rulesets_delivered: u64,
-    rulesets_rejected: u64,
-    ruleset_send_failures: u64,
+    stats: ControllerStats,
 }
 
 impl Controller {
@@ -288,10 +309,7 @@ impl Controller {
             drift: cfg.drift.map(DriftDetector::new),
             drift_pending: false,
             pending_rulesets: VecDeque::new(),
-            rulesets_staged: 0,
-            rulesets_delivered: 0,
-            rulesets_rejected: 0,
-            ruleset_send_failures: 0,
+            stats: ControllerStats::default(),
             cfg,
         }
     }
@@ -301,7 +319,7 @@ impl Controller {
     ///
     /// This is the **single** digest entry point: digests whose tag is
     /// already inside the dedup window are dropped (counted in
-    /// [`Self::dup_digests`]) before touching bandwidth accounting or
+    /// [`ControllerStats::dup_digests`]) before touching bandwidth accounting or
     /// eviction state. Lossless callers tag digests with their global
     /// arrival sequence — unique tags make dedup a no-op, so one path
     /// serves lossless and lossy channels with identical semantics (the
@@ -315,8 +333,7 @@ impl Controller {
         actions.clear();
         for &sd in digests {
             if !self.dedup_admit(sd.seq) {
-                self.state.dup_digests += 1;
-                counter!("switch.controller.dup_digest").inc();
+                self.stats.dup_digests += 1;
                 continue;
             }
             self.process_one(sd.digest, actions);
@@ -368,16 +385,14 @@ impl Controller {
     }
 
     fn process_one(&mut self, d: Digest, actions: &mut Vec<ControlAction>) {
-        self.state.digests_seen += 1;
-        self.state.digest_bytes_total += self.cfg.digest_bytes;
+        self.stats.digests += 1;
         self.state.clock += 1;
-        counter!("switch.controller.digest").inc();
         // Drift watch runs on *admitted* digests only: duplicates were
         // already dropped, so a retransmission storm cannot fake a shift.
         if let Some(det) = &mut self.drift {
             if det.observe(d.malicious) {
                 self.drift_pending = true;
-                counter!("switch.controller.drift_trigger").inc();
+                self.stats.drift_triggers += 1;
             }
         }
         let key = d.five.canonical();
@@ -396,12 +411,12 @@ impl Controller {
         // a stale FIFO queue entry for `key` must not evict it.
         if self.state.installed.len() >= self.cfg.blacklist_capacity {
             if let Some(victim) = self.evict() {
-                counter!("switch.controller.blacklist_evict").inc();
+                self.stats.evictions += 1;
                 actions.push(ControlAction::RemoveBlacklist(victim));
             }
         }
         self.state.install(self.cfg.policy, key, self.state.clock);
-        counter!("switch.controller.blacklist_install").inc();
+        self.stats.installs += 1;
         actions.push(ControlAction::InstallBlacklist(key));
     }
 
@@ -433,11 +448,9 @@ impl Controller {
     /// [`RetryPolicy::max_attempts`]. `attempt` is how many sends have
     /// been made so far (1 for the first failure).
     pub fn note_send_failure(&mut self, action: ControlAction, attempt: u32, tick: u64) {
-        self.state.retries += 1;
-        counter!("switch.controller.retry").inc();
+        self.stats.retries += 1;
         if attempt >= self.cfg.retry.max_attempts {
-            self.state.retries_exhausted += 1;
-            counter!("switch.controller.retry_exhausted").inc();
+            self.stats.retries_exhausted += 1;
             self.enter_degraded();
             return;
         }
@@ -470,15 +483,13 @@ impl Controller {
             }
             _ => {}
         }
-        self.state.shed += 1;
-        counter!("switch.controller.shed").inc();
+        self.stats.shed += 1;
     }
 
     fn enter_degraded(&mut self) {
         if !self.state.degraded {
             self.state.degraded = true;
-            self.state.ever_degraded = true;
-            counter!("switch.controller.degraded").inc();
+            self.stats.degraded_entries += 1;
         }
         self.state.quiescent_ticks = 0;
     }
@@ -519,19 +530,13 @@ impl Controller {
         std::mem::take(&mut self.drift_pending)
     }
 
-    /// The drift detector, when adaptation is configured.
-    pub fn drift_detector(&self) -> Option<&DriftDetector> {
-        self.drift.as_ref()
-    }
-
     /// Stages a retrained ruleset transaction for delivery to the data
     /// plane. Transactions queue in staging order (= version order, since
     /// each is a delta against its predecessor's table) and deliver
     /// strictly one at a time: the data plane can only accept `v + 1`, so
     /// a later transaction must wait for every earlier one to land.
     pub fn stage_ruleset(&mut self, txn: RulesetTxn) {
-        self.rulesets_staged += 1;
-        counter!("switch.controller.ruleset_staged").inc();
+        self.stats.rulesets_staged += 1;
         self.pending_rulesets.push_back(PendingRuleset { txn, attempts: 0, due: 0 });
     }
 
@@ -551,8 +556,7 @@ impl Controller {
     /// necessary.
     pub fn note_ruleset_failure(&mut self, tick: u64) {
         let Some(p) = self.pending_rulesets.front_mut() else { return };
-        self.ruleset_send_failures += 1;
-        counter!("switch.controller.ruleset_retry").inc();
+        self.stats.ruleset_retries += 1;
         p.attempts = p.attempts.saturating_add(1);
         p.due = self.cfg.retry.due_after(p.attempts, tick, &mut self.state.retry_rng);
     }
@@ -564,8 +568,7 @@ impl Controller {
     /// hold every later transaction behind it forever.
     pub fn ruleset_rejected(&mut self) {
         if self.pending_rulesets.pop_front().is_some() {
-            self.rulesets_rejected += 1;
-            counter!("switch.controller.ruleset_rejected").inc();
+            self.stats.rulesets_rejected += 1;
         }
     }
 
@@ -573,29 +576,8 @@ impl Controller {
     /// accepted or replay-no-op'd it) and advances the queue.
     pub fn ruleset_delivered(&mut self) {
         if self.pending_rulesets.pop_front().is_some() {
-            self.rulesets_delivered += 1;
-            counter!("switch.controller.ruleset_delivered").inc();
+            self.stats.rulesets_delivered += 1;
         }
-    }
-
-    /// Ruleset transactions handed to [`Self::stage_ruleset`].
-    pub fn rulesets_staged(&self) -> u64 {
-        self.rulesets_staged
-    }
-
-    /// Staged transactions confirmed applied by the data plane.
-    pub fn rulesets_delivered(&self) -> u64 {
-        self.rulesets_delivered
-    }
-
-    /// Failed ruleset send attempts.
-    pub fn ruleset_send_failures(&self) -> u64 {
-        self.ruleset_send_failures
-    }
-
-    /// Staged transactions dropped by [`Self::ruleset_rejected`].
-    pub fn rulesets_rejected(&self) -> u64 {
-        self.rulesets_rejected
     }
 
     pub fn has_pending_retries(&self) -> bool {
@@ -607,20 +589,15 @@ impl Controller {
         self.state.degraded
     }
 
-    /// Ever entered the degraded state during this controller's life.
-    pub fn ever_degraded(&self) -> bool {
-        self.state.ever_degraded
-    }
-
     /// Captures the crash-losable state for later [`Self::restore_from`].
     pub fn snapshot(&self) -> ControllerSnapshot {
         ControllerSnapshot(self.state.clone())
     }
 
-    /// Resets the crash-losable state to `snap` (configuration and the
-    /// ruleset staging queue are kept; the drift detector re-arms). The
-    /// retry RNG resumes mid-stream, so jitter draws after a restore match
-    /// a run that never crashed.
+    /// Resets the crash-losable state to `snap`. The configuration, the
+    /// ruleset staging queue and the lifetime counts are kept; the drift
+    /// detector re-arms. The retry RNG resumes mid-stream, so jitter draws
+    /// after a restore match a run that never crashed.
     pub fn restore_from(&mut self, snap: &ControllerSnapshot) {
         self.reset_drift();
         self.state = snap.0.clone();
@@ -629,21 +606,12 @@ impl Controller {
     /// Cold-starts a crashed controller from the data plane's installed
     /// blacklist (the authoritative survivor): membership and eviction
     /// order are rebuilt from `contents` (canonical sorted order, as
-    /// returned by `DataPlane::blacklist_contents`); bandwidth counters,
-    /// the dedup window, pending retries and the jitter stream are lost
-    /// with the crash. The lifetime fault counters carry over, and the
-    /// ruleset staging queue is kept.
+    /// returned by `DataPlane::blacklist_contents`); the dedup window,
+    /// pending retries and the jitter stream are lost with the crash. The
+    /// ruleset staging queue and the lifetime counts are kept.
     pub fn rebuild_from_blacklist(&mut self, contents: &[FiveTuple]) {
         self.reset_drift();
-        let old = &self.state;
-        let mut state = State {
-            ever_degraded: old.ever_degraded,
-            dup_digests: old.dup_digests,
-            retries: old.retries,
-            retries_exhausted: old.retries_exhausted,
-            shed: old.shed,
-            ..State::new(self.cfg.retry.seed)
-        };
+        let mut state = State::new(self.cfg.retry.seed);
         for &five in contents {
             state.clock += 1;
             state.install(self.cfg.policy, five, state.clock);
@@ -668,36 +636,22 @@ impl Controller {
         self.state.queue.len()
     }
 
-    pub fn digests_seen(&self) -> u64 {
-        self.state.digests_seen
+    /// Every event count of this controller's life.
+    pub fn stats(&self) -> ControllerStats {
+        self.stats
     }
 
     /// Digests discarded by the sequence dedup window.
     pub fn dup_digests(&self) -> u64 {
-        self.state.dup_digests
-    }
-
-    /// Failed sends recorded (each failure counts once, including final
-    /// ones that exhausted the attempt budget).
-    pub fn retries(&self) -> u64 {
-        self.state.retries
-    }
-
-    /// Actions abandoned after [`RetryPolicy::max_attempts`] sends.
-    pub fn retries_exhausted(&self) -> u64 {
-        self.state.retries_exhausted
-    }
-
-    /// Shedding events (retry queue at capacity).
-    pub fn shed(&self) -> u64 {
-        self.state.shed
+        self.stats.dup_digests
     }
 
     /// Control-plane bandwidth over an observation window (App. B.2
-    /// reports KBps over 30 s).
+    /// reports KBps over 30 s): every admitted digest at
+    /// [`ControllerConfig::digest_bytes`].
     pub fn overhead_kbps(&self, window_secs: f64) -> f64 {
         assert!(window_secs > 0.0);
-        self.state.digest_bytes_total / 1024.0 / window_secs
+        self.stats.digests as f64 * self.cfg.digest_bytes / 1024.0 / window_secs
     }
 }
 
@@ -846,7 +800,7 @@ mod tests {
             &mut actions,
         );
         assert_eq!(c.dup_digests(), 1);
-        assert_eq!(c.digests_seen(), 2, "duplicate must not touch bandwidth accounting");
+        assert_eq!(c.stats().digests, 2, "duplicate must not touch bandwidth accounting");
         assert_eq!(c.installed_len(), 1);
     }
 
@@ -863,7 +817,7 @@ mod tests {
         // re-admitted (the price of a bounded window).
         c.process_seq_digests_into(&[seq_digest(1, 1, false)], &mut actions);
         assert_eq!(c.dup_digests(), 0);
-        assert_eq!(c.digests_seen(), 4);
+        assert_eq!(c.stats().digests, 4);
     }
 
     /// The dedup window as it was before the sorted fast path: a hash set
@@ -1049,7 +1003,7 @@ mod tests {
         let mut c = Controller::new(ControllerConfig::default());
         let act = ControlAction::InstallBlacklist(digest(1, true).five);
         c.note_send_failure(act, c.cfg.retry.max_attempts, 0);
-        assert_eq!(c.retries_exhausted(), 1);
+        assert_eq!(c.stats().retries_exhausted, 1);
         assert!(!c.has_pending_retries());
         assert!(c.is_degraded());
     }
@@ -1068,7 +1022,7 @@ mod tests {
         // Queue full of ClearFlow: an install replaces one of them.
         c.note_send_failure(install, 1, 0);
         assert!(c.is_degraded());
-        assert_eq!(c.shed(), 1);
+        assert_eq!(c.stats().shed, 1);
         let mut due = Vec::new();
         c.take_due_retries(u64::MAX / 2, &mut due);
         assert!(due.iter().any(|(a, _)| *a == install), "install must survive shedding");
@@ -1092,7 +1046,7 @@ mod tests {
             c.take_due_retries(t, &mut due);
         }
         assert!(!c.is_degraded());
-        assert!(c.ever_degraded());
+        assert!(c.stats().degraded_entries > 0);
     }
 
     #[test]
@@ -1124,6 +1078,23 @@ mod tests {
             b.note_send_failure(ControlAction::ClearFlow(digest(8, true).five), attempt, 10);
         }
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    /// Neither recovery rewinds the counts: they are the instance's, not
+    /// the crash-losable state's.
+    #[test]
+    fn recovery_keeps_the_lifetime_counts() {
+        let mut c = Controller::new(cfg(4, EvictionPolicy::Fifo));
+        let snap = c.snapshot();
+        let _ = run(&mut c, 0, &[digest(1, true), digest(1, true)]);
+        c.note_send_failure(ControlAction::ClearFlow(digest(2, false).five), 1, 0);
+        let counted = c.stats();
+        assert_eq!((counted.digests, counted.installs, counted.retries), (2, 1, 1));
+        c.restore_from(&snap);
+        assert_eq!(c.stats(), counted);
+        c.rebuild_from_blacklist(&[]);
+        assert_eq!(c.stats(), counted);
+        assert_eq!(c.overhead_kbps(1.0), 2.0 * c.cfg.digest_bytes / 1024.0);
     }
 
     #[test]
@@ -1188,7 +1159,7 @@ mod tests {
         feed(&mut c, 200, true);
         assert!(c.take_drift_trigger(), "regime change must trigger");
         assert!(!c.take_drift_trigger(), "reading clears the flag");
-        assert_eq!(c.drift_detector().expect("configured").fires(), 1);
+        assert_eq!(c.stats().drift_triggers, 1);
     }
 
     /// Ruleset re-sends and per-flow retries share one backoff rule and
@@ -1250,14 +1221,13 @@ mod tests {
         assert!(c.due_ruleset(15).is_none());
         assert!(c.due_ruleset(16).is_some());
         assert!(c.has_pending_ruleset());
-        assert_eq!(c.ruleset_send_failures(), 4);
+        assert_eq!(c.stats().ruleset_retries, 4);
 
         c.ruleset_delivered();
         assert!(!c.has_pending_ruleset());
-        assert_eq!(c.rulesets_staged(), 1);
-        assert_eq!(c.rulesets_delivered(), 1);
+        assert_eq!((c.stats().rulesets_staged, c.stats().rulesets_delivered), (1, 1));
         // Idempotent: delivering with nothing staged counts nothing.
         c.ruleset_delivered();
-        assert_eq!(c.rulesets_delivered(), 1);
+        assert_eq!(c.stats().rulesets_delivered, 1);
     }
 }

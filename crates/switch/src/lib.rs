@@ -66,9 +66,9 @@ pub mod sharded;
 pub mod sketched;
 pub mod tcam;
 
-pub use channel::{ActionChannel, ChannelStats, DigestChannel};
+pub use channel::{ActionChannel, ActionStats, ChannelStats, DigestChannel};
 pub use controller::{
-    Controller, ControllerConfig, ControllerSnapshot, EvictionPolicy, RetryPolicy,
+    Controller, ControllerConfig, ControllerSnapshot, ControllerStats, EvictionPolicy, RetryPolicy,
 };
 pub use data_plane::{DataPlane, DataPlaneStats, OverloadStats, SketchStats, SketchView};
 pub use pipeline::{

@@ -701,7 +701,7 @@ impl MatchEngine {
             table: Arc::clone(&self.epoch.table),
             phases: rulesets.iter().map(|r| IndexedWhitelist::new(r.clone())).collect(),
         };
-        counter!("switch.phase.rulesets_installed").add(rulesets.len() as u64);
+        self.ruleset_stats.phase_installed += rulesets.len() as u64;
     }
 
     /// Applies a versioned ruleset transaction (see [`crate::ruleset`]).
@@ -1135,15 +1135,15 @@ pub struct Pipeline {
     /// Monotonic counter for resync digest sequence tags (offset from
     /// [`RESYNC_SEQ_BASE`], disjoint from packet sequence numbers).
     resync_seq: u64,
-    /// The snapshot the last [`Pipeline::publish`] rendered.
-    published: DataPlaneStats,
+    /// The rows the last [`Pipeline::publish`] rendered.
+    published: Rows<PUBLISHED>,
 }
 
 /// Number of registry counters a [`Pipeline`] publishes.
-const PUBLISHED: usize = 37;
+const PUBLISHED: usize = 38;
 
 /// Every registry counter a [`Pipeline`] publishes, with its total in `s`.
-fn registry_rows(s: &DataPlaneStats) -> [(&'static str, u64); PUBLISHED] {
+fn registry_rows(s: &DataPlaneStats) -> Rows<PUBLISHED> {
     let (p, wl, e, ov, rs) = (&s.paths, &s.whitelist, &s.events, &s.overload, &s.ruleset);
     let sk = s.sketch.unwrap_or_default();
     [
@@ -1189,7 +1189,29 @@ fn registry_rows(s: &DataPlaneStats) -> [(&'static str, u64); PUBLISHED] {
         ("switch.ruleset.swaps", rs.swaps),
         ("switch.ruleset.stale", rs.stale),
         ("switch.ruleset.replayed", rs.replayed),
+        ("switch.phase.rulesets_installed", rs.phase_installed),
     ]
+}
+
+/// Registry counters by name, each with its total.
+pub(crate) type Rows<const N: usize> = [(&'static str, u64); N];
+
+/// Adds each row's growth over the same row of `published` to the
+/// registry counter `handles` caches for it, then records `rows` as
+/// published. A counter registers (the only allocation) on its first
+/// growth, or when `register` names it.
+pub(crate) fn publish_growth<const N: usize>(
+    handles: &[OnceLock<&'static Counter>; N],
+    published: &mut Rows<N>,
+    rows: Rows<N>,
+    register: impl Fn(&str) -> bool,
+) {
+    for (((name, total), (_, was)), handle) in rows.iter().zip(published.iter()).zip(handles) {
+        if total > was || (handle.get().is_none() && register(name)) {
+            handle.get_or_init(|| registry::counter(name)).add(total - was);
+        }
+    }
+    *published = rows;
 }
 
 // A pipeline and the crew it owns move between threads together.
@@ -1226,7 +1248,7 @@ impl Pipeline {
             crew: None,
             processed: 0,
             resync_seq: 0,
-            published: DataPlaneStats::default(),
+            published: registry_rows(&DataPlaneStats::default()),
         }
     }
 
@@ -1252,15 +1274,10 @@ impl Pipeline {
             [const { OnceLock::new() }; PUBLISHED];
         const WITH_SWAP: [&str; 2] = ["switch.ruleset.installed", "switch.ruleset.removed"];
         let now = self.stats();
-        let (rows, was_rows) = (registry_rows(&now), registry_rows(&self.published));
-        for (((name, total), (_, was)), handle) in rows.iter().zip(&was_rows).zip(&HANDLES) {
-            let register =
-                now.ruleset.swaps > 0 && handle.get().is_none() && WITH_SWAP.contains(name);
-            if total > was || register {
-                handle.get_or_init(|| registry::counter(name)).add(total - was);
-            }
-        }
-        self.published = now;
+        let swapped = now.ruleset.swaps > 0;
+        publish_growth(&HANDLES, &mut self.published, registry_rows(&now), |name| {
+            swapped && WITH_SWAP.contains(&name)
+        });
     }
 
     /// Closes a batch on every logical shard (see [`ShardState::end_batch`]).
@@ -1293,6 +1310,7 @@ impl Pipeline {
     /// boundary look escalates.
     pub fn set_phase_rulesets(&mut self, rulesets: &[RuleSet]) {
         self.engine.set_phase_rulesets(rulesets);
+        self.publish();
     }
 
     /// Number of per-phase whitelists installed in the live epoch.

@@ -28,6 +28,7 @@
 //! batches amortise feature extraction and index probes across rows.
 
 use std::num::NonZeroU64;
+use std::sync::OnceLock;
 
 use iguard_core::error::{IguardError, SwitchError};
 use iguard_flow::five_tuple::FiveTuple;
@@ -38,11 +39,14 @@ use iguard_runtime::{ChannelKind, FaultPlan};
 
 use iguard_synth::streaming::StreamingTrace;
 use iguard_synth::trace::Trace;
+use iguard_telemetry::Counter;
 
-use crate::channel::{ActionChannel, DigestChannel};
-use crate::controller::{Controller, ControllerSnapshot};
+use crate::channel::{ActionChannel, ActionStats, ChannelStats, DigestChannel};
+use crate::controller::{Controller, ControllerSnapshot, ControllerStats};
 use crate::data_plane::DataPlane;
-use crate::pipeline::{ControlAction, PacketVerdict, ProcessOutcome, SeqDigest};
+use crate::pipeline::{
+    publish_growth, ControlAction, PacketVerdict, ProcessOutcome, Rows, SeqDigest,
+};
 use crate::ruleset::RulesetTxn;
 
 /// Pipeline timing constants.
@@ -97,6 +101,10 @@ impl ControlPlaneModel {
 /// `avg_latency_ns` and `digest_kbps` are *modelled*: they come from
 /// [`LatencyModel`], [`ControlPlaneModel`] and the controller's digest-size
 /// constants applied to those counts, not from a clock.
+///
+/// The control plane's counts are the three snapshots read when the
+/// replay ended: the replay's own channels, and the controller's lifetime
+/// counts, which a crash does not rewind.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayReport {
     pub packets: u64,
@@ -126,27 +134,14 @@ pub struct ReplayReport {
     pub digest_kbps: f64,
     /// Loopback copies generated.
     pub loopback: u64,
-    // --- Chaos observability (all zero/false in fault-free replay) ---
-    /// Digests lost in transit (sampled drops + outage losses).
-    pub chan_dropped: u64,
-    /// Extra digest copies injected by the channel.
-    pub chan_duplicated: u64,
-    /// Adjacent digest pairs swapped at delivery.
-    pub chan_reordered: u64,
-    /// Digests held back at least one tick.
-    pub chan_delayed: u64,
-    /// Controller→data-plane sends that failed (first attempts + retries).
-    pub action_failures: u64,
-    /// Failed sends recorded for retry.
-    pub retries: u64,
-    /// Actions abandoned after the retry budget.
-    pub retries_exhausted: u64,
-    /// Retry-queue shedding events.
-    pub shed: u64,
-    /// Digests discarded by the controller's sequence dedup window.
-    pub dup_digests: u64,
-    /// Whether the controller ever entered the degraded state.
-    pub degraded: bool,
+    // --- Chaos observability (the fault counts are zero in fault-free replay) ---
+    /// The controller's counts (dedup, installs, retries, shedding,
+    /// degraded entries, ruleset lifecycle).
+    pub controller: ControllerStats,
+    /// The digest channel's fault counts.
+    pub digest_channel: ChannelStats,
+    /// The action channel's sends and failures.
+    pub action_channel: ActionStats,
     /// Recovery latency after the last scripted outage heals, in packets
     /// (ticks from heal to the last successful install × batch size).
     pub recovery_packets: u64,
@@ -162,14 +157,8 @@ pub struct ReplayReport {
     /// Lookups that matched a whitelist rule.
     pub wl_hits: u64,
     /// Ruleset transactions confirmed applied by the data plane (each is
-    /// one hitless epoch flip).
+    /// one hitless epoch flip); `controller.rulesets_delivered`.
     pub ruleset_swaps: u64,
-    /// Ruleset delivery attempts that failed in transit and were backed
-    /// off for re-send.
-    pub ruleset_retries: u64,
-    /// Ruleset transactions the data plane rejected (a version gap or a
-    /// whitelist of the wrong shape); each was dropped, not retried.
-    pub ruleset_rejected: u64,
 }
 
 impl ReplayReport {
@@ -378,7 +367,7 @@ pub struct ChaosConfig {
     /// action channel with capped backoff until the data plane accepts
     /// it. A transaction the data plane rejects (a version gap or a
     /// whitelist of the wrong shape) is dropped and counted in
-    /// [`ReplayReport::ruleset_rejected`], not retried. Lets chaos tests
+    /// [`ControllerStats::rulesets_rejected`], not retried. Lets chaos tests
     /// exercise swap-under-fault convergence without running a retrain in
     /// the loop.
     pub ruleset_swaps: Vec<(u64, RulesetTxn)>,
@@ -462,6 +451,35 @@ pub fn replay<D: DataPlane + ?Sized>(
     replay_chaos_traced(trace, data_plane, controller, cfg, &ChaosConfig::default(), None)
 }
 
+/// Number of registry counters the control loop publishes.
+const CONTROL_ROWS: usize = 19;
+
+/// Every registry counter the control loop publishes, with its total in
+/// the controller's and the two channels' snapshots.
+fn control_rows(c: &ControllerStats, d: &ChannelStats, a: &ActionStats) -> Rows<CONTROL_ROWS> {
+    [
+        ("switch.controller.digest", c.digests),
+        ("switch.controller.dup_digest", c.dup_digests),
+        ("switch.controller.blacklist_install", c.installs),
+        ("switch.controller.blacklist_evict", c.evictions),
+        ("switch.controller.drift_trigger", c.drift_triggers),
+        ("switch.controller.retry", c.retries),
+        ("switch.controller.retry_exhausted", c.retries_exhausted),
+        ("switch.controller.shed", c.shed),
+        ("switch.controller.degraded", c.degraded_entries),
+        ("switch.controller.ruleset_staged", c.rulesets_staged),
+        ("switch.controller.ruleset_delivered", c.rulesets_delivered),
+        ("switch.controller.ruleset_rejected", c.rulesets_rejected),
+        ("switch.controller.ruleset_retry", c.ruleset_retries),
+        ("switch.chan.dropped", d.dropped),
+        ("switch.chan.duplicated", d.duplicated),
+        ("switch.chan.reordered", d.reordered),
+        ("switch.chan.delayed", d.delayed),
+        ("switch.chan.send_failed", a.send_failed),
+        ("switch.chan.tcam_full", a.tcam_full),
+    ]
+}
+
 /// Mutable control-loop state threaded through the per-tick step.
 struct ControlLoop {
     digest_chan: DigestChannel,
@@ -470,15 +488,17 @@ struct ControlLoop {
     delivered: Vec<SeqDigest>,
     actions: Vec<ControlAction>,
     due: Vec<(ControlAction, u32)>,
-    resync_digests: u64,
     last_install_tick: Option<u64>,
+    /// The control-plane rows the last tick published.
+    published: Rows<CONTROL_ROWS>,
 }
 
 impl ControlLoop {
     /// One control-plane tick: drain data-plane digests through the lossy
     /// channel, process deliveries, send resulting actions (queueing
     /// failures for retry), and re-send due retries. `do_resync` adds a
-    /// label-resync sweep to this tick's offered digests.
+    /// label-resync sweep to this tick's offered digests, and the tick
+    /// ends by publishing the control plane's counts.
     /// Returns whether the tick moved anything (digests offered or
     /// delivered, retries re-sent) — the flush phase's convergence signal.
     fn tick<D: DataPlane + ?Sized>(
@@ -494,9 +514,7 @@ impl ControlLoop {
         dp.drain_seq_digests_into(&mut self.seq_buf);
         report.digests += self.seq_buf.len() as u64;
         if do_resync {
-            let before = self.seq_buf.len();
             dp.resync_labeled_into(&mut self.seq_buf);
-            self.resync_digests += (self.seq_buf.len() - before) as u64;
         }
         if !self.seq_buf.is_empty() {
             self.digest_chan.offer(tick, &self.seq_buf);
@@ -516,12 +534,12 @@ impl ControlLoop {
         controller.process_seq_digests_into(&self.delivered, &mut self.actions);
         for i in 0..self.actions.len() {
             let action = self.actions[i];
-            self.send(dp, controller, action, 1, tick, report, mitigation.as_deref_mut());
+            self.send(dp, controller, action, 1, tick, mitigation.as_deref_mut());
         }
         controller.take_due_retries(tick, &mut self.due);
         for i in 0..self.due.len() {
             let (action, attempt) = self.due[i];
-            self.send(dp, controller, action, attempt, tick, report, mitigation.as_deref_mut());
+            self.send(dp, controller, action, attempt, tick, mitigation.as_deref_mut());
         }
         // Ruleset lifecycle: a staged (drift-retrained or scripted)
         // transaction rides the same fallible channel as per-flow
@@ -546,6 +564,12 @@ impl ControlLoop {
                 }
             }
         }
+        // Publish each control-plane count's growth since the last tick.
+        static HANDLES: [OnceLock<&'static Counter>; CONTROL_ROWS] =
+            [const { OnceLock::new() }; CONTROL_ROWS];
+        let rows =
+            control_rows(&controller.stats(), &self.digest_chan.stats(), &self.action_chan.stats());
+        publish_growth(&HANDLES, &mut self.published, rows, |_| false);
         !self.seq_buf.is_empty()
             || !self.delivered.is_empty()
             || !self.due.is_empty()
@@ -559,7 +583,6 @@ impl ControlLoop {
         action: ControlAction,
         attempt: u32,
         tick: u64,
-        report: &mut ReplayReport,
         mitigation: Option<&mut MitigationLog>,
     ) {
         match self.action_chan.send(dp, action, tick) {
@@ -571,10 +594,7 @@ impl ControlLoop {
                     }
                 }
             }
-            Err(_) => {
-                report.action_failures += 1;
-                controller.note_send_failure(action, attempt, tick);
-            }
+            Err(_) => controller.note_send_failure(action, attempt, tick),
         }
     }
 
@@ -742,8 +762,9 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
         delivered: Vec::new(),
         actions: Vec::new(),
         due: Vec::new(),
-        resync_digests: 0,
         last_install_tick: None,
+        // A reused controller's earlier counts are not this replay's.
+        published: control_rows(&controller.stats(), &Default::default(), &Default::default()),
     };
     let mut checkpoint: Option<ControllerSnapshot> = None;
     let mut crash_pending = chaos.crash;
@@ -853,20 +874,12 @@ pub fn replay_source<S: PacketSource + ?Sized, D: DataPlane + ?Sized>(
     }
 
     report.flush_ticks = flush_ticks;
-    report.resync_digests = ctl.resync_digests;
-    let chan = ctl.digest_chan.stats();
-    report.chan_dropped = chan.dropped;
-    report.chan_duplicated = chan.duplicated;
-    report.chan_reordered = chan.reordered;
-    report.chan_delayed = chan.delayed;
-    report.retries = controller.retries();
-    report.retries_exhausted = controller.retries_exhausted();
-    report.shed = controller.shed();
-    report.dup_digests = controller.dup_digests();
-    report.degraded = controller.ever_degraded();
-    report.ruleset_swaps = controller.rulesets_delivered();
-    report.ruleset_retries = controller.ruleset_send_failures();
-    report.ruleset_rejected = controller.rulesets_rejected();
+    report.controller = controller.stats();
+    report.digest_channel = ctl.digest_chan.stats();
+    // The channel was offered every drained and every resynced digest.
+    report.resync_digests = report.digest_channel.offered - report.digests;
+    report.action_channel = ctl.action_chan.stats();
+    report.ruleset_swaps = report.controller.rulesets_delivered;
     let heal = [ChannelKind::Digest, ChannelKind::Action]
         .into_iter()
         .filter_map(|ch| chaos.plan.heal_tick(ch))
@@ -1164,7 +1177,7 @@ mod tests {
         let cfg = ReplayConfig::default().with_batch_size(8);
         let r = replay_chaos_traced(&trace, &mut p, &mut c, &cfg, &chaos, None);
         assert_eq!(r.ruleset_swaps, 1, "swap must deliver once the channel heals");
-        assert!(r.ruleset_retries >= 1, "outage must force at least one retry");
+        assert!(r.controller.ruleset_retries >= 1, "outage must force at least one retry");
         assert_eq!(p.ruleset_version(), 1);
         assert!(!c.has_pending_ruleset());
     }

@@ -221,8 +221,9 @@ impl RulesetTxn {
 
 /// Data-plane-side accounting of the ruleset lifecycle, mirrored into
 /// the `switch.ruleset.*` telemetry counters: TCAM entry writes actually
-/// performed, completed atomic swaps, idempotent replays absorbed, and
-/// stale transactions rejected.
+/// performed, completed atomic swaps, idempotent replays absorbed, stale
+/// transactions rejected, and phase whitelists installed
+/// (`switch.phase.rulesets_installed`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RulesetCounters {
     /// Entries written by accepted transactions (Σ installs).
@@ -235,6 +236,8 @@ pub struct RulesetCounters {
     pub stale: u64,
     /// Re-deliveries of already-applied versions absorbed as no-ops.
     pub replayed: u64,
+    /// Intermediate-phase whitelists installed by `set_phase_rulesets`.
+    pub phase_installed: u64,
 }
 
 impl RulesetCounters {
@@ -246,6 +249,7 @@ impl RulesetCounters {
             swaps: self.swaps + o.swaps,
             stale: self.stale + o.stale,
             replayed: self.replayed + o.replayed,
+            phase_installed: self.phase_installed + o.phase_installed,
         }
     }
 }

@@ -28,6 +28,7 @@ use iguard_core::rules::RuleSet;
 use iguard_flow::five_tuple::FiveTuple;
 use iguard_runtime::par::with_workers;
 use iguard_runtime::{ChannelKind, FaultPlan};
+use iguard_switch::channel::ActionStats;
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
 use iguard_switch::replay::{
@@ -48,7 +49,7 @@ struct ChaosFingerprint {
     blacklist: Vec<FiveTuple>,
     controller_installed: usize,
     chan: (u64, u64, u64, u64),
-    action_failures: u64,
+    action: ActionStats,
     retries: u64,
     shed: u64,
     dup_digests: u64,
@@ -59,18 +60,19 @@ struct ChaosFingerprint {
 
 impl ChaosFingerprint {
     fn of(r: &ReplayReport, dp: &ShardedPipeline, controller: &Controller) -> Self {
+        let d = &r.digest_channel;
         Self {
             confusion: (r.tp, r.fp, r.tn, r.fn_),
             dropped: r.dropped,
             digests: r.digests,
             blacklist: dp.blacklist_contents(),
             controller_installed: controller.installed_len(),
-            chan: (r.chan_dropped, r.chan_duplicated, r.chan_reordered, r.chan_delayed),
-            action_failures: r.action_failures,
-            retries: r.retries,
-            shed: r.shed,
-            dup_digests: r.dup_digests,
-            degraded: r.degraded,
+            chan: (d.dropped, d.duplicated, d.reordered, d.delayed),
+            action: r.action_channel,
+            retries: r.controller.retries,
+            shed: r.controller.shed,
+            dup_digests: r.controller.dup_digests,
+            degraded: r.controller.degraded_entries > 0,
             flush_ticks: r.flush_ticks,
             resync_digests: r.resync_digests,
         }
@@ -101,9 +103,9 @@ fn run_chaos(
     })
 }
 
-/// Fault seeds exercised by the determinism grid. `scripts/check.sh` runs
-/// this file under `IGUARD_WORKERS=1` and `=8` so both sides of the
-/// worker-invariance claim are covered in CI.
+/// Fault seeds exercised by the determinism grid. [`run_chaos`] pins each
+/// run's worker count itself through `with_workers`, so the grid covers
+/// both sides of the worker-invariance claim whatever `IGUARD_WORKERS` is.
 const CHAOS_SEEDS: [u64; 2] = [11, 47];
 
 #[test]
@@ -258,6 +260,40 @@ fn controller_crash_restores_checkpoint_byte_identically() {
     assert_eq!(crashed, base, "per-tick checkpoints must make crashes invisible");
 }
 
+/// A crash does not rewind the controller's counts: under an action
+/// outage that spans the crash, every failed per-flow send is one retry,
+/// whichever way the controller recovers. Restoring a checkpoint used to
+/// rewind the retry count to the checkpoint's, forgetting the failures
+/// between the checkpoint and the crash.
+#[test]
+fn controller_crash_keeps_the_lifetime_counts() {
+    let trace = stable_trace(60, 12);
+    let fl = fl_mean_size_below(800.0);
+    for recovery in [CrashRecovery::RestoreCheckpoint, CrashRecovery::RebuildFromDataPlane] {
+        let chaos = ChaosConfig::default()
+            .with_plan(FaultPlan::none().with_outage(ChannelKind::Action, 1, 40))
+            .with_checkpoint_interval(8)
+            .with_crash(14, recovery);
+        let mut dp = ShardedPipeline::new(
+            ShardedPipelineConfig::from(flow_cfg(4096)).with_shards(2),
+            fl.clone(),
+            accept_all(4),
+        );
+        let mut controller = Controller::new(ControllerConfig::default());
+        let r = replay_chaos_traced(
+            &trace,
+            &mut dp,
+            &mut controller,
+            &ReplayConfig::default().with_batch_size(16),
+            &chaos,
+            None,
+        );
+        let failed = r.action_channel.send_failed + r.action_channel.tcam_full;
+        assert!(failed > 0, "{recovery:?}: the outage must fail sends");
+        assert_eq!(r.controller.retries, failed, "{recovery:?}: one retry per failed send");
+    }
+}
+
 #[test]
 fn tcam_saturation_degrades_gracefully() {
     let trace = stable_trace(60, 12);
@@ -281,9 +317,10 @@ fn tcam_saturation_degrades_gracefully() {
         None,
     );
     assert_eq!(dp.blacklist_len(), 4, "TCAM budget must cap the installed rules");
-    assert!(r.degraded, "saturation must raise the degraded flag");
-    assert!(r.retries > 0 && r.retries_exhausted > 0, "installs must retry then exhaust");
-    assert!(r.action_failures > 0);
-    assert_eq!(r.chan_dropped, 0, "digest channel was clean in this scenario");
+    let c = r.controller;
+    assert!(c.degraded_entries > 0, "saturation must raise the degraded flag");
+    assert!(c.retries > 0 && c.retries_exhausted > 0, "installs must retry then exhaust");
+    assert!(r.action_channel.tcam_full > 0);
+    assert_eq!(r.digest_channel.dropped, 0, "digest channel was clean in this scenario");
     assert!(r.tp > 0 && r.tn > 0, "the pipeline keeps classifying throughout");
 }

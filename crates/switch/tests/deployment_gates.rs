@@ -187,7 +187,7 @@ fn drift_loop_fires_on_shift_and_lands_the_retrain_diff() {
     let r = replay_chaos_traced(&settle, &mut pipeline, &mut controller, &rcfg, &chaos, None);
     assert_eq!(pipeline.ruleset_version(), 2, "the drift transaction did not land");
     assert_eq!(r.ruleset_swaps, 1, "the drift transaction must swap exactly once");
-    assert!(r.ruleset_retries > 0, "the action outage produced no ruleset retries");
+    assert!(r.controller.ruleset_retries > 0, "the action outage produced no ruleset retries");
     let after = pipeline.ruleset_counters();
     let writes = (after.installed + after.removed) - (before.installed + before.removed);
     assert!(writes <= churn as u64, "{writes} TCAM writes exceed the diff size {churn}");

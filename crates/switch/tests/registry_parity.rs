@@ -4,8 +4,8 @@
 //! exactly its field of the backend's [`DataPlane::stats`] snapshot, read
 //! through a name-to-field table written here, not the pipeline's own.
 //! Fourteen counters are also pinned as literals per layout, recorded
-//! before the snapshot existed; `switch.phase.rulesets_installed`, bumped
-//! directly by `set_phase_rulesets`, has only its pin.
+//! before the snapshot existed; `switch.phase.rulesets_installed` is both
+//! mirrored and pinned.
 //!
 //! The registry is process-global, so this suite is its own test binary
 //! holding a single test; each backend reads its own registry delta.
@@ -176,6 +176,7 @@ fn check<D: DataPlane>(
         ("switch.ruleset.swaps", rs.swaps),
         ("switch.ruleset.stale", rs.stale),
         ("switch.ruleset.replayed", rs.replayed),
+        ("switch.phase.rulesets_installed", rs.phase_installed),
         ("switch.flow_table.occupancy_hwm", ov.pressure.occupancy_hwm as u64),
         ("switch.flow_table.collision_hwm", ov.pressure.collision_window_hwm),
     ];

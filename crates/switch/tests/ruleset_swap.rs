@@ -247,7 +247,7 @@ fn run_swap_chaos(
             counters: dp.ruleset_counters(),
             table: dp.ruleset_table().entries().to_vec(),
             swaps: r.ruleset_swaps,
-            retries: r.ruleset_retries,
+            retries: r.controller.ruleset_retries,
         }
     })
 }
@@ -381,8 +381,8 @@ fn rejected_transaction_is_dropped_not_retried() {
         None,
     );
     assert_eq!(dp.ruleset_version(), 1, "v1 must land behind the rejected v2");
-    assert_eq!((r.ruleset_swaps, r.ruleset_rejected), (1, 1));
-    assert_eq!(r.ruleset_retries, 0, "a rejection is not a transport failure");
+    assert_eq!((r.ruleset_swaps, r.controller.rulesets_rejected), (1, 1));
+    assert_eq!(r.controller.ruleset_retries, 0, "a rejection is not a transport failure");
     assert_eq!(dp.ruleset_counters().stale, 1, "v2 is offered exactly once");
     assert!(!controller.has_pending_ruleset());
     assert!(r.flush_ticks < 16, "flush ran {} ticks", r.flush_ticks);
@@ -419,8 +419,9 @@ fn crash_keeps_a_staged_undelivered_swap() {
             None,
         );
         assert_eq!(dp.ruleset_version(), 2, "{recovery:?}: both swaps must land");
-        assert_eq!((r.ruleset_swaps, r.ruleset_rejected), (2, 0), "{recovery:?}");
-        assert!(r.ruleset_retries > 0, "{recovery:?}: the outage must delay v1 past the crash");
+        assert_eq!((r.ruleset_swaps, r.controller.rulesets_rejected), (2, 0), "{recovery:?}");
+        let retries = r.controller.ruleset_retries;
+        assert!(retries > 0, "{recovery:?}: the outage must delay v1 past the crash");
         assert!(!controller.has_pending_ruleset());
     }
 }

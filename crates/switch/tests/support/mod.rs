@@ -157,6 +157,25 @@ pub fn stable_trace(flows: u16, pkts_per_flow: u64) -> Trace {
     t
 }
 
+/// `flows` benign flows, then `flows` malicious ones, each sending `pkts`
+/// packets round-robin within its half: 120 B for the benign flows,
+/// 1400 B for the malicious (the classes [`fl_mean_size_below`]`(800.0)`
+/// gives them). The digest stream shifts from benign to malicious
+/// halfway, which fires a drift detector.
+pub fn shifting_trace(flows: u32, pkts: u64) -> Trace {
+    let mut t = Trace::new();
+    let mut ts_ns = 0;
+    for half in 0..2u32 {
+        let len = if half == 0 { 120 } else { 1400 };
+        for i in 0..flows as u64 * pkts {
+            let flow = half * flows + (i % flows as u64) as u32;
+            t.push(pkt(flow, ts_ns, len), half == 1);
+            ts_ns += 1_000_000;
+        }
+    }
+    t
+}
+
 /// The oracle teacher the trained fixtures distil: flood tooling is
 /// machine-regular (feature 10, the std of inter-packet delay) or sends
 /// oversized packets (feature 2, the mean size); benign jitter is neither.

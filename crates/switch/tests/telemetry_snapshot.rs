@@ -16,20 +16,21 @@ use iguard_core::drift::DriftConfig;
 use iguard_core::forest::IGuardConfig;
 use iguard_core::phase::{train_phases, PhaseTrainConfig};
 use iguard_core::teacher::OracleTeacher;
-use iguard_flow::five_tuple::{FiveTuple, PROTO_TCP};
 use iguard_flow::packet::Packet;
 use iguard_flow::table::{FlowShard, FlowTableConfig, PhaseSchedule};
 use iguard_runtime::rng::Rng;
 use iguard_runtime::Dataset;
 use iguard_switch::controller::{Controller, ControllerConfig};
 use iguard_switch::data_plane::DataPlane;
-use iguard_switch::pipeline::{Digest, Pipeline, PipelineConfig, SeqDigest};
+use iguard_switch::pipeline::{Pipeline, PipelineConfig};
 use iguard_switch::replay::{replay, ReplayConfig};
 use iguard_switch::ruleset::RulesetTxn;
 use iguard_switch::tcam::{RangeEntry, RangeTable};
 use iguard_switch::{SketchEviction, SketchedPipeline, SketchedPipelineConfig};
 use iguard_synth::scenarios::Scenario;
-use support::{accept_all, fl_mean_size_below, flow_cfg, mixed_trace, pkt, stable_trace};
+use support::{
+    accept_all, fl_mean_size_below, flow_cfg, mixed_trace, pkt, shifting_trace, stable_trace,
+};
 
 /// Sketch admission and eviction: a mixed trace through an 8-flow budget.
 fn run_sketch() {
@@ -63,17 +64,14 @@ fn run_ruleset() {
     assert!(dp.apply_ruleset(&RulesetTxn::full_install(9, &t2, fl)).is_err(), "gap accepted");
 }
 
-/// A benign digest stream followed by a malicious one fires the drift
-/// detector and surfaces the controller's trigger.
+/// A benign digest stream followed by a malicious one, replayed through
+/// the control loop (which publishes the controller's counts), fires the
+/// drift detector and surfaces the controller's trigger.
 fn run_drift() {
     let drift = DriftConfig::default().with_window(50).with_min_samples(25).with_cooldown(50);
     let mut c = Controller::new(ControllerConfig { drift: Some(drift), ..Default::default() });
-    let mut actions = Vec::new();
-    for seq in 0..400u64 {
-        let five = FiveTuple::new(seq as u32 + 1, 2, 7, 80, PROTO_TCP);
-        let digest = Digest::new(five, seq >= 200);
-        c.process_seq_digests_into(&[SeqDigest { seq, digest }], &mut actions);
-    }
+    let mut dp = Pipeline::new(flow_cfg(4096), fl_mean_size_below(800.0), accept_all(4));
+    replay(&shifting_trace(200, 4), &mut dp, &mut c, &ReplayConfig::default().with_batch_size(64));
     assert!(c.take_drift_trigger(), "the malicious regime must fire the drift trigger");
 }
 

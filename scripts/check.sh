@@ -46,6 +46,11 @@ cargo fmt --manifest-path perf/Cargo.toml -- --check
 echo "== cargo build --release --offline (perf/, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline --manifest-path perf/Cargo.toml
 
+echo "== cargo clippy --offline (perf/, deny-by-default lints only) =="
+# The workspace clippy step never reaches perf/, which compiles against
+# the controller, channel and replay API; same lint levels as there.
+cargo clippy --offline --all-targets --manifest-path perf/Cargo.toml
+
 echo "== benchmark package unit tests (perf/, its own workspace) =="
 # perf/ is not a member of the root workspace, so the two passes above
 # never reach its tests: metric arithmetic, every workload end to end at
