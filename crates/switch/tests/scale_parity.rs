@@ -21,7 +21,7 @@ use iguard_flow::features::SWITCH_FL_DIM;
 use iguard_flow::five_tuple::{FiveTuple, PROTO_UDP};
 use iguard_flow::packet::{Packet, TcpFlags};
 use iguard_flow::sketch::CountMinSketch;
-use iguard_flow::table::FlowTableConfig;
+use iguard_flow::table::{FlowTableConfig, PressureStats};
 use iguard_runtime::par::with_workers;
 use iguard_runtime::proptest_lite;
 use iguard_runtime::rng::Rng;
@@ -31,7 +31,9 @@ use iguard_switch::pipeline::{
     WhitelistCounters,
 };
 use iguard_switch::replay::{replay, ReplayConfig, ReplayReport};
-use iguard_switch::{DataPlane, SketchEviction, SketchedPipeline, SketchedPipelineConfig};
+use iguard_switch::{
+    DataPlane, OverloadStats, SketchEviction, SketchStats, SketchedPipeline, SketchedPipelineConfig,
+};
 use iguard_synth::trace::Trace;
 use iguard_synth::Zipf;
 use support::{accept_all, random_pool, random_rules};
@@ -260,7 +262,7 @@ fn replay_budget(
     trace: &Trace,
     budget_slots: Option<usize>,
     promote_threshold: u32,
-) -> (ReplayReport, Vec<FiveTuple>, iguard_switch::SketchStats) {
+) -> (ReplayReport, Vec<FiveTuple>, SketchStats) {
     let scfg = SketchedPipelineConfig::default()
         .with_pipeline(pipeline_cfg())
         .with_budget_bytes(budget_slots.map(|s| s * iguard_flow::table::FlowShard::slot_bytes()))
@@ -407,7 +409,7 @@ fn budgeted_fingerprint(
     pkts: &[Packet],
     pool: &[FiveTuple],
     batch: usize,
-) -> (u64, iguard_switch::SketchStats, iguard_switch::OverloadStats) {
+) -> (u64, SketchStats, OverloadStats) {
     let mut dp = SketchedPipeline::new(scfg, mean_size_whitelist(600.0), pl.clone());
     dp.set_phase_rulesets(phase_rules);
     let (mut out, mut digests, mut buf) = (Vec::new(), Vec::new(), Vec::new());
@@ -431,14 +433,90 @@ fn budgeted_fingerprint(
     }
     let sketch = dp.sketch_stats().expect("sketched backend reports stats");
     let overload = dp.overload_stats();
+    let counts = stats_values(&sketch, &overload, &dp.whitelist_counters(), &dp.counters());
     let seen = format!(
-        "{out:?}|{digests:?}|{sketch:?}|{overload:?}|{:?}|{:?}|{:?}|{}",
-        dp.whitelist_counters(),
-        dp.counters(),
+        "{out:?}|{digests:?}|{counts:?}|{:?}|{}",
         dp.blacklist_contents(),
         dp.packets_processed()
     );
     (fnv1a64(&seen), sketch, overload)
+}
+
+/// The field values of a budgeted run's count snapshots, in declaration
+/// order, so the goldens pin what the pipeline counted and not how the
+/// structs spell their fields. Each struct is destructured exhaustively:
+/// a new field fails to compile here instead of slipping past the hash.
+fn stats_values(
+    sketch: &SketchStats,
+    overload: &OverloadStats,
+    whitelist: &WhitelistCounters,
+    paths: &PathCounters,
+) -> Vec<u64> {
+    let SketchStats {
+        tracked,
+        max_tracked,
+        resident_bytes,
+        budget_bytes,
+        sketch_bytes,
+        promoted,
+        absorbed,
+        evicted,
+    } = *sketch;
+    let OverloadStats {
+        pressure,
+        degraded_shards,
+        degraded_entries,
+        degraded_exits,
+        degraded_batches,
+        shed_benign,
+        shed_malicious,
+        admission_tightened,
+        digest_buffered_hwm,
+    } = *overload;
+    let PressureStats {
+        pressure_milli,
+        churn_milli,
+        churn_milli_hwm,
+        occupancy_hwm,
+        collision_window_hwm,
+        eviction_window_hwm,
+        evictions,
+    } = pressure;
+    let WhitelistCounters { lookups, hits } = *whitelist;
+    let PathCounters { blacklist, brown, blue, orange, purple, green_loopback } = *paths;
+    vec![
+        tracked as u64,
+        max_tracked as u64,
+        resident_bytes as u64,
+        budget_bytes.map_or(u64::MAX, |b| b as u64),
+        sketch_bytes as u64,
+        promoted,
+        absorbed,
+        evicted,
+        pressure_milli.into(),
+        churn_milli.into(),
+        churn_milli_hwm.into(),
+        occupancy_hwm as u64,
+        collision_window_hwm,
+        eviction_window_hwm,
+        evictions,
+        degraded_shards.into(),
+        degraded_entries,
+        degraded_exits,
+        degraded_batches,
+        shed_benign,
+        shed_malicious,
+        admission_tightened,
+        digest_buffered_hwm as u64,
+        lookups,
+        hits,
+        blacklist,
+        brown,
+        blue,
+        orange,
+        purple,
+        green_loopback,
+    ]
 }
 
 /// Golden fingerprints of the budgeted sketched walk: every eviction
@@ -481,15 +559,15 @@ fn budgeted_sketched_walk_matches_golden_fingerprints() {
         .with_flow_table(FlowTableConfig::default().with_pkt_threshold(50).with_slots_per_table(2));
     #[rustfmt::skip]
     let cases: [(&str, SketchedPipelineConfig, bool, [u64; 3]); 9] = [
-        ("fifo/16/p2", sketched(base(4), 16, 2, SketchEviction::Fifo), false, [0xdc71dbf12c438b7b, 0x3a362e091e2104a8, 0xa0be62899a5b1613]),
-        ("lru/16/p2", sketched(base(4), 16, 2, SketchEviction::Lru), false, [0x8f7cb384ba8be409, 0xa8d11522702e43c2, 0xc45791b327bcbf5f]),
-        ("random/16/p2", sketched(base(4), 16, 2, SketchEviction::Random), false, [0xf2f31e19093e1404, 0x10d6be0b6d32a157, 0x1cd6d25126be8144]),
-        ("twoq/16/p2", sketched(base(4), 16, 2, SketchEviction::TwoQ), false, [0x4d255dae482ed3dc, 0xb6c06ff18c6c357b, 0x0935f1f3cc977891]),
-        ("lru/64/p3", sketched(base(3), 64, 3, SketchEviction::Lru), false, [0x98d4817eac776ed0, 0x0ee6b097137e0799, 0x7602feb49381a591]),
-        ("twoq/64/p3", sketched(base(5), 64, 3, SketchEviction::TwoQ), false, [0x93d509b90085c08f, 0x1d63ca2d4267835b, 0x517bb8acad9c675a]),
-        ("fifo/64/p2", sketched(base(4), 64, 2, SketchEviction::Fifo), false, [0x1f98f5edb4157e3d, 0x867727415f754356, 0x25f23de79fffc6cc]),
-        ("phases/twoq/16/p2", sketched(phased, 16, 2, SketchEviction::TwoQ), true, [0xc83467983ce59a6c, 0x747bb7d0e047631c, 0x7f182f54da77fe5e]),
-        ("pressure/lru/64/p2", sketched(pressured, 64, 2, SketchEviction::Lru), false, [0x51f6867050870b11, 0xf19c20fb6a30097b, 0x8e180215ab11d7b6]),
+        ("fifo/16/p2", sketched(base(4), 16, 2, SketchEviction::Fifo), false, [0x2f8ae2074510868d, 0x69ed0cada20d2618, 0xc3ea50e348e8d04f]),
+        ("lru/16/p2", sketched(base(4), 16, 2, SketchEviction::Lru), false, [0xec15df035f93080f, 0xd1208f49300ad49e, 0x8f2da4699a386def]),
+        ("random/16/p2", sketched(base(4), 16, 2, SketchEviction::Random), false, [0x98576deb55e8b406, 0xadc3f279820b8671, 0x5270336b0bd1fc32]),
+        ("twoq/16/p2", sketched(base(4), 16, 2, SketchEviction::TwoQ), false, [0xc658c1c5952d3c9a, 0xc33af6db0dfc7d7f, 0x9dbe911a89e71c9d]),
+        ("lru/64/p3", sketched(base(3), 64, 3, SketchEviction::Lru), false, [0x54e55cb01afc5594, 0x8d10af30e3225dfb, 0xad3086eebb2bf0ff]),
+        ("twoq/64/p3", sketched(base(5), 64, 3, SketchEviction::TwoQ), false, [0x764269cd9d17c8bd, 0xfbd1f011ab07626f, 0x12ebe9fa3d447894]),
+        ("fifo/64/p2", sketched(base(4), 64, 2, SketchEviction::Fifo), false, [0xc874754c73865d0f, 0x2f233f54e2b4e748, 0x90bd74b8afca0536]),
+        ("phases/twoq/16/p2", sketched(phased, 16, 2, SketchEviction::TwoQ), true, [0x836da19ca586685e, 0xd265d50d6ea1b0c6, 0xa4a8b61f6681cca8]),
+        ("pressure/lru/64/p2", sketched(pressured, 64, 2, SketchEviction::Lru), false, [0x46222b94ad3d84ad, 0x47d0076ed4801c63, 0x166e16eb90cb601e]),
     ];
     for (name, scfg, with_phases, golden) in cases {
         let rules: &[RuleSet] = if with_phases { &phase_rules } else { &[] };
