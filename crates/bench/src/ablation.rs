@@ -9,23 +9,23 @@
 //!   for the smaller rule table (Table 1's TCAM column).
 //! * **k** — sweep the augmentation count used in training/distillation.
 //!
-//! Every arm of every ablation fits one deterministic teacher and draws
-//! its forest from the same training stream ([`ARM_STREAM`]), so arms
-//! differ only in the configuration under study: the guided row, the
-//! τ = 1e-2 row and the k = 64 row are the same model.
+//! [`Ablation::new`] builds the scenario and fits its deterministic
+//! teacher once for all three sweeps. Every arm trains through the
+//! student recipe ([`train_student`]) from the same training stream
+//! ([`ARM_STREAM`]), so arms differ only in the configuration under study:
+//! the guided row, the τ = 1e-2 row and the k = 64 row are the same model.
 
 use iguard_runtime::rng::Rng;
 
-use iguard_core::forest::{IGuardConfig, IGuardForest};
+use iguard_core::forest::IGuardConfig;
 use iguard_core::rules::RuleSet;
 use iguard_core::teacher::DetectorTeacher;
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
-use iguard_metrics::{best_threshold, DetectionSummary};
-use iguard_models::detector::AnomalyDetector;
+use iguard_metrics::DetectionSummary;
 use iguard_models::magnifier::Magnifier;
 use iguard_synth::attacks::Attack;
 
-use crate::cpu::{fit_teacher, Effort};
+use crate::cpu::{fit_teacher, student_summary, train_student, Effort};
 use crate::data::{self, Scenario, ScenarioConfig};
 
 /// One ablation row.
@@ -38,125 +38,96 @@ pub struct AblationPoint {
     pub total_leaves: usize,
 }
 
+impl AblationPoint {
+    /// A reference row: a detector that is not a compiled forest.
+    fn reference(label: &str, summary: DetectionSummary) -> Self {
+        Self { label: label.into(), summary, rules: None, total_leaves: 0 }
+    }
+}
+
 const BUDGET: usize = 600_000;
 
 /// Seed salt of the training stream every ablation arm draws from.
 const ARM_STREAM: u64 = 0xAB1;
 
-/// The testbed's teacher at quick effort, validation-tuned.
-fn teacher_for(s: &Scenario, seed: u64) -> Magnifier {
-    fit_teacher(s, Effort::Quick.teacher_epochs(), &mut Rng::seed_from_u64(seed ^ 0x7E57))
+/// The fixed setting all three sweeps share: one attack's testbed
+/// scenario and the testbed's quick-effort teacher, validation-tuned.
+pub struct Ablation {
+    s: Scenario,
+    teacher: DetectorTeacher<Magnifier>,
+    teacher_summary: DetectionSummary,
+    seed: u64,
 }
 
-fn eval_forest(s: &Scenario, forest: &mut IGuardForest) -> (DetectionSummary, Option<usize>) {
-    let val_scores = forest.scores(&s.val.features);
-    let (vote_thr, _) = best_threshold(&val_scores, &s.val.labels);
-    forest.set_vote_threshold(vote_thr);
-    let pred = forest.predictions(&s.test.features);
-    let scores = forest.scores(&s.test.features);
-    let summary = DetectionSummary::compute(&s.test.labels, &pred, &scores);
-    let rules = RuleSet::from_iguard(forest, BUDGET).map(|r| r.len()).ok();
-    (summary, rules)
+/// The arm every sweep varies: 7 trees of Ψ = 64 at k = 64 and the
+/// default τ_split and candidate count.
+fn base_arm() -> IGuardConfig {
+    IGuardConfig { n_trees: 7, subsample: 64, k_augment: 64, ..Default::default() }
 }
 
-/// Guided vs unguided growth (distillation in both): grows a conventional
-/// iForest, then transplants its partitions into the distillation +
-/// vote machinery by re-using the guided pipeline with `n_candidates = 1`
-/// and `k_augment = 0`, which degrades the split search to the first
-/// quantile midpoint — an uninformed splitter.
-pub fn guidance(attack: Attack, seed: u64) -> Vec<AblationPoint> {
-    let s = data::build(attack, &ScenarioConfig::testbed(seed));
-    let teacher = DetectorTeacher(teacher_for(&s, seed));
-    let mut out = Vec::new();
-    for (label, k, candidates) in
-        [("guided (k=64, 8 candidates)", 64usize, 8usize), ("unguided (k=0, 1 candidate)", 0, 1)]
-    {
-        let cfg = IGuardConfig {
-            n_trees: 7,
-            subsample: 64,
-            k_augment: k,
-            n_candidates: candidates,
-            ..Default::default()
-        };
-        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
-        let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
-        forest.distill(&s.train.features, &teacher, 64, &mut rng);
-        let leaves = forest.total_leaves();
-        let (summary, rules) = eval_forest(&s, &mut forest);
-        out.push(AblationPoint { label: label.into(), summary, rules, total_leaves: leaves });
+impl Ablation {
+    /// Builds `attack`'s testbed scenario and fits its teacher.
+    pub fn new(attack: Attack, seed: u64) -> Self {
+        let s = data::build(attack, &ScenarioConfig::testbed(seed));
+        let mut rng = Rng::seed_from_u64(seed ^ 0x7E57);
+        let (teacher, teacher_summary) = fit_teacher(&s, Effort::Quick.teacher_epochs(), &mut rng);
+        Self { s, teacher: DetectorTeacher(teacher), teacher_summary, seed }
     }
-    // Reference: the raw teacher and the conventional iForest.
-    let t_scores = teacher.0.scores(&s.test.features);
-    let t_pred: Vec<bool> = t_scores.iter().map(|&v| v > teacher.0.threshold()).collect();
-    out.push(AblationPoint {
-        label: "teacher (Magnifier)".into(),
-        summary: DetectionSummary::compute(&s.test.labels, &t_pred, &t_scores),
-        rules: None,
-        total_leaves: 0,
-    });
-    let mut rng = Rng::seed_from_u64(seed ^ 0xAB2);
-    let iforest = IsolationForest::fit(
-        &s.train.features,
-        &IsolationForestConfig { n_trees: 50, subsample: 128, contamination: 0.1 },
-        &mut rng,
-    );
-    let scores = iforest.scores(&s.val.features);
-    let (thr, _) = best_threshold(&scores, &s.val.labels);
-    let test_scores = iforest.scores(&s.test.features);
-    let pred: Vec<bool> = test_scores.iter().map(|&v| v > thr).collect();
-    out.push(AblationPoint {
-        label: "conventional iForest".into(),
-        summary: DetectionSummary::compute(&s.test.labels, &pred, &test_scores),
-        rules: None,
-        total_leaves: 0,
-    });
-    out
-}
 
-/// τ_split sweep: the extra stopping criterion of §3.2.1, credited in
-/// §4.2.2 for the smaller rule table.
-pub fn tau_split(attack: Attack, seed: u64) -> Vec<AblationPoint> {
-    let s = data::build(attack, &ScenarioConfig::testbed(seed));
-    let teacher = DetectorTeacher(teacher_for(&s, seed));
-    let mut out = Vec::new();
-    for tau in [0.0f64, 1e-3, 1e-2, 1e-1] {
-        let cfg = IGuardConfig {
-            n_trees: 7,
-            subsample: 64,
-            k_augment: 64,
-            tau_split: tau,
-            ..Default::default()
-        };
-        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
-        let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
-        forest.distill(&s.train.features, &teacher, 64, &mut rng);
-        let leaves = forest.total_leaves();
-        let (summary, rules) = eval_forest(&s, &mut forest);
-        out.push(AblationPoint {
-            label: format!("tau_split = {tau:.0e}"),
-            summary,
-            rules,
-            total_leaves: leaves,
-        });
+    /// Trains one arm through the student recipe, distilling at
+    /// `distill_k`, and scores it on test.
+    fn arm(&self, label: String, cfg: &IGuardConfig, distill_k: usize) -> AblationPoint {
+        let mut rng = Rng::seed_from_u64(self.seed ^ ARM_STREAM);
+        let forest = train_student(&self.s, &self.teacher, cfg, distill_k, &mut rng);
+        AblationPoint {
+            label,
+            summary: student_summary(&self.s, &forest),
+            rules: RuleSet::from_iguard(&forest, BUDGET).map(|r| r.len()).ok(),
+            total_leaves: forest.total_leaves(),
+        }
     }
-    out
-}
 
-/// k sweep: augmentation budget during training and distillation.
-pub fn k_augment(attack: Attack, seed: u64) -> Vec<AblationPoint> {
-    let s = data::build(attack, &ScenarioConfig::testbed(seed));
-    let teacher = DetectorTeacher(teacher_for(&s, seed));
-    let mut out = Vec::new();
-    for k in [0usize, 16, 64, 256] {
-        let cfg = IGuardConfig { n_trees: 7, subsample: 64, k_augment: k, ..Default::default() };
-        let mut rng = Rng::seed_from_u64(seed ^ ARM_STREAM);
-        let mut forest = IGuardForest::fit(&s.train.features, &teacher, &cfg, &mut rng);
-        forest.distill(&s.train.features, &teacher, k, &mut rng);
-        let leaves = forest.total_leaves();
-        let (summary, rules) = eval_forest(&s, &mut forest);
-        out.push(AblationPoint { label: format!("k = {k}"), summary, rules, total_leaves: leaves });
+    /// Guided vs unguided growth (distillation in both). The unguided arm
+    /// grows with `n_candidates = 1` and `k_augment = 0`, which degrades
+    /// the split search to the first quantile midpoint — an uninformed
+    /// splitter — but still distills at k = 64. The raw teacher and a
+    /// conventional iForest follow as references.
+    pub fn guidance(&self) -> Vec<AblationPoint> {
+        let unguided = IGuardConfig { k_augment: 0, n_candidates: 1, ..base_arm() };
+        let mut rng = Rng::seed_from_u64(self.seed ^ 0xAB2);
+        let iforest = IsolationForest::fit(
+            &self.s.train.features,
+            &IsolationForestConfig { n_trees: 50, subsample: 128, contamination: 0.1 },
+            &mut rng,
+        );
+        vec![
+            self.arm("guided (k=64, 8 candidates)".into(), &base_arm(), 64),
+            self.arm("unguided (k=0, 1 candidate)".into(), &unguided, 64),
+            AblationPoint::reference("teacher (Magnifier)", self.teacher_summary),
+            AblationPoint::reference(
+                "conventional iForest",
+                self.s.tune_and_test(|x| iforest.scores(x)).2,
+            ),
+        ]
     }
-    out
+
+    /// τ_split sweep: the extra stopping criterion of §3.2.1, credited in
+    /// §4.2.2 for the smaller rule table.
+    pub fn tau_split(&self) -> Vec<AblationPoint> {
+        [0.0f64, 1e-3, 1e-2, 1e-1]
+            .map(|tau| {
+                let cfg = IGuardConfig { tau_split: tau, ..base_arm() };
+                self.arm(format!("tau_split = {tau:.0e}"), &cfg, 64)
+            })
+            .into()
+    }
+
+    /// k sweep: augmentation budget during training and distillation.
+    pub fn k_augment(&self) -> Vec<AblationPoint> {
+        [0usize, 16, 64, 256]
+            .map(|k| self.arm(format!("k = {k}"), &IGuardConfig { k_augment: k, ..base_arm() }, k))
+            .into()
+    }
 }
 
 #[cfg(test)]
@@ -165,10 +136,15 @@ mod tests {
 
     use super::*;
 
-    /// The τ sweep, computed once for both tests.
+    /// The UDP DDoS setting and its τ sweep, built once for both tests.
+    fn ablation() -> &'static Ablation {
+        static ABLATION: OnceLock<Ablation> = OnceLock::new();
+        ABLATION.get_or_init(|| Ablation::new(Attack::UdpDdos, 3))
+    }
+
     fn tau_points() -> &'static [AblationPoint] {
         static POINTS: OnceLock<Vec<AblationPoint>> = OnceLock::new();
-        POINTS.get_or_init(|| tau_split(Attack::UdpDdos, 3))
+        POINTS.get_or_init(|| ablation().tau_split())
     }
 
     #[test]
@@ -187,7 +163,7 @@ mod tests {
 
     #[test]
     fn guidance_ablation_produces_all_rows() {
-        let points = guidance(Attack::UdpDdos, 3);
+        let points = ablation().guidance();
         assert_eq!(points.len(), 4);
         assert!(points.iter().all(|p| (0.0..=1.0).contains(&p.summary.macro_f1)));
         // The guided arm's configuration is the τ = 1e-2 default, and both

@@ -4,7 +4,6 @@
 use iguard_runtime::rng::Rng;
 
 use iguard_iforest::IsolationForestConfig;
-use iguard_metrics::{best_threshold, macro_f1};
 use iguard_models::detector::{AnomalyDetector, IForestDetector};
 use iguard_models::knn::{KnnConfig, KnnDetector};
 use iguard_models::magnifier::{Magnifier, MagnifierConfig};
@@ -14,7 +13,7 @@ use iguard_models::xmeans::{XMeansConfig, XMeansDetector};
 use iguard_synth::attacks::Attack;
 
 use crate::cpu::Effort;
-use crate::data::{self, Scenario, ScenarioConfig};
+use crate::data::{self, ScenarioConfig};
 
 /// The candidate order of Fig. 10.
 pub const CANDIDATES: [&str; 6] = ["kNN", "PCA", "iForest", "X-means", "VAE", "Magnifier"];
@@ -26,14 +25,6 @@ pub struct CandidateResult {
     pub macro_f1: [f64; 6],
 }
 
-fn tune_and_test(det: &mut dyn AnomalyDetector, s: &Scenario) -> f64 {
-    let val_scores = det.scores(&s.val.features);
-    let (thr, _) = best_threshold(&val_scores, &s.val.labels);
-    det.set_threshold(thr);
-    let pred: Vec<bool> = det.scores(&s.test.features).iter().map(|&v| v > thr).collect();
-    macro_f1(&s.test.labels, &pred)
-}
-
 /// Runs the Fig.-10 comparison for one attack.
 pub fn run_attack(attack: Attack, seed: u64, effort: Effort) -> CandidateResult {
     let s = data::build(attack, &ScenarioConfig::cpu(seed));
@@ -43,30 +34,25 @@ pub fn run_attack(attack: Attack, seed: u64, effort: Effort) -> CandidateResult 
         Effort::Full => 120,
     };
 
-    let mut knn = KnnDetector::fit(&s.train.features, &KnnConfig::default());
-    let mut pca = PcaDetector::fit(&s.train.features, &PcaConfig::default());
-    let mut iforest = IForestDetector::fit(
+    let knn = KnnDetector::fit(&s.train.features, &KnnConfig::default());
+    let pca = PcaDetector::fit(&s.train.features, &PcaConfig::default());
+    let iforest = IForestDetector::fit(
         &s.train.features,
         &IsolationForestConfig { n_trees: 100, subsample: 256, contamination: 0.1 },
         seed,
     );
-    let mut xmeans = XMeansDetector::fit(&s.train.features, &XMeansConfig::default(), &mut rng);
-    let mut vae =
+    let xmeans = XMeansDetector::fit(&s.train.features, &XMeansConfig::default(), &mut rng);
+    let vae =
         VaeDetector::fit(&s.train.features, &VaeConfig { epochs, ..Default::default() }, &mut rng);
-    let mut magnifier = Magnifier::fit(
+    let magnifier = Magnifier::fit(
         &s.train.features,
         &MagnifierConfig { epochs, ..Default::default() },
         &mut rng,
     );
 
-    let macro_f1 = [
-        tune_and_test(&mut knn, &s),
-        tune_and_test(&mut pca, &s),
-        tune_and_test(&mut iforest, &s),
-        tune_and_test(&mut xmeans, &s),
-        tune_and_test(&mut vae, &s),
-        tune_and_test(&mut magnifier, &s),
-    ];
+    // Each candidate is fine-tuned on validation and scored on test.
+    let detectors: [&dyn AnomalyDetector; 6] = [&knn, &pca, &iforest, &xmeans, &vae, &magnifier];
+    let macro_f1 = detectors.map(|det| s.tune_and_test(|x| det.scores(x)).2.macro_f1);
     CandidateResult { attack, macro_f1 }
 }
 

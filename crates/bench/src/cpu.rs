@@ -1,10 +1,14 @@
 //! CPU experiments (paper §4.1, Figs. 5 and 8): iForest vs Magnifier vs
 //! iGuard on Magnifier-grade flow features, one attack at a time.
+//!
+//! Also home of the two training steps every experiment shares: the
+//! Magnifier teacher ([`fit_teacher`]) and the student recipe
+//! ([`train_student`]).
 
 use iguard_runtime::rng::Rng;
 
 use iguard_core::forest::{IGuardConfig, IGuardForest};
-use iguard_core::teacher::DetectorTeacher;
+use iguard_core::teacher::{DetectorTeacher, Teacher};
 use iguard_iforest::{IsolationForest, IsolationForestConfig};
 use iguard_metrics::{best_threshold, DetectionSummary};
 use iguard_models::detector::AnomalyDetector;
@@ -43,51 +47,63 @@ impl Effort {
 
 /// Fits the Magnifier teacher on the scenario's benign training flows,
 /// drawing from `rng`, and tunes its RMSE threshold `T` on validation.
-pub fn fit_teacher(s: &Scenario, epochs: usize, rng: &mut Rng) -> Magnifier {
+/// Returns the teacher and its test summary.
+pub fn fit_teacher(s: &Scenario, epochs: usize, rng: &mut Rng) -> (Magnifier, DetectionSummary) {
     let cfg = MagnifierConfig { epochs, ..Default::default() };
     let mut mag = Magnifier::fit(&s.train.features, &cfg, rng);
-    let (thr, _) = best_threshold(&mag.scores(&s.val.features), &s.val.labels);
+    let (thr, _, summary) = s.tune_and_test(|x| mag.scores(x));
     mag.set_threshold(thr);
-    mag
+    (mag, summary)
 }
 
-/// Trains and evaluates the conventional iForest baseline with a
-/// `(t, Ψ)` grid and validation-tuned threshold.
+/// The student recipe (§3.2) every experiment trains iGuard with: grow
+/// the guided forest on the benign training flows, distill its leaves
+/// with `distill_k` augmentation points each, then calibrate the vote
+/// threshold on validation (the paper's grid search over T plays this
+/// role). Draws from `rng` in that order. Callers distill at
+/// `cfg.k_augment`, except the unguided ablation arm, which grows at
+/// k = 0 and distills at k = 64. This is the one place to change how a
+/// student is chosen.
+pub fn train_student(
+    s: &Scenario,
+    teacher: &dyn Teacher,
+    cfg: &IGuardConfig,
+    distill_k: usize,
+    rng: &mut Rng,
+) -> IGuardForest {
+    let mut forest = IGuardForest::fit(&s.train.features, teacher, cfg, rng);
+    forest.distill(&s.train.features, teacher, distill_k, rng);
+    let (vote_thr, _) = best_threshold(&forest.scores(&s.val.features), &s.val.labels);
+    forest.set_vote_threshold(vote_thr);
+    forest
+}
+
+/// A calibrated student's test summary: its voted verdicts, scored by the
+/// fraction of trees voting malicious.
+pub fn student_summary(s: &Scenario, forest: &IGuardForest) -> DetectionSummary {
+    let scores = forest.scores(&s.test.features);
+    DetectionSummary::compute(&s.test.labels, &forest.predictions(&s.test.features), &scores)
+}
+
+/// Trains and evaluates the conventional iForest baseline: the `(t, Ψ)`
+/// grid point with the best validation F1 (the first on ties), at its
+/// validation-tuned threshold.
 pub fn eval_iforest(s: &Scenario, effort: Effort, seed: u64) -> DetectionSummary {
     let grid: Vec<(usize, usize)> = match effort {
         Effort::Quick => vec![(50, 128), (100, 256)],
         Effort::Full => vec![(25, 64), (50, 128), (100, 256), (100, 512)],
     };
-    let mut best: Option<(f64, DetectionSummary)> = None;
-    for (i, &(t, psi)) in grid.iter().enumerate() {
+    let tuned = grid.iter().enumerate().map(|(i, &(t, psi))| {
         let cfg = IsolationForestConfig { n_trees: t, subsample: psi, contamination: 0.1 };
         let mut rng = Rng::seed_from_u64(seed ^ (i as u64) << 8);
         let forest = IsolationForest::fit(&s.train.features, &cfg, &mut rng);
-        let val_scores = forest.scores(&s.val.features);
-        let (thr, val_f1) = best_threshold(&val_scores, &s.val.labels);
-        if best.as_ref().is_some_and(|(b, _)| *b >= val_f1) {
-            continue;
-        }
-        let test_scores = forest.scores(&s.test.features);
-        let pred: Vec<bool> = test_scores.iter().map(|&v| v > thr).collect();
-        let summary = DetectionSummary::compute(&s.test.labels, &pred, &test_scores);
-        best = Some((val_f1, summary));
-    }
-    best.expect("non-empty grid").1
+        s.tune_and_test(|x| forest.scores(x))
+    });
+    tuned.reduce(|best, next| if best.1 >= next.1 { best } else { next }).expect("non-empty grid").2
 }
 
-/// Trains Magnifier on benign flows and tunes its RMSE threshold `T` on
-/// validation. Returns the fitted model and its test summary.
-pub fn eval_magnifier(s: &Scenario, effort: Effort, seed: u64) -> (Magnifier, DetectionSummary) {
-    let mag = fit_teacher(s, effort.teacher_epochs(), &mut Rng::seed_from_u64(seed ^ 0xAE));
-    let test_scores = mag.scores(&s.test.features);
-    let pred: Vec<bool> = test_scores.iter().map(|&v| v > mag.threshold()).collect();
-    let summary = DetectionSummary::compute(&s.test.labels, &pred, &test_scores);
-    (mag, summary)
-}
-
-/// Trains iGuard guided by a fitted teacher and evaluates the distilled
-/// forest on the test set.
+/// Trains iGuard through the student recipe, guided by a fitted teacher,
+/// and evaluates it on the test set.
 pub fn eval_iguard(
     s: &Scenario,
     teacher_model: Magnifier,
@@ -102,25 +118,17 @@ pub fn eval_iguard(
             IGuardConfig { n_trees: 15, subsample: 256, k_augment: 64, ..Default::default() }
         }
     };
-    let mut teacher = DetectorTeacher(teacher_model);
+    let teacher = DetectorTeacher(teacher_model);
     let mut rng = Rng::seed_from_u64(seed ^ 0x16);
-    let mut forest = IGuardForest::fit(&s.train.features, &mut teacher, &cfg, &mut rng);
-    forest.distill(&s.train.features, &mut teacher, cfg.k_augment, &mut rng);
-    // Calibrate the vote threshold on validation (the paper's grid search
-    // over T plays this role).
-    let val_scores = forest.scores(&s.val.features);
-    let (vote_thr, _) = best_threshold(&val_scores, &s.val.labels);
-    forest.set_vote_threshold(vote_thr);
-    let pred = forest.predictions(&s.test.features);
-    let scores = forest.scores(&s.test.features);
-    DetectionSummary::compute(&s.test.labels, &pred, &scores)
+    student_summary(s, &train_student(s, &teacher, &cfg, cfg.k_augment, &mut rng))
 }
 
 /// Runs the full Fig.-5/8 comparison for one attack.
 pub fn run_attack(attack: Attack, seed: u64, effort: Effort) -> CpuResult {
     let scenario = data::build(attack, &ScenarioConfig::cpu(seed));
     let iforest = eval_iforest(&scenario, effort, seed);
-    let (mag, magnifier) = eval_magnifier(&scenario, effort, seed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xAE);
+    let (mag, magnifier) = fit_teacher(&scenario, effort.teacher_epochs(), &mut rng);
     let iguard = eval_iguard(&scenario, mag, effort, seed);
     CpuResult { attack, iforest, magnifier, iguard }
 }

@@ -8,12 +8,21 @@
 //! | [`pathlen`] | Figs. 2 & 7 — path-length overlap motivation |
 //! | [`cpu`] | Figs. 5 & 8 — CPU detection comparison |
 //! | [`testbed`] | Figs. 6 & 9, Table 1, Tables 2–3, §3.2.3, App. B.1 |
+//! | [`ablation`] | DESIGN.md §5 — guidance, τ_split and k ablations |
 //! | [`candidates`] | Fig. 10 — teacher-candidate study |
 //! | [`data`] | §4's dataset protocol (train / val+20 % / test+20 %) |
 //!
+//! Every experiment follows §4's protocol through shared steps: the
+//! Magnifier teacher ([`cpu::fit_teacher`]), the student recipe
+//! ([`cpu::train_student`]: fit, distill, calibrate the vote threshold on
+//! validation) and, for a scored detector, [`data::Scenario::tune_and_test`]
+//! (threshold on validation, summary on test).
+//!
 //! The `figures` binary drives these with one subcommand per artefact;
-//! the timing benches under `benches/` cover the micro-costs (training,
-//! inference, rule compilation, per-packet pipeline work).
+//! `figures all` trains each testbed [`testbed::Deployment`] once and
+//! renders Figs. 6/9, Table 1, §3.2.3 and App. B.1 from it. The timing
+//! benches under `benches/` cover the micro-costs (training, inference,
+//! rule compilation, per-packet pipeline work).
 
 #![forbid(unsafe_code)]
 
